@@ -18,7 +18,7 @@ from .generic import (
     hilbert_profile,
     verify_moreno_socias,
 )
-from .poly import Fail, GroebnerBasis, MultiPoly, normal_form, reduce_basis
+from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
 from .quotient import (
     QuotientStructure,
     build_mult_matrix,
@@ -36,6 +36,7 @@ __all__ = [
     "MultiPoly",
     "GroebnerBasis",
     "Fail",
+    "InternalError",
     "normal_form",
     "reduce_basis",
     "QuotientStructure",

@@ -16,9 +16,18 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .field import PrimeField
-from .poly import Fail, GroebnerBasis, MultiPoly, mp_monic, mp_mul_term, mp_sub, normal_form
+from .poly import (
+    Fail,
+    GroebnerBasis,
+    InternalError,
+    MultiPoly,
+    mp_monic,
+    mp_mul_term,
+    mp_sub,
+    normal_form,
+)
 from .quotient import CoordVector, QuotientStructure
-from .terms import Term, lex_key, term_key
+from .terms import Term, divides, lex_key
 
 # witness record: (polynomial, span, fail term, discrepancy)
 WitnessRec = tuple[MultiPoly, Term, Term, int]
@@ -72,10 +81,6 @@ def _downset(t: Term):
     return iter_product(*(range(a + 1) for a in t))
 
 
-def _leq(a: Term, b: Term) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
 def _corners(delta: set[Term], n: int) -> list[Term]:
     """Minimal terms outside the (downward-closed) delta set."""
     if not delta:
@@ -127,7 +132,7 @@ def sakata_update(
     fails: list[tuple[MultiPoly, int]] = []
     for f in st.F:
         s = f.lt("lex")
-        if _leq(s, u):
+        if divides(s, u):
             d = _discrepancy(f, tuple(a - b for a, b in zip(u, s)), A, Q)
             if not d:
                 continue
@@ -150,21 +155,22 @@ def sakata_update(
         if exact:
             f = exact[0]
         else:
-            cands = [f for f in st.F if _leq(f.lt("lex"), s)]
+            cands = [f for f in st.F if divides(f.lt("lex"), s)]
             unfailed = [f for f in cands if id(f) not in fail_disc]
             f = unfailed[0] if unfailed else cands[0]
         c = f.lt("lex")
         shift = tuple(a - b for a, b in zip(s, c))
-        if id(f) not in fail_disc or not _leq(s, u):
+        if id(f) not in fail_disc or not divides(s, u):
             # valid (or untestable) at u after the shift: no correction needed
             new_F.append(mp_mul_term(f, shift, 1, F_))
         else:
             need = tuple(a - b for a, b in zip(u, s))
             rec = next(
-                (r for r in reversed(st.G) if _leq(need, r[1])),
+                (r for r in reversed(st.G) if divides(need, r[1])),
                 None,
             )
-            assert rec is not None, "no witness available for correction"
+            if rec is None:
+                raise InternalError("no witness available for correction")
             g, span_g, _, d_g = rec
             corr_shift = tuple(a - b for a, b in zip(span_g, need))
             coef = fail_disc[id(f)] * F_.inv(d_g) % F_.p
@@ -182,7 +188,7 @@ def sakata_update(
     for i, rec in enumerate(new_G):
         dominated = any(
             j != i
-            and _leq(rec[1], other[1])
+            and divides(rec[1], other[1])
             and (other[1] != rec[1] or j > i)
             for j, other in enumerate(new_G)
         )
@@ -198,12 +204,12 @@ def reduce_set(F: list[MultiPoly], field: PrimeField) -> list[MultiPoly]:
         fi = out[i]
         if fi.is_zero():
             continue
-        ki = term_key("lex")(fi.lt("lex"))
+        ki = lex_key(fi.lt("lex"))
         reducers = []
         for j, fj in enumerate(out):
             if j == i or fj.is_zero():
                 continue
-            kj = term_key("lex")(fj.lt("lex"))
+            kj = lex_key(fj.lt("lex"))
             if kj < ki or (kj == ki and j < i):
                 reducers.append(fj)
         r = normal_form(fi, reducers, "lex", field)
@@ -213,8 +219,6 @@ def reduce_set(F: list[MultiPoly], field: PrimeField) -> list[MultiPoly]:
 
 def _staircase_size(lts: list[Term], n: int, limit: int) -> int | None:
     """Number of standard monomials under lts, or None if infinite/over limit."""
-    from .terms import divides
-
     bounds = []
     for i in range(n):
         pure = [t[i] for t in lts if sum(t) == t[i]]
@@ -270,9 +274,10 @@ def bms_change(
         return [t[0] for t in st.delta if t[1:] == j]
 
     def finish(ok: bool):
-        assert passes <= cap, "pass budget exceeded (defect)"
+        if passes > cap:
+            raise InternalError("pass budget exceeded (defect)")
         if ok:
-            polys = sorted(st.F, key=lambda f: term_key("lex")(f.lt("lex")))
+            polys = sorted(st.F, key=lambda f: lex_key(f.lt("lex")))
             return GroebnerBasis(polys, "lex", reduced=True)
         return Fail(
             f"BMS sweep ended without a verified Groebner basis "
@@ -320,7 +325,10 @@ def bms_change(
                     return finish(is_gb(st.F, Q))
                 u = (i,) + ridge
                 st = sakata_update(st, u, A, Q, grow_tail=j if even else None)
-                st.F = reduce_set(st.F, F_)
+                if st.failed:
+                    # a clean pass keeps the F the last pass already reduced,
+                    # and reduce_set is idempotent on it
+                    st.F = reduce_set(st.F, F_)
                 passes += 1
                 clean = not st.failed
                 if trace is not None:

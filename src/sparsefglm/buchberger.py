@@ -6,16 +6,17 @@ Good enough for the desk-scale inputs the converters are exercised on
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations_with_replacement
 
 from .field import PrimeField
 from .poly import GroebnerBasis, MultiPoly, mp_mul_term, mp_sub, normal_form, reduce_basis
-from .terms import OrderingTag, Term, term_key
+from .terms import OrderingTag, Term, divides, term_key
 
 
 def _lcm(a: Term, b: Term) -> Term:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _coprime(a: Term, b: Term) -> bool:
@@ -42,7 +43,18 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     G = [g for g in polys if not g.is_zero()]
     if not G:
         raise ValueError("empty generating set")
-    pairs = {(i, j) for i, j in combinations_with_replacement(range(len(G)), 2) if i != j}
+    # pending pairs: the set answers the chain criterion's membership test,
+    # the heap pops them smallest-lcm first, keyed once when each is made
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple[tuple, int, int]] = []
+
+    def add_pair(i: int, j: int) -> None:
+        pairs.add((i, j))
+        heapq.heappush(queue, (key(_lcm(G[i].lt(ordering), G[j].lt(ordering))), i, j))
+
+    for j in range(len(G)):
+        for i in range(j):
+            add_pair(i, j)
 
     def chain_prunable(i: int, j: int) -> bool:
         m = _lcm(G[i].lt(ordering), G[j].lt(ordering))
@@ -50,15 +62,15 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             if k in (i, j):
                 continue
             lk = G[k].lt(ordering)
-            if all(x <= y for x, y in zip(lk, m)):
+            if divides(lk, m):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
                     return True
         return False
 
-    while pairs:
-        i, j = min(pairs, key=lambda ij: key(_lcm(G[ij[0]].lt(ordering), G[ij[1]].lt(ordering))))
+    while queue:
+        _, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         if _coprime(G[i].lt(ordering), G[j].lt(ordering)):
             continue
@@ -69,7 +81,8 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             continue
         G.append(r)
         k = len(G) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        for i2 in range(k):
+            add_pair(i2, k)
     return GroebnerBasis(reduce_basis(G, ordering, F), ordering, reduced=True)
 
 

@@ -3,23 +3,41 @@
 Coefficients live in dicts keyed by exponent tuples; only nonzero entries
 are stored.  Polynomials do not carry the field; operations that need
 arithmetic take a PrimeField argument, mirroring the univariate layer.
+
+A MultiPoly is immutable once constructed: every operation builds a new
+coefficient dict, and nothing writes to `coeffs` afterwards.  That is what
+lets `lt` cache its answer per ordering on the instance.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .field import PrimeField
-from .terms import OrderingTag, Term, divides, term_div, term_key, term_mul, term_str
+from .terms import (
+    OrderingTag,
+    Term,
+    divides,
+    term_desc_key,
+    term_div,
+    term_key,
+    term_mul,
+    term_str,
+)
 from .unipoly import UniPoly, trim
 
 
 class MultiPoly:
-    __slots__ = ("n", "coeffs")
+    """A polynomial in n variables; `coeffs` must not be mutated after
+    construction, since leading terms are cached per ordering in `_lt`."""
+
+    __slots__ = ("n", "coeffs", "_lt")
 
     def __init__(self, n: int, coeffs: dict[Term, int] | None = None):
         self.n = n
         self.coeffs = {t: c for t, c in (coeffs or {}).items() if c}
+        self._lt: dict[str, Term] | None = None
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
@@ -47,9 +65,15 @@ class MultiPoly:
         return not self.coeffs
 
     def lt(self, ordering: OrderingTag) -> Term:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.coeffs, key=term_key(ordering))
+        cache = self._lt
+        if cache is None:
+            cache = self._lt = {}
+        t = cache.get(ordering)
+        if t is None:
+            if not self.coeffs:
+                raise ValueError("zero polynomial has no leading term")
+            t = cache[ordering] = max(self.coeffs, key=term_key(ordering))
+        return t
 
     def lc(self, ordering: OrderingTag) -> int:
         return self.coeffs[self.lt(ordering)]
@@ -154,28 +178,39 @@ def normal_form(
     are reproducible.
     """
     key = term_key(ordering)
+    desc = term_desc_key(ordering)
+    p = F.p
     table = sorted(
-        ((g.lt(ordering), g.lc(ordering), g) for g in reducers if not g.is_zero()),
+        ((g.lt(ordering), F.inv(g.lc(ordering)), g) for g in reducers if not g.is_zero()),
         key=lambda row: key(row[0]),
     )
     work = dict(f.coeffs)
+    # every term of work has an entry here, keyed once when it entered work;
+    # entries whose term has cancelled since are skipped when popped
+    heap = [(desc(t), t) for t in work]
+    heapq.heapify(heap)
     out: dict[Term, int] = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        for lt_g, lc_g, g in table:
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            continue
+        for lt_g, inv_g, g in table:
             if divides(lt_g, t):
                 shift = term_div(t, lt_g)
-                scale = c * F.inv(lc_g) % F.p
+                scale = c * inv_g % p
                 for s, a in g.coeffs.items():
                     if s == lt_g:
                         continue
                     u = term_mul(s, shift)
-                    v = (work.get(u, 0) - scale * a) % F.p
+                    old = work.get(u)
+                    v = ((old or 0) - scale * a) % p
                     if v:
+                        if old is None:
+                            heapq.heappush(heap, (desc(u), u))
                         work[u] = v
-                    else:
-                        work.pop(u, None)
+                    elif old is not None:
+                        del work[u]
                 break
         else:
             out[t] = c
@@ -202,8 +237,17 @@ def reduce_basis(
         r = normal_form(g, others, ordering, F)
         if not r.is_zero():
             out.append(mp_monic(r, ordering, F))
-    out.sort(key=lambda g: term_key(ordering)(g.lt(ordering)))
+    key = term_key(ordering)
+    out.sort(key=lambda g: key(g.lt(ordering)))
     return out
+
+
+class InternalError(AssertionError):
+    """A defect: an invariant the algorithms rely on does not hold.
+
+    Raised explicitly, so it survives `python -O`; subclassing AssertionError
+    keeps the CLI's exit code 4 for it.
+    """
 
 
 class Fail:

@@ -21,7 +21,7 @@ import random
 
 from .field import PrimeField
 from .linrec import HankelSystem, berlekamp_massey, hankel_solve
-from .poly import Fail, GroebnerBasis, MultiPoly, mp_sub
+from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_sub
 from .quotient import CoordVector, QuotientStructure, apply, apply_transpose
 from .unipoly import (
     UniPoly,
@@ -159,7 +159,8 @@ def shape_det(
     components: list[tuple[UniPoly, list[list[int]]]] = []  # (factor, rhs rows per tail var)
     k = 0
     while any(b):
-        assert k < D, "probe loop exceeded D iterations"
+        if k >= D:
+            raise InternalError("probe loop exceeded D iterations")
         d = deg(f)
         assert d < D
         if rng is None:

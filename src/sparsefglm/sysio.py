@@ -18,7 +18,6 @@ import re
 
 from .field import PrimeField
 from .poly import MultiPoly
-from .terms import drl_key, term_str
 
 
 class ParseError(ValueError):
@@ -152,18 +151,8 @@ def parse_system(text: str) -> tuple[PrimeField, list[MultiPoly]]:
 
 
 def poly_str(f: MultiPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for t in sorted(f.coeffs, key=drl_key, reverse=True):
-        c = f.coeffs[t]
-        if not any(t):
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(term_str(t))
-        else:
-            parts.append(f"{c}*{term_str(t)}")
-    return " + ".join(parts)
+    """f with its terms in descending DRL order (the same text as repr(f))."""
+    return repr(f)
 
 
 def write_system(F: PrimeField, polys: list[MultiPoly]) -> str:

@@ -13,12 +13,14 @@ usual way:
   1 < x1 < x1^2 < ... < x2 < x1*x2 < ...
 
 Sort keys are exposed instead of comparator objects; ascending sorts with
-these keys produce ascending term order.
+these keys produce ascending term order, and the descending keys put the
+largest term first (what a min-heap needs to pop leading terms).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal
+from operator import add, le, sub
+from typing import Literal
 
 Term = tuple[int, ...]
 OrderingTag = Literal["drl", "lex"]
@@ -32,6 +34,14 @@ def lex_key(t: Term):
     return tuple(reversed(t))
 
 
+def drl_desc_key(t: Term):
+    return (-sum(t), t)
+
+
+def lex_desc_key(t: Term):
+    return tuple(-e for e in reversed(t))
+
+
 def term_key(ordering: OrderingTag):
     if ordering == "drl":
         return drl_key
@@ -40,22 +50,27 @@ def term_key(ordering: OrderingTag):
     raise ValueError(f"unknown term ordering {ordering!r}")
 
 
+def term_desc_key(ordering: OrderingTag):
+    """Key under which ascending sorts give descending term order."""
+    if ordering == "drl":
+        return drl_desc_key
+    if ordering == "lex":
+        return lex_desc_key
+    raise ValueError(f"unknown term ordering {ordering!r}")
+
+
 def term_mul(a: Term, b: Term) -> Term:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def term_div(a: Term, b: Term) -> Term:
     """a / b; caller must ensure divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def divides(a: Term, b: Term) -> bool:
     """Does x^a divide x^b?"""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def total_deg(t: Term) -> int:
-    return sum(t)
+    return all(map(le, a, b))
 
 
 def unit_term(n: int) -> Term:
@@ -77,11 +92,3 @@ def term_str(t: Term) -> str:
         elif e > 1:
             parts.append(f"x{i + 1}^{e}")
     return "*".join(parts)
-
-
-def min_term(terms: Iterable[Term], ordering: OrderingTag) -> Term:
-    return min(terms, key=term_key(ordering))
-
-
-def max_term(terms: Iterable[Term], ordering: OrderingTag) -> Term:
-    return max(terms, key=term_key(ordering))

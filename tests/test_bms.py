@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from sparsefglm.bms import (
     ArrayE,
     _corners,
@@ -11,7 +16,7 @@ from sparsefglm.bms import (
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
-from sparsefglm.poly import Fail, GroebnerBasis, MultiPoly
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly
 from sparsefglm.quotient import QuotientStructure
 
 from conftest import PROBE12, basis_strs, noncommuting_units
@@ -158,3 +163,30 @@ def test_bms_declines_inconsistent_input():
     res = bms_change(Q, seed=None, probe=list(PROBE12))
     assert isinstance(res, Fail)
     assert "without a verified Groebner basis" in res.reason
+
+
+WITNESS_DEFECT = """
+from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system, toplevel
+GF5 = PrimeField(5)
+G1 = buchberger(gen_random_system(3, 3, 5, 41100005), "drl", GF5)
+try:
+    toplevel(G1, GF5, seed=41100005)
+except InternalError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def test_defect_raises_internal_error_under_python_O():
+    """A known defect (the BMS sweep finds no witness to correct with on this
+    p = 5 system) must surface as InternalError even with asserts stripped."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_DEFECT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "InternalError no witness available for correction"
+    assert issubclass(InternalError, AssertionError)  # the CLI's exit code 4

@@ -7,6 +7,7 @@ from sparsefglm.buchberger import _spoly, buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly, normal_form
+from sparsefglm.terms import divides
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
@@ -64,6 +65,26 @@ def test_random_systems_self_consistent():
             assert not any(Q.nf_vector(h))
         # is_gb speaks lex, so exercise it on the converted basis
         assert is_gb(classic_fglm(Q, "lex").polys, Q)
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521])
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 3), (3, 2), (4, 2)])
+def test_result_is_reduced_basis_whatever_the_pair_order(n, d, p):
+    # the defining properties of the reduced Groebner basis, which do not
+    # depend on the order in which pairs are taken from the queue
+    F = PrimeField(p)
+    for seed in range(3):
+        polys = gen_random_system(n, d, p, 41100000 + seed)
+        gb = buchberger(polys, "drl", F)
+        assert spolys_reduce_to_zero(gb, F)
+        for h in polys:
+            assert normal_form(h, gb.polys, "drl", F).is_zero()
+        lts = gb.leading_terms()
+        for i, g in enumerate(gb.polys):
+            assert g.lc("drl") == 1
+            for j, lt_j in enumerate(lts):
+                if j != i:
+                    assert not any(divides(lt_j, t) for t in g.coeffs)
 
 
 def test_empty_input_rejected():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sparsefglm.field import PrimeField
@@ -14,6 +16,7 @@ from sparsefglm.poly import (
     normal_form,
     reduce_basis,
 )
+from sparsefglm.terms import divides, term_div, term_key, term_mul
 
 F11 = PrimeField(11)
 
@@ -85,6 +88,71 @@ def test_normal_form_prefers_smallest_leading_term():
     nf = normal_form(f, [g_big, g_small], "drl", F11)
     # reduction through x1 + 2 leaves 9*x2, not the constant route through x1*x2 + 1
     assert nf.coeffs == {(0, 1): 9}
+
+
+def normal_form_linear_scan(f, reducers, ordering, F):
+    """Reference oracle: the leading term of what is left is found by a
+    linear scan on every step, with the same smallest-leading-term rule."""
+    key = term_key(ordering)
+    table = sorted(
+        ((g.lt(ordering), g.lc(ordering), g) for g in reducers if not g.is_zero()),
+        key=lambda row: key(row[0]),
+    )
+    work = dict(f.coeffs)
+    out = {}
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        for lt_g, lc_g, g in table:
+            if divides(lt_g, t):
+                shift = term_div(t, lt_g)
+                scale = c * F.inv(lc_g) % F.p
+                for s, a in g.coeffs.items():
+                    if s == lt_g:
+                        continue
+                    u = term_mul(s, shift)
+                    v = (work.get(u, 0) - scale * a) % F.p
+                    if v:
+                        work[u] = v
+                    else:
+                        work.pop(u, None)
+                break
+        else:
+            out[t] = c
+    return MultiPoly(f.n, out)
+
+
+def random_poly(rng, n, deg, terms, p):
+    return MultiPoly(
+        n,
+        {
+            tuple(rng.randrange(deg + 1) for _ in range(n)): rng.randrange(1, p)
+            for _ in range(terms)
+        },
+    )
+
+
+@pytest.mark.parametrize("ordering", ["drl", "lex"])
+@pytest.mark.parametrize("p", [5, 65521])
+def test_normal_form_matches_linear_scan_oracle(ordering, p):
+    F = PrimeField(p)
+    rng = random.Random(411)
+    for _ in range(60):
+        n = rng.randrange(1, 4)
+        k = rng.randrange(4)
+        reducers = [random_poly(rng, n, 2, rng.randrange(1, 4), p) for _ in range(k)]
+        f = random_poly(rng, n, 4, rng.randrange(1, 9), p)
+        got = normal_form(f, reducers, ordering, F)
+        assert got == normal_form_linear_scan(f, reducers, ordering, F)
+
+
+def test_cached_leading_terms_match_uncached_scan():
+    rng = random.Random(7)
+    for _ in range(50):
+        f = random_poly(rng, 3, 4, rng.randrange(1, 10), 65521)
+        for ordering in ("drl", "lex", "drl", "lex", "lex", "drl"):
+            assert f.lt(ordering) == max(f.coeffs, key=term_key(ordering))
+            assert f.lc(ordering) == f.coeffs[f.lt(ordering)]
 
 
 def test_normal_form_of_member_is_zero():

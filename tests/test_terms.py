@@ -2,15 +2,15 @@ import pytest
 
 from sparsefglm.terms import (
     divides,
+    drl_desc_key,
     drl_key,
+    lex_desc_key,
     lex_key,
-    max_term,
-    min_term,
+    term_desc_key,
     term_div,
     term_key,
     term_mul,
     term_str,
-    total_deg,
     unit_term,
     var_term,
 )
@@ -42,7 +42,7 @@ def test_drl_three_variables_matches_staircase_enumeration():
     s = sorted(terms, key=drl_key)
     assert s[0] == (0, 0, 0)
     assert s[1:4] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    degs = [total_deg(t) for t in s]
+    degs = [sum(t) for t in s]
     assert degs == sorted(degs)
 
 
@@ -51,6 +51,16 @@ def test_term_key_dispatch():
     assert term_key("lex") is lex_key
     with pytest.raises(ValueError):
         term_key("grevlex")
+
+
+def test_descending_keys_reverse_the_orders():
+    terms = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    for asc, desc in ((drl_key, drl_desc_key), (lex_key, lex_desc_key)):
+        assert sorted(terms, key=desc) == sorted(terms, key=asc, reverse=True)
+    assert term_desc_key("drl") is drl_desc_key
+    assert term_desc_key("lex") is lex_desc_key
+    with pytest.raises(ValueError):
+        term_desc_key("grevlex")
 
 
 def test_mul_div_divides():
@@ -66,7 +76,7 @@ def test_unit_and_var_terms():
     assert unit_term(3) == (0, 0, 0)
     assert var_term(3, 1) == (1, 0, 0)
     assert var_term(3, 3) == (0, 0, 1)
-    assert total_deg(unit_term(4)) == 0
+    assert sum(unit_term(4)) == 0
 
 
 def test_term_str():
@@ -74,11 +84,3 @@ def test_term_str():
     assert term_str((1, 0)) == "x1"
     assert term_str((2, 3)) == "x1^2*x2^3"
     assert term_str((0, 1, 4)) == "x2*x3^4"
-
-
-def test_min_max_term():
-    ts = [(2, 0), (0, 1), (1, 1)]
-    assert min_term(ts, "drl") == (0, 1)
-    assert max_term(ts, "drl") == (1, 1)
-    assert min_term(ts, "lex") == (2, 0)
-    assert max_term(ts, "lex") == (1, 1)
