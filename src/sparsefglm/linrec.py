@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from operator import mul
+
 from .field import PrimeField
-from .unipoly import UniPoly, trim, uni_monic
+from .unipoly import UniPoly, deg, trim, uni_mod, uni_monic, uni_mul, uni_xgcd
 
 LinRecSeq = list[int]
 
@@ -69,23 +71,29 @@ class HankelSystem:
         return self.seq[j : j + self.d]
 
 
+def _numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
+    """N with sum_j s_j x^(-j-1) = N / f, from the first deg(f) terms of s."""
+    return trim([sum(map(mul, f[k + 1 :], s)) % p for k in range(deg(f))])
+
+
 def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
-    """Solve H c = b by Gaussian elimination with pivot search."""
+    """Solve H c = b in O(d^2) through the generating series of seq and rhs.
+
+    H is invertible iff the minimal polynomial f of seq[:2d] (zero-padded)
+    has degree d.  Then the numerator N_s of seq over f is coprime to f (a
+    common factor would leave seq a recurrence of degree < d), and c, read
+    as a polynomial of degree < d, is N_b * N_s^-1 mod f, where N_b is the
+    numerator of rhs over f (Bostan-Salvy-Schost duality).
+    """
     p = F.p
     d = sys.d
-    M = [sys.row(j) + [sys.rhs[j] % p] for j in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if M[r][col] % p), None)
-        if piv is None:
-            raise ValueError("singular Hankel system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        M[col] = [a * inv % p for a in M[col]]
-        for r in range(d):
-            if r != col and M[r][col] % p:
-                c = M[r][col] % p
-                M[r] = [(a - c * b) % p for a, b in zip(M[r], M[col])]
-    return [M[r][d] for r in range(d)]
+    s = sys.seq[: 2 * d]
+    f = berlekamp_massey(s + [0] * (2 * d - len(s)), F)
+    if deg(f) != d:
+        raise ValueError("singular Hankel system")
+    _, inv, _ = uni_xgcd(_numerator(f, s, p), f, F)
+    c = uni_mod(uni_mul(_numerator(f, sys.rhs, p), inv, F), f, F)
+    return c + [0] * (d - len(c))
 
 
 def _rank(rows: list[list[int]], F: PrimeField) -> int:
@@ -106,19 +114,3 @@ def _rank(rows: list[list[int]], F: PrimeField) -> int:
                 M[r] = [(a - c * b) % p for a, b in zip(M[r], M[rank])]
         rank += 1
     return rank
-
-
-def minimal_poly_degree_rank_check(s: LinRecSeq, d: int, F: PrimeField) -> bool:
-    """True iff rank(H_d) = d, and rank(H_{d+1}) stays d when s allows it."""
-    if len(s) < 2 * d:
-        raise ValueError("sequence too short for rank check")
-    if d == 0:
-        return not any(v % F.p for v in s)
-    H_d = [s[j : j + d] for j in range(d)]
-    if _rank(H_d, F) != d:
-        return False
-    if len(s) >= 2 * d + 1:
-        H_d1 = [s[j : j + d + 1] for j in range(d + 1)]
-        if _rank(H_d1, F) != d:
-            return False
-    return True

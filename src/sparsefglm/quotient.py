@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .field import PrimeField
-from .poly import GroebnerBasis, MultiPoly, normal_form, reduce_basis
+from .poly import GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
 from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 
 CoordVector = list[int]
@@ -110,7 +110,8 @@ class QuotientStructure:
         box = iter_product(*(range(b) for b in bounds))
         terms = [t for t in box if not any(divides(l, t) for l in lts)]
         terms.sort(key=drl_key)
-        assert terms and terms[0] == unit_term(self.n)
+        if not terms or terms[0] != unit_term(self.n):
+            raise InternalError("staircase does not start at 1")
         return terms
 
     def _unit(self, i: int) -> CoordVector:

@@ -44,7 +44,8 @@ class ShapeBasis:
     def __init__(self, f1: UniPoly, tails: list[UniPoly]):
         self.f1 = trim(list(f1))
         self.tails = [trim(list(t)) for t in tails]
-        assert all(deg(t) < deg(self.f1) for t in self.tails)
+        if any(deg(t) >= deg(self.f1) for t in self.tails):
+            raise InternalError("shape tail degree not below deg(f1)")
 
     @property
     def n(self) -> int:
@@ -162,7 +163,8 @@ def shape_det(
         if k >= D:
             raise InternalError("probe loop exceeded D iterations")
         d = deg(f)
-        assert d < D
+        if d >= D:
+            raise InternalError("peeled degree reached D with probes left")
         if rng is None:
             u = [0] * D
             u[k] = 1
@@ -223,7 +225,8 @@ def shape_det(
         for i, t in enumerate(tails):
             residues_per_var[i].append(uni_mod(t, piece, F))
         remaining = uni_divmod(remaining, piece, F)[0]
-    assert deg(remaining) == 0
+    if deg(remaining) != 0:
+        raise InternalError("squarefree part not covered by the peeled factors")
 
     final_tails = [
         uni_crt(residues_per_var[i], moduli, F) for i in range(Q.n - 1)

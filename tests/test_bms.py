@@ -167,18 +167,24 @@ def test_bms_declines_inconsistent_input():
 
 WITNESS_DEFECT = """
 from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system, toplevel
+from sparsefglm.shape import ShapeBasis
 GF5 = PrimeField(5)
 G1 = buchberger(gen_random_system(3, 3, 5, 41100005), "drl", GF5)
 try:
     toplevel(G1, GF5, seed=41100005)
 except InternalError as exc:
     print(type(exc).__name__, exc)
+try:
+    ShapeBasis([1, 1], [[0, 1]])
+except InternalError as exc:
+    print(type(exc).__name__, exc)
 """
 
 
 def test_defect_raises_internal_error_under_python_O():
-    """A known defect (the BMS sweep finds no witness to correct with on this
-    p = 5 system) must surface as InternalError even with asserts stripped."""
+    """Known defects (the BMS sweep finds no witness to correct with on this
+    p = 5 system; a shape tail whose degree reaches deg(f1)) must surface as
+    InternalError even with asserts stripped."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-O", "-c", WITNESS_DEFECT],
@@ -188,5 +194,8 @@ def test_defect_raises_internal_error_under_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "InternalError no witness available for correction"
+    assert proc.stdout.splitlines() == [
+        "InternalError no witness available for correction",
+        "InternalError shape tail degree not below deg(f1)",
+    ]
     assert issubclass(InternalError, AssertionError)  # the CLI's exit code 4

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from sparsefglm.buchberger import buchberger, gen_random_system
+from sparsefglm.fglm import classic_fglm
+from sparsefglm.field import PrimeField
 from sparsefglm.linrec import berlekamp_massey
-from sparsefglm.poly import Fail
-from sparsefglm.quotient import apply, apply_transpose
+from sparsefglm.poly import Fail, normal_form
+from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
 from sparsefglm.shape import (
     ShapeBasis,
     WiedemannTrace,
@@ -13,7 +16,7 @@ from sparsefglm.shape import (
     shape_det,
     shape_prob,
 )
-from sparsefglm.unipoly import uni_crt, uni_mod
+from sparsefglm.unipoly import squarefree_part, uni_crt, uni_mod
 
 from conftest import basis_strs
 
@@ -90,6 +93,42 @@ def test_crt_glue_matches_direct_route(gf2q):
     glued = uni_crt([[1], [0, 1]], [[1, 1], [1, 1, 1]], gf2q.F)
     sb, _ = shape_det(gf2q)
     assert glued == [0, 1] == sb.tails[0]
+
+
+def test_shape_tails_match_classic_fglm_on_small_primes():
+    """Seeded random systems over small and large primes: every shape-prob
+    answer and every shape-det answer flagged radical is the LEX basis that
+    classic FGLM computes; every radical(I) answer has a squarefree f1 and
+    contains I.  Shape-det meets factors of degree 1 and 2 on the way, so the
+    short per-factor tail solves run too."""
+    seen = {"prob": 0, "det": 0, "radical_of": 0, "dk1": 0, "dk2": 0}
+    for p in (3, 5, 7, 101, 65521):
+        F = PrimeField(p)
+        for n, d in ((2, 2), (2, 3), (3, 2)):
+            for seed in range(6):
+                Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+                lex = classic_fglm(Q, "lex")
+                res = shape_prob(Q, seed)
+                if not isinstance(res, Fail):
+                    assert basis_strs(res.to_groebner(F)) == basis_strs(lex), (p, n, d, seed)
+                    seen["prob"] += 1
+                tr = WiedemannTrace()
+                res = shape_det(Q, trace_out=tr)
+                for g, _ in tr.factors:
+                    if len(g) - 1 in (1, 2):
+                        seen[f"dk{len(g) - 1}"] += 1
+                if isinstance(res, Fail):
+                    continue
+                sb, is_radical = res
+                if is_radical:
+                    assert basis_strs(sb.to_groebner(F)) == basis_strs(lex), (p, n, d, seed)
+                    seen["det"] += 1
+                else:
+                    assert squarefree_part(sb.f1, F) == sb.f1
+                    got = sb.to_polys(F)
+                    assert all(normal_form(g, got, "lex", F).is_zero() for g in lex.polys)
+                    seen["radical_of"] += 1
+    assert all(seen.values()), seen
 
 
 def test_shape_det_gf11_reports_nonradical(gf11):
