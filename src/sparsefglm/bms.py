@@ -5,8 +5,9 @@ ascending target-LEX order.  Each pass tests the current candidate set F for
 validity at the new term, repairs failures using recorded witness
 polynomials, and re-reduces F.  The driver stops as soon as the candidates
 verify as the Groebner basis of the ideal (checked against the quotient
-structure, so a wrong answer is impossible), or gives up within the 2nD
-pass budget and returns Fail.
+structure, so a wrong answer is impossible), or gives up and returns Fail:
+at the end of the 2nD pass budget, or as soon as the delta set holds more
+than D terms, after which no candidate set can verify.
 
 Restricted to one variable the update degenerates to Berlekamp-Massey.
 """
@@ -333,6 +334,13 @@ def bms_change(
                 clean = not st.failed
                 if trace is not None:
                     trace.append((u, list(st.F), set(st.delta)))
+                if len(st.delta) > D:
+                    # lt(F) are the corners of delta, so delta is the staircase
+                    # of lt(F), and delta never shrinks: is_gb cannot pass
+                    return Fail(
+                        f"BMS sweep ended without a verified Groebner basis: "
+                        f"|delta| = {len(st.delta)} exceeds D = {D} after {passes} passes"
+                    )
                 i += 1
         # advance; the +2 head-room admits one more discovery level, which
         # the justification test above vets against the current delta set

@@ -6,13 +6,24 @@ Good enough for the desk-scale inputs the converters are exercised on
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from .field import PrimeField
-from .poly import GroebnerBasis, MultiPoly, mp_mul_term, mp_sub, normal_form, reduce_basis
-from .terms import OrderingTag, Term, divides, term_key
+from .poly import (
+    GroebnerBasis,
+    MultiPoly,
+    Row,
+    interreduce_rows,
+    make_row,
+    reduce_rows,
+    reducer_row,
+    row_poly,
+)
+from .terms import OrderingTag, Term, TermCodec, term_codec
 
 
 def _lcm(a: Term, b: Term) -> Term:
@@ -23,46 +34,56 @@ def _coprime(a: Term, b: Term) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def _spoly(f: MultiPoly, g: MultiPoly, ordering: OrderingTag, F: PrimeField) -> MultiPoly:
-    lf, lg = f.lt(ordering), g.lt(ordering)
-    m = _lcm(lf, lg)
-    sf = tuple(a - b for a, b in zip(m, lf))
-    sg = tuple(a - b for a, b in zip(m, lg))
-    a = mp_mul_term(f, sf, F.inv(f.lc(ordering)), F)
-    b = mp_mul_term(g, sg, F.inv(g.lc(ordering)), F)
-    return mp_sub(a, b, F)
+def _spoly(f: Row, g: Row, m: int, codec: TermCodec, p: int) -> dict[int, int]:
+    """The packed S-polynomial of two monic rows whose leading terms have the
+    packed lcm m: the term at m cancels, and a tail entry (delta, c) of a row
+    lands at m + delta."""
+    out = {codec.check(m + d): p - c for d, c in f[1]}
+    for d, c in g[1]:
+        u = codec.check(m + d)
+        v = (out.get(u, 0) + c) % p
+        if v:
+            out[u] = v
+        else:
+            out.pop(u, None)
+    return out
 
 
 def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> GroebnerBasis:
     """Reduced Groebner basis via S-polynomials.
 
     Pairs are pruned with the product criterion (coprime leading terms) and
-    the chain criterion; pairs are handled smallest-lcm first.
+    the chain criterion; pairs are handled smallest-lcm first.  The working
+    basis is kept as monic packed rows (see `poly`) from the first reduction
+    to the final interreduction; only the result is built as MultiPolys.
     """
-    key = term_key(ordering)
     G = [g for g in polys if not g.is_zero()]
     if not G:
         raise ValueError("empty generating set")
+    codec = term_codec(G[0].n, ordering)
+    p = F.p
+    rows = [reducer_row(g, ordering, F) for g in G]
+    lts = [codec.unpack(lt) for lt, _ in rows]
+    # the reducers by ascending leading term, equal ones in basis order
+    table = sorted(rows, key=itemgetter(0))
     # pending pairs: the set answers the chain criterion's membership test,
     # the heap pops them smallest-lcm first, keyed once when each is made
     pairs: set[tuple[int, int]] = set()
-    queue: list[tuple[tuple, int, int]] = []
+    queue: list[tuple[int, int, int]] = []
 
     def add_pair(i: int, j: int) -> None:
         pairs.add((i, j))
-        heapq.heappush(queue, (key(_lcm(G[i].lt(ordering), G[j].lt(ordering))), i, j))
+        heapq.heappush(queue, (codec.pack(_lcm(lts[i], lts[j])), i, j))
 
-    for j in range(len(G)):
+    for j in range(len(rows)):
         for i in range(j):
             add_pair(i, j)
 
-    def chain_prunable(i: int, j: int) -> bool:
-        m = _lcm(G[i].lt(ordering), G[j].lt(ordering))
-        for k in range(len(G)):
+    def chain_prunable(i: int, j: int, m: int) -> bool:
+        for k, (lk, _) in enumerate(rows):
             if k in (i, j):
                 continue
-            lk = G[k].lt(ordering)
-            if divides(lk, m):
+            if codec.divides(lk, m):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -70,20 +91,24 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
         return False
 
     while queue:
-        _, i, j = heapq.heappop(queue)
+        m, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
-        if _coprime(G[i].lt(ordering), G[j].lt(ordering)):
+        if _coprime(lts[i], lts[j]):
             continue
-        if chain_prunable(i, j):
+        if chain_prunable(i, j, m):
             continue
-        r = normal_form(_spoly(G[i], G[j], ordering, F), G, ordering, F)
-        if r.is_zero():
+        r = reduce_rows(_spoly(rows[i], rows[j], m, codec, p), table, codec, p)
+        if not r:
             continue
-        G.append(r)
-        k = len(G) - 1
+        row = make_row(r, F)
+        rows.append(row)
+        lts.append(codec.unpack(row[0]))
+        bisect.insort(table, row, key=itemgetter(0))
+        k = len(rows) - 1
         for i2 in range(k):
             add_pair(i2, k)
-    return GroebnerBasis(reduce_basis(G, ordering, F), ordering, reduced=True)
+    basis = [row_poly(row, codec, F) for row in interreduce_rows(rows, codec, p)]
+    return GroebnerBasis(basis, ordering, reduced=True)
 
 
 def gen_random_system(n: int, d: int, p: int, seed) -> list[MultiPoly]:

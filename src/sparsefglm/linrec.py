@@ -91,7 +91,7 @@ def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
     f = berlekamp_massey(s + [0] * (2 * d - len(s)), F)
     if deg(f) != d:
         raise ValueError("singular Hankel system")
-    _, inv, _ = uni_xgcd(_numerator(f, s, p), f, F)
+    _, inv = uni_xgcd(_numerator(f, s, p), f, F)
     c = uni_mod(uni_mul(_numerator(f, sys.rhs, p), inv, F), f, F)
     return c + [0] * (d - len(c))
 

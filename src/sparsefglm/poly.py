@@ -1,43 +1,49 @@
 """Multivariate polynomials over GF(p) and polynomial reduction.
 
-Coefficients live in dicts keyed by exponent tuples; only nonzero entries
-are stored.  Polynomials do not carry the field; operations that need
-arithmetic take a PrimeField argument, mirroring the univariate layer.
+A MultiPoly keeps its coefficients in a dict keyed by exponent tuples; only
+nonzero entries are stored.  Polynomials do not carry the field; operations
+that need arithmetic take a PrimeField argument, mirroring the univariate
+layer.
+
+Reduction runs on packed terms (`terms.TermCodec`).  A reducer is a *row*
+(lt, tail): its leading term packed, and for each other term x^s with
+coefficient a the pair (pack(s) - lt, -a/lc).  Reducing the term x^t with
+coefficient c then adds c * m at the packed term t + delta of each tail
+entry (delta, m), so no exponent tuple is built in the loop.
+`reduce_rows` is that loop, a heap of packed terms; `normal_form`,
+`reduce_basis` and `buchberger` all run on it.
 
 A MultiPoly is immutable once constructed: every operation builds a new
 coefficient dict, and nothing writes to `coeffs` afterwards.  That is what
-lets `lt` cache its answer per ordering on the instance.
+lets `lt` and `reducer_row` cache their answers on the instance.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .field import PrimeField
-from .terms import (
-    OrderingTag,
-    Term,
-    divides,
-    term_desc_key,
-    term_div,
-    term_key,
-    term_mul,
-    term_str,
-)
+from .terms import OrderingTag, Term, TermCodec, term_codec, term_key, term_mul, term_str
 from .unipoly import UniPoly, trim
+
+# (packed leading term, [(packed term - packed leading term, -coeff/lc)])
+Row = tuple[int, list[tuple[int, int]]]
 
 
 class MultiPoly:
     """A polynomial in n variables; `coeffs` must not be mutated after
-    construction, since leading terms are cached per ordering in `_lt`."""
+    construction, since leading terms are cached per ordering in `_lt` and
+    reducer rows per ordering and field in `_rows`."""
 
-    __slots__ = ("n", "coeffs", "_lt")
+    __slots__ = ("n", "coeffs", "_lt", "_rows")
 
     def __init__(self, n: int, coeffs: dict[Term, int] | None = None):
         self.n = n
         self.coeffs = {t: c for t, c in (coeffs or {}).items() if c}
         self._lt: dict[str, Term] | None = None
+        self._rows: dict[tuple[str, int], Row] | None = None
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
@@ -109,17 +115,6 @@ class MultiPoly:
         return " + ".join(parts)
 
 
-def mp_add(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
-    out = dict(f.coeffs)
-    for t, c in g.coeffs.items():
-        v = (out.get(t, 0) + c) % F.p
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return MultiPoly(f.n, out)
-
-
 def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
     out = dict(f.coeffs)
     for t, c in g.coeffs.items():
@@ -146,23 +141,66 @@ def mp_mul_term(f: MultiPoly, t: Term, c: int, F: PrimeField) -> MultiPoly:
     return MultiPoly(f.n, {term_mul(s, t): c * a % F.p for s, a in f.coeffs.items()})
 
 
-def mp_mul(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
-    out: dict[Term, int] = {}
-    for s, a in f.coeffs.items():
-        for t, b in g.coeffs.items():
-            u = term_mul(s, t)
-            v = (out.get(u, 0) + a * b) % F.p
-            if v:
-                out[u] = v
-            else:
-                out.pop(u, None)
-    return MultiPoly(f.n, out)
-
-
 def mp_monic(f: MultiPoly, ordering: OrderingTag, F: PrimeField) -> MultiPoly:
     if f.is_zero():
         return f
     return mp_scale(f, F.inv(f.lc(ordering)), F)
+
+
+def make_row(packed: dict[int, int], F: PrimeField) -> Row:
+    """The row of a nonzero packed polynomial (consumed)."""
+    lt = max(packed)
+    m = F.p - F.inv(packed.pop(lt))
+    return lt, [(u - lt, a * m % F.p) for u, a in packed.items()]
+
+
+def reducer_row(g: MultiPoly, ordering: OrderingTag, F: PrimeField) -> Row:
+    """The row of a nonzero g: what `reduce_rows` reduces by, cached on g."""
+    cache = g._rows
+    if cache is None:
+        cache = g._rows = {}
+    row = cache.get((ordering, F.p))
+    if row is None:
+        pack = term_codec(g.n, ordering).pack
+        row = cache[(ordering, F.p)] = make_row({pack(t): c for t, c in g.coeffs.items()}, F)
+    return row
+
+
+def reduce_rows(work: dict[int, int], rows: list[Row], codec: TermCodec, p: int) -> dict[int, int]:
+    """Fully reduce the packed polynomial `work` (consumed) by rows sorted by
+    leading term; the first row whose leading term divides wins.
+
+    Returns the normal form with its terms in descending order.
+    """
+    guard, mark = codec.guard, codec.mark
+    table = [(lt - codec.lift, tail) for lt, tail in rows]
+    # a max-heap by negation, one entry per term of work: coefficients add up
+    # unreduced and are reduced mod p only when their term is popped, and a
+    # term whose sum cancels stays until then, so none is ever pushed twice
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    out: dict[int, int] = {}
+    while heap:
+        t = -heapq.heappop(heap)
+        c = work.pop(t) % p
+        if not c:
+            continue
+        for lt_lifted, tail in table:
+            if (t - lt_lifted) & guard == mark:
+                for delta, m in tail:
+                    u = t + delta
+                    old = work.get(u)
+                    if old is None:
+                        if u & guard:
+                            codec.check(u)  # raises: an exponent left its field
+                        work[u] = c * m
+                        heapq.heappush(heap, -u)
+                    else:
+                        work[u] = old + c * m
+                break
+        else:
+            out[t] = c
+    return out
 
 
 def normal_form(
@@ -177,69 +215,56 @@ def normal_form(
     smallest leading term wins — an arbitrary but fixed rule, so reductions
     are reproducible.
     """
-    key = term_key(ordering)
-    desc = term_desc_key(ordering)
-    p = F.p
-    table = sorted(
-        ((g.lt(ordering), F.inv(g.lc(ordering)), g) for g in reducers if not g.is_zero()),
-        key=lambda row: key(row[0]),
+    codec = term_codec(f.n, ordering)
+    rows = sorted((reducer_row(g, ordering, F) for g in reducers if g.coeffs), key=itemgetter(0))
+    out = reduce_rows({codec.pack(t): c for t, c in f.coeffs.items()}, rows, codec, F.p)
+    return MultiPoly(f.n, {codec.unpack(u): c for u, c in out.items()})
+
+
+def interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> list[Row]:
+    """Rows of the minimal, monic, pairwise-reduced basis, by ascending
+    leading term; of several equal leading terms the first row is kept."""
+    lts = [lt for lt, _ in rows]
+    keep = sorted(
+        (
+            row
+            for i, row in enumerate(rows)
+            if not any(
+                j != i and codec.divides(lt, lts[i]) and (lt != lts[i] or j < i)
+                for j, lt in enumerate(lts)
+            )
+        ),
+        key=itemgetter(0),
     )
-    work = dict(f.coeffs)
-    # every term of work has an entry here, keyed once when it entered work;
-    # entries whose term has cancelled since are skipped when popped
-    heap = [(desc(t), t) for t in work]
-    heapq.heapify(heap)
-    out: dict[Term, int] = {}
-    while heap:
-        t = heapq.heappop(heap)[1]
-        c = work.pop(t, None)
-        if c is None:
-            continue
-        for lt_g, inv_g, g in table:
-            if divides(lt_g, t):
-                shift = term_div(t, lt_g)
-                scale = c * inv_g % p
-                for s, a in g.coeffs.items():
-                    if s == lt_g:
-                        continue
-                    u = term_mul(s, shift)
-                    old = work.get(u)
-                    v = ((old or 0) - scale * a) % p
-                    if v:
-                        if old is None:
-                            heapq.heappush(heap, (desc(u), u))
-                        work[u] = v
-                    elif old is not None:
-                        del work[u]
-                break
-        else:
-            out[t] = c
-    return MultiPoly(f.n, out)
+    out = []
+    for i, (lt, tail) in enumerate(keep):
+        # the leading term is divisible by no other, so only the tail reduces
+        rest = reduce_rows({lt + d: p - m for d, m in tail}, keep[:i] + keep[i + 1 :], codec, p)
+        out.append((lt, [(u - lt, p - c) for u, c in rest.items()]))
+    return out
+
+
+def row_poly(row: Row, codec: TermCodec, F: PrimeField) -> MultiPoly:
+    """The monic MultiPoly of a row, with its caches filled from the row."""
+    lt, tail = row
+    coeffs = {codec.unpack(lt): 1}
+    coeffs.update((codec.unpack(lt + d), F.p - m) for d, m in tail)
+    g = MultiPoly(codec.n, coeffs)
+    g._lt = {codec.ordering: codec.unpack(lt)}
+    g._rows = {(codec.ordering, F.p): row}
+    return g
 
 
 def reduce_basis(
     polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField
 ) -> list[MultiPoly]:
     """Minimal, monic, pairwise-reduced version of a Groebner basis."""
-    nonzero = [g for g in polys if not g.is_zero()]
-    lts = [g.lt(ordering) for g in nonzero]
-    keep = []
-    for i, g in enumerate(nonzero):
-        if any(
-            j != i and divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(nonzero))
-        ):
-            continue
-        keep.append(g)
-    out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, ordering, F)
-        if not r.is_zero():
-            out.append(mp_monic(r, ordering, F))
-    key = term_key(ordering)
-    out.sort(key=lambda g: key(g.lt(ordering)))
-    return out
+    nonzero = [g for g in polys if g.coeffs]
+    if not nonzero:
+        return []
+    codec = term_codec(nonzero[0].n, ordering)
+    rows = interreduce_rows([reducer_row(g, ordering, F) for g in nonzero], codec, F.p)
+    return [row_poly(row, codec, F) for row in rows]
 
 
 class InternalError(AssertionError):

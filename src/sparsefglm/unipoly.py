@@ -99,24 +99,19 @@ def uni_gcd(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
     return uni_monic(a, F)
 
 
-def uni_xgcd(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """Return (d, s, t) with s*f + t*g = d, d the monic gcd."""
+def uni_xgcd(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly]:
+    """Return (d, s) with s*f = d mod g, d the monic gcd (the cofactor of g
+    is not built)."""
     a, b = list(f), list(g)
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while b:
         q, r = uni_divmod(a, b, F)
         a, b = b, r
         s0, s1 = s1, uni_sub(s0, uni_mul(q, s1, F), F)
-        t0, t1 = t1, uni_sub(t0, uni_mul(q, t1, F), F)
     if not a:
-        return [], s0, t0
+        return [], s0
     lead = F.inv(a[-1])
-    return (
-        uni_scale(a, lead, F),
-        uni_scale(s0, lead, F),
-        uni_scale(t0, lead, F),
-    )
+    return uni_scale(a, lead, F), uni_scale(s0, lead, F)
 
 
 def uni_derivative(f: UniPoly, F: PrimeField) -> UniPoly:
@@ -163,7 +158,7 @@ def uni_crt(residues: list[UniPoly], moduli: list[UniPoly], F: PrimeField) -> Un
     f = list(residues[0])
     m = list(moduli[0])
     for r, mod in zip(residues[1:], moduli[1:]):
-        g, s, _ = uni_xgcd(m, mod, F)
+        g, s = uni_xgcd(m, mod, F)
         if deg(g) != 0:
             raise ValueError("moduli are not pairwise coprime")
         # f + m * s * (r - f) is = f mod m and = r mod mod

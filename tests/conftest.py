@@ -12,6 +12,9 @@ from sparsefglm.field import PrimeField
 from sparsefglm.poly import GroebnerBasis, MultiPoly
 from sparsefglm.quotient import QuotientStructure, apply
 from sparsefglm.sysio import parse_system, poly_str
+from operator import sub
+
+from sparsefglm.terms import divides, term_key, term_mul
 
 GF11_TEXT = """\
 p 11
@@ -51,6 +54,39 @@ def basis_strs(polys) -> list[str]:
     if isinstance(polys, GroebnerBasis):
         polys = polys.polys
     return [poly_str(f) for f in polys]
+
+
+def normal_form_linear_scan(f, reducers, ordering, F):
+    """Reference oracle for `normal_form`, on exponent tuples: the leading
+    term of what is left is found by a linear scan on every step, with the
+    same smallest-leading-term rule."""
+    key = term_key(ordering)
+    table = sorted(
+        ((g.lt(ordering), g.lc(ordering), g) for g in reducers if not g.is_zero()),
+        key=lambda row: key(row[0]),
+    )
+    work = dict(f.coeffs)
+    out = {}
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        for lt_g, lc_g, g in table:
+            if divides(lt_g, t):
+                shift = tuple(map(sub, t, lt_g))
+                scale = c * F.inv(lc_g) % F.p
+                for s, a in g.coeffs.items():
+                    if s == lt_g:
+                        continue
+                    u = term_mul(s, shift)
+                    v = (work.get(u, 0) - scale * a) % F.p
+                    if v:
+                        work[u] = v
+                    else:
+                        work.pop(u, None)
+                break
+        else:
+            out[t] = c
+    return MultiPoly(f.n, out)
 
 
 def noncommuting_units(Q: QuotientStructure) -> list[int]:

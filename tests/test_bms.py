@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 from sparsefglm.bms import (
@@ -18,6 +19,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly
 from sparsefglm.quotient import QuotientStructure
+from sparsefglm.terms import divides
 
 from conftest import PROBE12, basis_strs, noncommuting_units
 
@@ -163,6 +165,29 @@ def test_bms_declines_inconsistent_input():
     res = bms_change(Q, seed=None, probe=list(PROBE12))
     assert isinstance(res, Fail)
     assert "without a verified Groebner basis" in res.reason
+
+
+def test_bms_declines_as_soon_as_delta_outgrows_D():
+    """On gen_random_system(2, 3, 3, 5) (D = 9) the delta set reaches 10 at
+    pass 24; the full sweep ran 30 passes and then failed is_gb."""
+    F3 = PrimeField(3)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 3, 3, 5), "drl", F3), F3)
+    assert Q.D == 9
+    trace = []
+    res = bms_change(Q, seed=5, trace=trace)
+    assert isinstance(res, Fail)
+    assert "without a verified Groebner basis" in res.reason
+    assert "|delta| = 10 exceeds D = 9 after 24 passes" in res.reason
+    sizes = [len(d) for _, _, d in trace]
+    assert len(trace) == 24 and sizes[-1] > Q.D >= max(sizes[:-1])
+    # why declining is sound: on every pass the staircase of lt(F) is delta,
+    # so from the first |delta| > D on is_gb cannot pass
+    for _, polys, delta in trace:
+        lts = [f.lt("lex") for f in polys]
+        box = [range(max((t[i] for t in delta), default=0) + 2) for i in range(2)]
+        staircase = {t for t in product(*box) if not any(divides(l, t) for l in lts)}
+        assert staircase == delta
+    assert not is_gb(trace[-1][1], Q)
 
 
 WITNESS_DEFECT = """

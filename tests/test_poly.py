@@ -7,16 +7,16 @@ from sparsefglm.poly import (
     Fail,
     GroebnerBasis,
     MultiPoly,
-    mp_add,
     mp_monic,
-    mp_mul,
     mp_mul_term,
     mp_scale,
     mp_sub,
     normal_form,
     reduce_basis,
 )
-from sparsefglm.terms import divides, term_div, term_key, term_mul
+from sparsefglm.terms import MAX_EXP, term_key
+
+from conftest import normal_form_linear_scan
 
 F11 = PrimeField(11)
 
@@ -51,19 +51,17 @@ def test_leading_term_depends_on_ordering():
 def test_add_sub_scale_cancellation():
     f = MultiPoly(2, {(1, 0): 4, (0, 1): 2})
     g = MultiPoly(2, {(1, 0): 7, (0, 0): 1})
-    assert mp_add(f, g, F11).coeffs == {(0, 1): 2, (0, 0): 1}
+    assert mp_sub(f, mp_scale(g, -1, F11), F11).coeffs == {(0, 1): 2, (0, 0): 1}
     assert mp_sub(f, f, F11).is_zero()
     assert mp_scale(f, 0, F11).is_zero()
     assert mp_scale(f, 3, F11).coeffs == {(1, 0): 1, (0, 1): 6}
 
 
-def test_mul_known_square():
+def test_mul_term():
     f = MultiPoly(2, {(1, 0): 1, (0, 1): 1})
-    sq = mp_mul(f, f, F11)
-    assert sq.coeffs == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
     t = mp_mul_term(f, (1, 1), 5, F11)
     assert t.coeffs == {(2, 1): 5, (1, 2): 5}
-    assert mp_mul(f, MultiPoly.zero(2), F11).is_zero()
+    assert mp_mul_term(f, (1, 1), 11, F11).is_zero()
 
 
 def test_monic():
@@ -90,38 +88,6 @@ def test_normal_form_prefers_smallest_leading_term():
     assert nf.coeffs == {(0, 1): 9}
 
 
-def normal_form_linear_scan(f, reducers, ordering, F):
-    """Reference oracle: the leading term of what is left is found by a
-    linear scan on every step, with the same smallest-leading-term rule."""
-    key = term_key(ordering)
-    table = sorted(
-        ((g.lt(ordering), g.lc(ordering), g) for g in reducers if not g.is_zero()),
-        key=lambda row: key(row[0]),
-    )
-    work = dict(f.coeffs)
-    out = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        for lt_g, lc_g, g in table:
-            if divides(lt_g, t):
-                shift = term_div(t, lt_g)
-                scale = c * F.inv(lc_g) % F.p
-                for s, a in g.coeffs.items():
-                    if s == lt_g:
-                        continue
-                    u = term_mul(s, shift)
-                    v = (work.get(u, 0) - scale * a) % F.p
-                    if v:
-                        work[u] = v
-                    else:
-                        work.pop(u, None)
-                break
-        else:
-            out[t] = c
-    return MultiPoly(f.n, out)
-
-
 def random_poly(rng, n, deg, terms, p):
     return MultiPoly(
         n,
@@ -133,17 +99,45 @@ def random_poly(rng, n, deg, terms, p):
 
 
 @pytest.mark.parametrize("ordering", ["drl", "lex"])
-@pytest.mark.parametrize("p", [5, 65521])
+@pytest.mark.parametrize("p", [2, 3, 5, 65521])
 def test_normal_form_matches_linear_scan_oracle(ordering, p):
     F = PrimeField(p)
     rng = random.Random(411)
-    for _ in range(60):
-        n = rng.randrange(1, 4)
+    grown = 0
+    for _ in range(100):
+        n = rng.randrange(1, 6)
         k = rng.randrange(4)
         reducers = [random_poly(rng, n, 2, rng.randrange(1, 4), p) for _ in range(k)]
+        if ordering == "lex" and n > 1:
+            # the reduce_set pattern: a tail with more x1 than its leading
+            # term, so x1 exponents grow past the inputs'
+            xn = (0,) * (n - 1) + (1,)
+            x1_cubed = (3,) + (0,) * (n - 1)
+            reducers.append(MultiPoly(n, {xn: 1, x1_cubed: rng.randrange(1, p)}))
         f = random_poly(rng, n, 4, rng.randrange(1, 9), p)
         got = normal_form(f, reducers, ordering, F)
         assert got == normal_form_linear_scan(f, reducers, ordering, F)
+        inputs = [f, *reducers]
+        if max((t[0] for t in got.coeffs), default=0) > max(t[0] for g in inputs for t in g.coeffs):
+            grown += 1
+    assert ordering == "drl" or grown > 50
+
+
+@pytest.mark.parametrize("ordering", ["drl", "lex"])
+def test_exponent_past_the_field_width_raises(ordering):
+    top = MultiPoly(2, {(MAX_EXP, 0): 1})
+    assert normal_form(top, [], ordering, F11) == top
+    with pytest.raises(ValueError):
+        normal_form(MultiPoly(2, {(MAX_EXP + 1, 0): 1}), [], ordering, F11)
+    # a DRL reduction never raises the total degree, so only input overflows
+    if ordering == "lex":
+        # x2 -> -x1^MAX_EXP, so x1*x2 reduces to a power one past the field
+        g = MultiPoly(2, {(0, 1): 1, (MAX_EXP, 0): 1})
+        assert normal_form(MultiPoly(2, {(0, 1): 1}), [g], "lex", F11) == MultiPoly(
+            2, {(MAX_EXP, 0): 10}
+        )
+        with pytest.raises(ValueError):
+            normal_form(MultiPoly(2, {(1, 1): 1}), [g], "lex", F11)
 
 
 def test_cached_leading_terms_match_uncached_scan():
@@ -157,7 +151,8 @@ def test_cached_leading_terms_match_uncached_scan():
 
 def test_normal_form_of_member_is_zero():
     g = MultiPoly(2, {(1, 0): 1, (0, 0): 2})
-    f = mp_mul(g, MultiPoly(2, {(0, 1): 3, (1, 0): 1}), F11)
+    # g * (3*x2 + x1)
+    f = MultiPoly(2, {(1, 1): 3, (0, 1): 6, (2, 0): 1, (1, 0): 2})
     assert normal_form(f, [g], "drl", F11).is_zero()
 
 

@@ -1,13 +1,15 @@
+import itertools
+import random
+from operator import sub
+
 import pytest
 
 from sparsefglm.terms import (
+    MAX_EXP,
     divides,
-    drl_desc_key,
     drl_key,
-    lex_desc_key,
     lex_key,
-    term_desc_key,
-    term_div,
+    term_codec,
     term_key,
     term_mul,
     term_str,
@@ -53,20 +55,9 @@ def test_term_key_dispatch():
         term_key("grevlex")
 
 
-def test_descending_keys_reverse_the_orders():
-    terms = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    for asc, desc in ((drl_key, drl_desc_key), (lex_key, lex_desc_key)):
-        assert sorted(terms, key=desc) == sorted(terms, key=asc, reverse=True)
-    assert term_desc_key("drl") is drl_desc_key
-    assert term_desc_key("lex") is lex_desc_key
-    with pytest.raises(ValueError):
-        term_desc_key("grevlex")
-
-
 def test_mul_div_divides():
     a, b = (2, 1, 0), (1, 3, 2)
     assert term_mul(a, b) == (3, 4, 2)
-    assert term_div(term_mul(a, b), b) == a
     assert divides(a, term_mul(a, b))
     assert not divides(b, a)
     assert divides(unit_term(3), b)
@@ -84,3 +75,43 @@ def test_term_str():
     assert term_str((1, 0)) == "x1"
     assert term_str((2, 3)) == "x1^2*x2^3"
     assert term_str((0, 1, 4)) == "x2*x3^4"
+
+
+@pytest.mark.parametrize("ordering", ["drl", "lex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_packed_terms_order_multiply_and_divide_as_tuples(n, ordering):
+    C = term_codec(n, ordering)
+    assert term_codec(n, ordering) is C
+    key = term_key(ordering)
+    rng = random.Random(n)
+    terms = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(40)]
+    for a in terms:
+        assert C.unpack(C.pack(a)) == a
+    for a, b in itertools.product(terms, repeat=2):
+        pa, pb = C.pack(a), C.pack(b)
+        assert (pa < pb) == (key(a) < key(b))
+        assert C.check(pa + pb - C.offset) == C.pack(term_mul(a, b))
+        assert C.divides(pa, pb) == divides(a, b)
+        if divides(a, b):
+            assert pb - pa + C.offset == C.pack(tuple(map(sub, b, a)))
+
+
+@pytest.mark.parametrize("ordering", ["drl", "lex"])
+def test_packed_exponent_overflow_raises(ordering):
+    C = term_codec(3, ordering)
+    top = C.pack((MAX_EXP, 0, 0))
+    x1, x3 = C.pack((1, 0, 0)), C.pack((0, 0, 1))
+    for bad in [(MAX_EXP + 1, 0, 0), (0, -1, 0), (1, 1)]:
+        with pytest.raises(ValueError):
+            C.pack(bad)
+    with pytest.raises(ValueError):
+        C.check(top + x1 - C.offset)
+    if ordering == "drl":  # the total degree is what must fit
+        with pytest.raises(ValueError):
+            C.pack((MAX_EXP, 0, 1))
+        with pytest.raises(ValueError):
+            C.check(top + x3 - C.offset)
+    else:
+        assert C.unpack(C.check(top + x3)) == (MAX_EXP, 0, 1)
+    with pytest.raises(ValueError):
+        term_codec(3, "grevlex")

@@ -61,9 +61,13 @@ def test_gcd_and_xgcd():
     # gcd(x^2 - 1, x^2 - 2x + 1) = x - 1
     f, g = [10, 0, 1], [1, 9, 1]
     assert uni_gcd(f, g, F11) == [10, 1]
-    d, s, t = uni_xgcd(f, g, F11)
+    d, s = uni_xgcd(f, g, F11)
     assert d == [10, 1]
-    assert uni_add(uni_mul(s, f, F11), uni_mul(t, g, F11), F11) == d
+    assert uni_mod(uni_mul(s, f, F11), g, F11) == d
+    # coprime inputs: s inverts f modulo g
+    d, s = uni_xgcd([1, 1], [2, 0, 1], F11)
+    assert d == [1]
+    assert uni_mod(uni_mul(s, [1, 1], F11), [2, 0, 1], F11) == [1]
     assert uni_gcd([], [0, 0, 3], F11) == [0, 0, 1]
 
 
