@@ -21,7 +21,6 @@ from .generic import (
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
 from .quotient import (
     QuotientStructure,
-    build_mult_matrix,
     canonical_basis,
     density_stats,
     dump_matrix,
@@ -41,7 +40,6 @@ __all__ = [
     "reduce_basis",
     "QuotientStructure",
     "canonical_basis",
-    "build_mult_matrix",
     "density_stats",
     "dump_matrix",
     "ShapeBasis",

@@ -27,7 +27,7 @@ from .poly import (
     mp_sub,
     normal_form,
 )
-from .quotient import CoordVector, QuotientStructure
+from .quotient import CoordVector, QuotientStructure, staircase
 from .terms import Term, divides, lex_key
 
 # witness record: (polynomial, span, fail term, discrepancy)
@@ -218,23 +218,6 @@ def reduce_set(F: list[MultiPoly], field: PrimeField) -> list[MultiPoly]:
     return [f for f in out if not f.is_zero()]
 
 
-def _staircase_size(lts: list[Term], n: int, limit: int) -> int | None:
-    """Number of standard monomials under lts, or None if infinite/over limit."""
-    bounds = []
-    for i in range(n):
-        pure = [t[i] for t in lts if sum(t) == t[i]]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    count = 0
-    for t in iter_product(*(range(b) for b in bounds)):
-        if not any(divides(l, t) for l in lts):
-            count += 1
-            if count > limit:
-                return None
-    return count
-
-
 def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
     """True iff every member of F lies in the ideal and the staircase under
     lt(F) has exactly D standard monomials.
@@ -247,7 +230,8 @@ def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
     if not F or any(f.is_zero() for f in F):
         return False
     lts = [f.lt("lex") for f in F]
-    if _staircase_size(lts, Q.n, Q.D) != Q.D:
+    B = staircase(lts, Q.n, Q.D)
+    if B is None or len(B) != Q.D:
         return False
     return all(not any(Q.nf_vector(f)) for f in F)
 

@@ -14,13 +14,12 @@ import time
 from .buchberger import buchberger, gen_random_system
 from .field import PrimeField
 from .fglm import classic_fglm, toplevel
-from .generic import analyze_rows, verify_moreno_socias
+from .generic import analyze_rows
 from .bms import bms_change
-from .poly import Fail, GroebnerBasis
+from .poly import Fail, GroebnerBasis, MultiPoly
 from .quotient import canonical_basis, density_stats, dump_matrix
 from .shape import incremental_univariate, shape_det, shape_prob
 from .sysio import ParseError, parse_system, poly_str, write_system
-from .unipoly import UniPoly
 
 
 def _read(path: str) -> str:
@@ -36,22 +35,6 @@ def _write(path: str, text: str):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def _uni_str(f: UniPoly) -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            x = "x1" if i == 1 else f"x1^{i}"
-            parts.append(x if c == 1 else f"{c}*{x}")
-    return " + ".join(parts)
 
 
 def _basis_lines(gb: GroebnerBasis) -> list[str]:
@@ -148,7 +131,7 @@ def cmd_shape_det(args) -> int:
 def cmd_univar(args) -> int:
     field, gb, Q = _load_quotient(args)
     m = incremental_univariate(Q, seed=args.seed)
-    _write(args.out, _uni_str(m) + "\n")
+    _write(args.out, poly_str(MultiPoly.from_uni(Q.n, m)) + "\n")
     return 0
 
 

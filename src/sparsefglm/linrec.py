@@ -67,9 +67,6 @@ class HankelSystem:
         self.seq = seq
         self.rhs = rhs
 
-    def row(self, j: int) -> list[int]:
-        return self.seq[j : j + self.d]
-
 
 def _numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
     """N with sum_j s_j x^(-j-1) = N / f, from the first deg(f) terms of s."""

@@ -84,9 +84,6 @@ class MultiPoly:
     def lc(self, ordering: OrderingTag) -> int:
         return self.coeffs[self.lt(ordering)]
 
-    def num_terms(self) -> int:
-        return len(self.coeffs)
-
     def copy(self) -> "MultiPoly":
         return MultiPoly(self.n, dict(self.coeffs))
 
@@ -296,9 +293,6 @@ class GroebnerBasis:
         if not self.polys:
             raise ValueError("empty basis")
         self.n = self.polys[0].n
-
-    def leading_terms(self) -> list[Term]:
-        return [g.lt(self.ordering) for g in self.polys]
 
     def __eq__(self, other) -> bool:
         return (

@@ -7,9 +7,9 @@ change-of-ordering algorithms run on.
 Column construction distinguishes three cases for the product term eps_i*x_j:
 (1) it lies in B (unit column), (2) it is a leading term of the input basis
 (read the column off that polynomial), (3) it is a border term and must be
-reduced.  Case (3) has two implementations: direct polynomial reduction (the
-default) and a cached cascade that rewrites the product through previously
-computed columns; they must agree and tests compare them.
+reduced.  Case (3) rewrites the product through previously computed columns
+(a cascade), never reducing a polynomial; tests check every column against
+direct reduction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product as iter_product
 
 from .field import PrimeField
-from .poly import GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
+from .poly import GroebnerBasis, InternalError, MultiPoly, reduce_basis
 from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 
 CoordVector = list[int]
@@ -76,43 +76,53 @@ def density_stats(T: SparseMat) -> dict:
     }
 
 
+def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] | None:
+    """Standard monomials under lts in ascending DRL order.
+
+    None when the staircase is infinite or, given a limit, holds more than
+    limit terms; the count stops as soon as it passes the limit.
+    """
+    bounds = []
+    for i in range(n):
+        pure = [t[i] for t in lts if sum(t) == t[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    terms = []
+    for t in iter_product(*(range(b) for b in bounds)):
+        if not any(divides(l, t) for l in lts):
+            terms.append(t)
+            if limit is not None and len(terms) > limit:
+                return None
+    terms.sort(key=drl_key)
+    return terms
+
+
 class QuotientStructure:
-    def __init__(self, G1: GroebnerBasis, F: PrimeField, nf_method: str = "direct"):
+    def __init__(self, G1: GroebnerBasis, F: PrimeField):
         if G1.ordering != "drl":
             raise ValueError("source basis must be DRL")
-        if nf_method not in ("direct", "cascade"):
-            raise ValueError(f"unknown nf method {nf_method!r}")
         polys = G1.polys if G1.reduced else reduce_basis(G1.polys, "drl", F)
         self.G1 = GroebnerBasis(polys, "drl", reduced=True)
         self.F = F
         self.n = self.G1.n
-        self.nf_method = nf_method
         self._lt_map = {g.lt("drl"): g for g in polys}
         if unit_term(self.n) in self._lt_map:
             raise ValueError("ideal contains 1 (quotient has dimension 0)")
-        self.basis = self._staircase()
-        self.D = len(self.basis)
-        self.index = {t: i for i, t in enumerate(self.basis)}
+        basis = staircase(list(self._lt_map), self.n)
+        if basis is None:
+            raise ValueError("ideal not zero-dimensional")
+        if not basis or basis[0] != unit_term(self.n):
+            raise InternalError("staircase does not start at 1")
+        self.basis = basis
+        self.D = len(basis)
+        self.index = {t: i for i, t in enumerate(basis)}
         self.matrices: list[SparseMat | None] = [None] * self.n
+        # NF(x^t) coordinate vectors, filled by both the case-3 cascade and
+        # term_vec; callers must not mutate them
         self._term_vecs: dict[Term, CoordVector] = {
             unit_term(self.n): self._unit(0)
         }
-        self._cascade_cache: dict[Term, CoordVector] = {}
-
-    def _staircase(self) -> list[Term]:
-        lts = list(self._lt_map)
-        bounds = []
-        for i in range(self.n):
-            pure = [t[i] for t in lts if sum(t) == t[i]]
-            if not pure:
-                raise ValueError("ideal not zero-dimensional")
-            bounds.append(min(pure))
-        box = iter_product(*(range(b) for b in bounds))
-        terms = [t for t in box if not any(divides(l, t) for l in lts)]
-        terms.sort(key=drl_key)
-        if not terms or terms[0] != unit_term(self.n):
-            raise InternalError("staircase does not start at 1")
-        return terms
 
     def _unit(self, i: int) -> CoordVector:
         v = [0] * self.D
@@ -125,13 +135,6 @@ class QuotientStructure:
 
     # --- normal forms of single terms -------------------------------------
 
-    def _nf_term_direct(self, t: Term) -> CoordVector:
-        f = normal_form(MultiPoly(self.n, {t: 1}), self.G1.polys, "drl", self.F)
-        v = [0] * self.D
-        for s, c in f.coeffs.items():
-            v[self.index[s]] = c
-        return v
-
     def _case2_column(self, t: Term) -> CoordVector:
         g = self._lt_map[t]
         p = self.F.p
@@ -143,7 +146,7 @@ class QuotientStructure:
         return v
 
     def _nf_term_cascade(self, t: Term) -> CoordVector:
-        hit = self._cascade_cache.get(t)
+        hit = self._term_vecs.get(t)
         if hit is not None:
             return hit
         if t in self.index:
@@ -159,7 +162,7 @@ class QuotientStructure:
                     if u not in self.index:
                         break
             else:
-                raise AssertionError(f"no reducible divisor for border term {t}")
+                raise InternalError(f"no reducible divisor for border term {t}")
             p = self.F.p
             v = [0] * self.D
             for k, c in enumerate(self._nf_term_cascade(u)):
@@ -168,7 +171,7 @@ class QuotientStructure:
                     for row, a in enumerate(w):
                         if a:
                             v[row] = (v[row] + c * a) % p
-        self._cascade_cache[t] = v
+        self._term_vecs[t] = v
         return v
 
     def nf_of_var(self, i: int) -> CoordVector:
@@ -199,21 +202,10 @@ class QuotientStructure:
                 columns.append([(self.index[t], 1)])
                 cases.append(1)
                 continue
-            if t in self._lt_map:
-                v = self._case2_column(t)
-                cases.append(2)
-            elif self.nf_method == "cascade":
-                v = self._nf_term_cascade(t)
-                cases.append(3)
-            else:
-                v = self._nf_term_direct(t)
-                cases.append(3)
+            cases.append(2 if t in self._lt_map else 3)
+            v = self._nf_term_cascade(t)
             columns.append([(row, a) for row, a in enumerate(v) if a])
         return SparseMat(self.D, columns, cases, self.F.p)
-
-    def case_counts(self, j: int) -> tuple[int, int, int]:
-        cases = self.matrix(j).column_cases
-        return cases.count(1), cases.count(2), cases.count(3)
 
     # --- vectors of polynomials -------------------------------------------
 
@@ -240,12 +232,8 @@ class QuotientStructure:
         return out
 
 
-def canonical_basis(G1: GroebnerBasis, F: PrimeField, nf_method: str = "direct") -> QuotientStructure:
-    return QuotientStructure(G1, F, nf_method=nf_method)
-
-
-def build_mult_matrix(Q: QuotientStructure, j: int) -> SparseMat:
-    return Q.matrix(j)
+def canonical_basis(G1: GroebnerBasis, F: PrimeField) -> QuotientStructure:
+    return QuotientStructure(G1, F)
 
 
 def dump_matrix(Q: QuotientStructure, j: int) -> str:

@@ -13,6 +13,10 @@ Three entry points:
   soon as Berlekamp-Massey stabilizes; cheap early estimate of f_1.
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
+shape_prob and shape_det share one Krylov loop (`_krylov`) and one Horner
+evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
+Berlekamp-Massey fits and the Hankel solves are looked up in this module's
+globals at call time, so the benchmark's tracer can wrap them here.
 """
 
 from __future__ import annotations
@@ -83,12 +87,12 @@ class WiedemannTrace:
         self.b_vectors: list[CoordVector] = []
 
 
-def matrix_poly_apply(g: UniPoly, T, v: CoordVector, F: PrimeField) -> CoordVector:
-    """g(T)·v by Horner."""
+def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> CoordVector:
+    """g(T)·v by Horner, or g(T^t)·v when step is apply_transpose."""
     p = F.p
     out = [0] * len(v)
     for c in reversed(g):
-        out = apply(T, out)
+        out = step(T, out)
         if c:
             for k, vk in enumerate(v):
                 if vk:
@@ -96,16 +100,16 @@ def matrix_poly_apply(g: UniPoly, T, v: CoordVector, F: PrimeField) -> CoordVect
     return out
 
 
-def matrix_poly_apply_transpose(g: UniPoly, T, v: CoordVector, F: PrimeField) -> CoordVector:
-    p = F.p
-    out = [0] * len(v)
-    for c in reversed(g):
-        out = apply_transpose(T, out)
-        if c:
-            for k, vk in enumerate(v):
-                if vk:
-                    out[k] = (out[k] + c * vk) % p
-    return out
+def _krylov(
+    T1, v: CoordVector, length: int, F: PrimeField
+) -> tuple[list[CoordVector], list[int], UniPoly]:
+    """Chain v, T1^t v, ..., of `length` vectors, its first components s, and
+    the Berlekamp-Massey fit of s."""
+    chain = [list(v)]
+    for _ in range(length - 1):
+        chain.append(apply_transpose(T1, chain[-1]))
+    s = [w[0] for w in chain]
+    return chain, s, berlekamp_massey(s, F)
 
 
 def _tail_rhs(chain: list[CoordVector], v_i: CoordVector, count: int, F: PrimeField) -> list[int]:
@@ -126,11 +130,7 @@ def shape_prob(
     if probe is None:
         rng = random.Random(seed)
         probe = [rng.randrange(F.p) for _ in range(D)]
-    chain = [list(probe)]
-    for _ in range(2 * D - 1):
-        chain.append(apply_transpose(T1, chain[-1]))
-    s = [v[0] for v in chain]
-    f1 = berlekamp_massey(s, F)
+    chain, s, f1 = _krylov(T1, probe, 2 * D, F)
     d = deg(f1)
     if d < D:
         return Fail(f"minimal polynomial degree {d} < ideal degree {D}")
@@ -142,17 +142,11 @@ def shape_prob(
 
 
 def shape_det(
-    Q: QuotientStructure,
-    probes: str = "unit",
-    seed=None,
-    trace_out: WiedemannTrace | None = None,
+    Q: QuotientStructure, trace_out: WiedemannTrace | None = None
 ) -> tuple[ShapeBasis, bool] | Fail:
-    if probes not in ("unit", "random"):
-        raise ValueError(f"unknown probe mode {probes!r}")
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
-    rng = random.Random(seed) if probes == "random" else None
     trace = trace_out if trace_out is not None else WiedemannTrace()
 
     f = [1]
@@ -165,18 +159,11 @@ def shape_det(
         d = deg(f)
         if d >= D:
             raise InternalError("peeled degree reached D with probes left")
-        if rng is None:
-            u = [0] * D
-            u[k] = 1
-        else:
-            u = [rng.randrange(F.p) for _ in range(D)]
+        u = [0] * D
+        u[k] = 1
         # view the current b through probe u: same sequence as <u_adj, T1^i e>
-        w = matrix_poly_apply_transpose(f, T1, u, F)
-        chain = [w]
-        for _ in range(2 * (D - d) - 1):
-            chain.append(apply_transpose(T1, chain[-1]))
-        s = [v[0] for v in chain]
-        g = berlekamp_massey(s, F)
+        w = matrix_poly_apply(f, apply_transpose, T1, u, F)
+        chain, s, g = _krylov(T1, w, 2 * (D - d), F)
         dk = deg(g)
         if dk > 0:
             rhs_rows = [
@@ -187,7 +174,7 @@ def shape_det(
             trace.factors.append((g, []))
             trace.probe_vectors.append(u)
             trace.sequences.append(s)
-        b = matrix_poly_apply(g, T1, b, F)
+        b = matrix_poly_apply(g, apply, T1, b, F)
         trace.b_vectors.append(list(b))
         k += 1
 
@@ -234,9 +221,8 @@ def shape_det(
     return ShapeBasis(fbar1, final_tails), is_radical
 
 
-def incremental_univariate(Q: QuotientStructure, seed, stable: int = 2) -> UniPoly:
-    if stable < 1:
-        raise ValueError("stability window must be >= 1")
+def incremental_univariate(Q: QuotientStructure, seed) -> UniPoly:
+    """Minimal polynomial estimate, returned once two consecutive fits agree."""
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
@@ -253,8 +239,6 @@ def incremental_univariate(Q: QuotientStructure, seed, stable: int = 2) -> UniPo
             cur = apply_transpose(T1, cur)
         m = berlekamp_massey(s, F)
         history.append(m)
-        if len(history) >= stable and all(
-            h == m for h in history[-stable:]
-        ):
+        if len(history) >= 2 and history[-2] == m:
             return m
     return history[-1]

@@ -7,7 +7,6 @@ from pathlib import Path
 from sparsefglm.bms import (
     ArrayE,
     _corners,
-    _staircase_size,
     bms_change,
     eval_E,
     initial_state,
@@ -18,7 +17,7 @@ from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly
-from sparsefglm.quotient import QuotientStructure
+from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.terms import divides
 
 from conftest import PROBE12, basis_strs, noncommuting_units
@@ -49,12 +48,15 @@ def test_corners():
 
 
 def test_staircase_size():
+    # is_gb sizes the candidate staircase with limit D
     mono = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    assert _staircase_size(mono, 2, 6) == 6
-    assert _staircase_size(mono, 2, 5) is None  # over the limit
-    assert _staircase_size([(3, 0), (0, 3)], 2, 100) == 9
-    assert _staircase_size([(3, 0)], 2, 100) is None  # infinite staircase
-    assert _staircase_size([(1, 0), (0, 1)], 2, 10) == 1
+    assert staircase(mono, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert len(staircase(mono, 2, 6)) == 6
+    assert staircase(mono, 2, 5) is None  # over the limit
+    assert len(staircase([(3, 0), (0, 3)], 2, 100)) == 9
+    assert staircase([(3, 0)], 2, 100) is None  # infinite staircase
+    assert staircase([(3, 0)], 2) is None
+    assert staircase([(1, 0), (0, 1)], 2, 10) == [(0, 0)]
 
 
 def test_is_gb_accepts_true_bases(gf11, monomial6):

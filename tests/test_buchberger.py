@@ -88,7 +88,7 @@ def test_result_is_reduced_basis_whatever_the_pair_order(n, d, p):
         assert spolys_reduce_to_zero(gb, F, nf=normal_form_linear_scan)
         for h in polys:
             assert normal_form_linear_scan(h, gb.polys, "drl", F).is_zero()
-        lts = gb.leading_terms()
+        lts = [g.lt("drl") for g in gb.polys]
         for i, g in enumerate(gb.polys):
             assert g.lc("drl") == 1
             for j, lt_j in enumerate(lts):
@@ -108,7 +108,7 @@ def test_gen_random_system_shape():
     assert all(f.n == 3 for f in polys)
     assert all(max(sum(t) for t in f.coeffs) <= 2 for f in polys)
     # 10 monomials of degree <= 2 in 3 variables, minus any zero draws
-    assert all(f.num_terms() <= 10 for f in polys)
+    assert all(len(f.coeffs) <= 10 for f in polys)
 
 
 def test_gen_random_system_deterministic():

@@ -20,7 +20,7 @@ def extend(init, m, F, count):
     d = deg(m)
     s = [v % F.p for v in init]
     while len(s) < count:
-        s.append(F.neg(F.dot(m[:d], s[-d:])))
+        s.append(-F.dot(m[:d], s[-d:]) % F.p)
     return s
 
 
@@ -66,7 +66,7 @@ def gauss_jordan_hankel_solve(sys, F):
     """Oracle: solve H c = b by dense Gauss-Jordan elimination, O(d^3)."""
     p = F.p
     d = sys.d
-    M = [sys.row(j) + [sys.rhs[j] % p] for j in range(d)]
+    M = [sys.seq[j : j + d] + [sys.rhs[j] % p] for j in range(d)]
     for col in range(d):
         piv = next((r for r in range(col, d) if M[r][col] % p), None)
         if piv is None:
@@ -130,8 +130,8 @@ def test_hankel_solve_matches_gauss_jordan_oracle():
 
 def test_hankel_rows():
     sys = HankelSystem(3, [1, 2, 3, 4, 5], [0, 0, 0])
-    assert sys.row(0) == [1, 2, 3]
-    assert sys.row(2) == [3, 4, 5]
+    # row j of H is seq[j : j + d]
+    assert (sys.d, sys.seq, sys.rhs) == (3, [1, 2, 3, 4, 5], [0, 0, 0])
     with pytest.raises(ValueError):
         HankelSystem(4, [1, 2, 3], [0, 0, 0, 0])
     with pytest.raises(ValueError):
@@ -155,7 +155,7 @@ def test_hankel_solve_verifies():
     sys = HankelSystem(4, s, [1, 2, 3, 4])
     c = hankel_solve(sys, F11)
     for j in range(4):
-        assert F11.dot(sys.row(j), c) == sys.rhs[j]
+        assert F11.dot(s[j : j + 4], c) == sys.rhs[j]
 
 
 def test_hankel_solve_singular_raises():

@@ -1,15 +1,15 @@
 import random
+from itertools import product
 
 import pytest
 
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, MultiPoly, mp_scale
+from sparsefglm.poly import GroebnerBasis, InternalError, MultiPoly, mp_scale, normal_form
 from sparsefglm.quotient import (
     QuotientStructure,
     apply,
     apply_transpose,
-    build_mult_matrix,
     canonical_basis,
     density_stats,
     dump_matrix,
@@ -40,43 +40,67 @@ def test_nf_of_var(gf11):
     assert gf11.nf_of_var(3) == [2, 0, 0, 0]
 
 
+def nf_term_oracle(Q, t):
+    """Coordinate vector of NF(x^t) by direct reduction against the basis."""
+    f = normal_form(MultiPoly(Q.n, {t: 1}), Q.G1.polys, "drl", Q.F)
+    v = [0] * Q.D
+    for s, c in f.coeffs.items():
+        v[Q.index[s]] = c
+    return v
+
+
+def assert_columns_are_reduced_normal_forms(Q):
+    case3 = 0
+    for j in range(1, Q.n + 1):
+        T = Q.matrix(j)
+        case3 += T.column_cases.count(3)
+        for k, eps in enumerate(Q.basis):
+            t = tuple(e + (idx == j - 1) for idx, e in enumerate(eps))
+            col = [0] * Q.D
+            for row, a in T.columns[k]:
+                col[row] = a
+            assert col == nf_term_oracle(Q, t), (j, eps)
+    return case3
+
+
 def test_matrix_columns_are_normal_forms(gf11, gf2q):
-    for Q in (gf11, gf2q):
-        for j in range(1, Q.n + 1):
-            T = Q.matrix(j)
-            for k, eps in enumerate(Q.basis):
-                unit = [1 if i == k else 0 for i in range(Q.D)]
-                t = tuple(
-                    e + (1 if idx == j - 1 else 0) for idx, e in enumerate(eps)
-                )
-                assert apply(T, unit) == Q.term_vec(t)
+    assert assert_columns_are_reduced_normal_forms(gf11) == 5
+    assert assert_columns_are_reduced_normal_forms(gf2q) > 0
+    # term_vec reaches the terms no column holds through matrix products
+    for t in product(range(6), repeat=2):
+        assert gf2q.term_vec(t) == nf_term_oracle(gf2q, t), t
 
 
 def test_case_counts_gf11(gf11):
+    def counts(j):
+        cases = gf11.matrix(j).column_cases
+        return cases.count(1), cases.count(2), cases.count(3)
+
     # x1*B: {x1, x1*x2} stay in B, x1^2 is a leading term, x1^2*x2 is border
-    assert gf11.case_counts(1) == (2, 1, 1)
-    assert gf11.case_counts(3) == (0, 1, 3)
-    total = sum(gf11.case_counts(2))
-    assert total == gf11.D
+    assert counts(1) == (2, 1, 1)
+    assert counts(3) == (0, 1, 3)
+    assert sum(counts(2)) == gf11.D
 
 
-def test_direct_and_cascade_agree():
-    for text in (GF11_TEXT,):
-        F, polys = parse_system(text)
-        gb = buchberger(polys, "drl", F)
-        Qd = QuotientStructure(gb, F, nf_method="direct")
-        Qc = QuotientStructure(gb, F, nf_method="cascade")
-        for j in range(1, Qd.n + 1):
-            assert Qd.matrix(j).columns == Qc.matrix(j).columns
-
-    p = 65521
-    polys = gen_random_system(3, 2, p, 42)
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_every_column_matches_direct_reduction(p):
     F = PrimeField(p)
-    gb = buchberger(polys, "drl", F)
-    Qd = QuotientStructure(gb, F, nf_method="direct")
-    Qc = QuotientStructure(gb, F, nf_method="cascade")
-    for j in range(1, 4):
-        assert Qd.matrix(j).columns == Qc.matrix(j).columns
+    case3 = 0
+    for n, d in ((2, 6), (3, 3), (4, 2)):
+        for seed in range(3):
+            gb = buchberger(gen_random_system(n, d, p, 600 + seed), "drl", F)
+            case3 += assert_columns_are_reduced_normal_forms(QuotientStructure(gb, F))
+    assert case3 > 0
+
+
+def test_cascade_without_reducible_divisor_is_a_defect():
+    # x1^2 is a leading term; hidden from the cascade, every divisor x1 of it
+    # lies in B, which a reduced basis rules out
+    F, polys = parse_system(GF11_TEXT)
+    Q = QuotientStructure(buchberger(polys, "drl", F), F)
+    del Q._lt_map[(2, 0, 0)]
+    with pytest.raises(InternalError):
+        Q._nf_term_cascade((2, 0, 0))
 
 
 def test_density_stats_gf11(gf11):
@@ -140,9 +164,6 @@ def test_constructor_validation():
     one = MultiPoly(2, {(0, 0): 1})
     with pytest.raises(ValueError):
         QuotientStructure(GroebnerBasis([one], "drl"), F11)
-    x2 = MultiPoly(2, {(0, 1): 1})
-    with pytest.raises(ValueError):
-        QuotientStructure(GroebnerBasis([x1, x2], "drl"), F11, nf_method="magic")
 
 
 def test_unreduced_input_is_reduced(gf11):
@@ -158,5 +179,4 @@ def test_helper_constructors(gf11):
     gb = buchberger(polys, "drl", F)
     Q = canonical_basis(gb, F)
     assert Q.basis == gf11.basis
-    T = build_mult_matrix(Q, 2)
-    assert T.dim == 4
+    assert Q.matrix(2).dim == 4
