@@ -1,7 +1,10 @@
-"""Command-line front end.
+"""Command-line front end: each subcommand declares only the flags it reads.
 
-Exit codes: 0 success, 2 a method declined the input (Fail), 3 bad input,
-4 internal assertion (defect).
+Handlers return text, a payload dict (text or JSON by ``--format``) or a
+``Fail``; ``main`` writes each result.  Exit codes: 0 success, 2 a method
+declined the input (Fail), 3 bad input or a malformed command line,
+4 internal assertion (defect).  For timing, ``convert`` prints ``wall_ms``
+and ``benchmark/run.py`` times seeded batches.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from .field import PrimeField
 from .fglm import classic_fglm, toplevel
 from .generic import analyze_rows
 from .bms import bms_change
-from .poly import Fail, GroebnerBasis, MultiPoly
+from .poly import Fail, MultiPoly
 from .quotient import canonical_basis, density_stats, dump_matrix
 from .shape import incremental_univariate, shape_det, shape_prob
-from .sysio import ParseError, parse_system, poly_str, write_system
+from .sysio import parse_system, poly_str, write_system
 
 
 def _read(path: str) -> str:
@@ -37,10 +40,6 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def _basis_lines(gb: GroebnerBasis) -> list[str]:
-    return [poly_str(g) for g in gb.polys]
-
-
 def _load_quotient(args):
     field, polys = parse_system(_read(args.infile))
     gb = buchberger(polys, "drl", field)
@@ -56,19 +55,25 @@ def _bool(text: str) -> bool:
 
 
 def _report(args, payload: dict) -> str:
+    """Text or JSON for a payload whose last key, "basis", is a GroebnerBasis."""
+    basis = [poly_str(g) for g in payload.pop("basis").polys]
     if args.format == "json":
-        return json.dumps(payload, indent=2, default=str) + "\n"
-    lines = []
-    for k, v in payload.items():
-        if k == "basis":
-            lines.append("basis:")
-            lines.extend(f"  {s}" for s in v)
-        else:
-            lines.append(f"{k}: {v}")
+        return json.dumps({**payload, "basis": basis}, indent=2) + "\n"
+    lines = [f"{k}: {v}" for k, v in payload.items()]
+    lines.append("basis:")
+    lines.extend(f"  {s}" for s in basis)
     return "\n".join(lines) + "\n"
 
 
-def cmd_convert(args) -> int:
+def _print_trace(args, trace: list):
+    """One ``u | #F | #delta`` line per BMS sweep pass, on stderr."""
+    if args.trace:
+        for u, F, delta in trace:
+            sys.stderr.write(f"{u} | {len(F)} | {len(delta)}\n")
+
+
+def cmd_convert(args):
+    """full pipeline (toplevel dispatcher)"""
     field, gb, Q = _load_quotient(args)
     trace: list = []
     t0 = time.perf_counter()
@@ -81,11 +86,9 @@ def cmd_convert(args) -> int:
         bms_trace=trace,
     )
     wall = time.perf_counter() - t0
-    if args.trace and trace:
-        for u, F, delta in trace:
-            sys.stderr.write(f"{u} | {len(F)} | {len(delta)}\n")
+    _print_trace(args, trace)
     stats = density_stats(Q.matrix(1))
-    payload = {
+    return {
         "method_used": res.method_used,
         "of_what": res.of_what,
         "D": Q.D,
@@ -94,122 +97,109 @@ def cmd_convert(args) -> int:
         "passes": res.bms_passes,
         "wall_ms": round(wall * 1e3, 3),
         "seed": args.seed,
-        "basis": _basis_lines(res.basis),
+        "basis": res.basis,
     }
-    _write(args.out, _report(args, payload))
-    return 0
 
 
-def cmd_shape_prob(args) -> int:
+def cmd_shape_prob(args):
+    """probabilistic shape-position conversion only"""
     field, gb, Q = _load_quotient(args)
     res = shape_prob(Q, seed=args.seed)
     if isinstance(res, Fail):
-        _write(args.out, f"Fail: {res.reason}\n")
-        return 2
-    payload = {"D": Q.D, "seed": args.seed, "basis": _basis_lines(res.to_groebner(field))}
-    _write(args.out, _report(args, payload))
-    return 0
+        return res
+    return {"D": Q.D, "seed": args.seed, "basis": res.to_groebner(field)}
 
 
-def cmd_shape_det(args) -> int:
+def cmd_shape_det(args):
+    """deterministic peeling + CRT, radical flag"""
     field, gb, Q = _load_quotient(args)
     res = shape_det(Q)
     if isinstance(res, Fail):
-        _write(args.out, f"Fail: {res.reason}\n")
-        return 2
+        return res
     sb, is_radical = res
-    payload = {
+    return {
         "of_what": "I" if is_radical else "radical(I)",
         "is_radical": is_radical,
         "D": Q.D,
-        "basis": _basis_lines(sb.to_groebner(field)),
+        "basis": sb.to_groebner(field),
     }
-    _write(args.out, _report(args, payload))
-    return 0
 
 
-def cmd_univar(args) -> int:
+def cmd_univar(args):
+    """incremental estimate of the minimal polynomial of x1"""
     field, gb, Q = _load_quotient(args)
     m = incremental_univariate(Q, seed=args.seed)
-    _write(args.out, poly_str(MultiPoly.from_uni(Q.n, m)) + "\n")
-    return 0
+    return poly_str(MultiPoly.from_uni(Q.n, m)) + "\n"
 
 
-def cmd_bms(args) -> int:
+def cmd_bms(args):
+    """array sweep only"""
     field, gb, Q = _load_quotient(args)
     trace: list = []
     res = bms_change(Q, seed=args.seed, trace=trace)
-    if args.trace:
-        for u, F, delta in trace:
-            sys.stderr.write(f"{u} | {len(F)} | {len(delta)}\n")
+    _print_trace(args, trace)
     if isinstance(res, Fail):
-        _write(args.out, f"Fail: {res.reason}\n")
-        return 2
-    payload = {
-        "D": Q.D,
-        "passes": len(trace),
-        "seed": args.seed,
-        "basis": _basis_lines(res),
-    }
-    _write(args.out, _report(args, payload))
-    return 0
+        return res
+    return {"D": Q.D, "passes": len(trace), "seed": args.seed, "basis": res}
 
 
-def cmd_fglm(args) -> int:
+def cmd_fglm(args):
+    """classic dense conversion"""
     field, gb, Q = _load_quotient(args)
-    out = classic_fglm(Q, "lex")
-    payload = {"D": Q.D, "basis": _basis_lines(out)}
-    _write(args.out, _report(args, payload))
-    return 0
+    return {"D": Q.D, "basis": classic_fglm(Q, "lex")}
 
 
-def cmd_matrices(args) -> int:
+def cmd_matrices(args):
+    """dump T_1..T_n"""
     field, gb, Q = _load_quotient(args)
-    chunks = [dump_matrix(Q, j) for j in range(1, Q.n + 1)]
-    _write(args.out, "".join(chunks))
-    return 0
+    return "".join(dump_matrix(Q, j) for j in range(1, Q.n + 1))
 
 
-def cmd_analyze(args) -> int:
-    d_values = list(range(args.d, (args.dmax or args.d) + 1))
-    rows = analyze_rows(args.n, d_values)
+def cmd_analyze(args):
+    """sparsity prediction CSV"""
+    dmax = args.d if args.dmax is None else args.dmax
+    if dmax < args.d:
+        raise ValueError(f"--dmax {dmax} is below --d {args.d}")
     lines = ["n,d,D,k0,m0,density_bound,asymptotic,ratio"]
-    for r in rows:
+    for r in analyze_rows(args.n, list(range(args.d, dmax + 1))):
         lines.append(
             f"{r['n']},{r['d']},{r['D']},{r['k0']},{r['m0']},"
             f"{r['density_bound']},{r['asymptotic']:.6f},{r['ratio']:.6f}"
         )
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_gen(args) -> int:
-    field = PrimeField(args.p)
+def cmd_gen(args):
+    """random dense system"""
     polys = gen_random_system(args.n, args.d, args.p, args.seed)
-    _write(args.out, write_system(field, polys))
-    return 0
+    return write_system(PrimeField(args.p), polys)
 
 
-def cmd_bench(args) -> int:
-    lines = []
-    for k in range(args.count):
-        seed = args.seed + k
-        polys = gen_random_system(args.n, args.d, args.p, seed)
-        field = PrimeField(args.p)
-        t0 = time.perf_counter()
-        gb = buchberger(polys, "drl", field)
-        t1 = time.perf_counter()
-        Q = canonical_basis(gb, field)
-        res = toplevel(gb, field, seed=seed, quotient=Q)
-        t2 = time.perf_counter()
-        stats = density_stats(Q.matrix(1))
-        lines.append(
-            f"seed={seed} D={Q.D} method={res.method_used} "
-            f"nnz={stats['nnz']} density={stats['percent_nonzero']:.2f}% "
-            f"gb_ms={1e3 * (t1 - t0):.1f} convert_ms={1e3 * (t2 - t1):.1f}"
-        )
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+_FLAGS = {
+    "--in": {"dest": "infile", "default": "-", "help": "input system file"},
+    "--out": {"default": "-", "help": "output file"},
+    "--seed": {"type": int, "default": 0},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+    "--trace": {"action": "store_true"},
+    "--radical-ok": {"type": _bool, "default": True},
+    "--n": {"type": int, "required": True},
+    "--d": {"type": int, "required": True},
+    "--dmax": {"type": int},
+    "--p": {"type": int, "required": True},
+}
+
+# each subcommand with the flags its handler reads; its help is the docstring
+_COMMANDS = (
+    ("convert", cmd_convert, "--in --out --seed --format --trace --radical-ok"),
+    ("shape-prob", cmd_shape_prob, "--in --out --seed --format"),
+    ("shape-det", cmd_shape_det, "--in --out --format"),
+    ("univar", cmd_univar, "--in --out --seed"),
+    ("bms", cmd_bms, "--in --out --seed --format --trace"),
+    ("fglm", cmd_fglm, "--in --out --format"),
+    ("matrices", cmd_matrices, "--in --out"),
+    ("analyze", cmd_analyze, "--n --d --dmax --out"),
+    ("gen", cmd_gen, "--n --d --p --seed --out"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,66 +208,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="DRL-to-LEX change of ordering via sparse linear algebra",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--in", dest="infile", default="-", help="input system file")
-        p.add_argument("--out", default="-", help="output file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--trace", action="store_true")
-
-    p = sub.add_parser("convert", help="full pipeline (toplevel dispatcher)")
-    common(p)
-    p.add_argument("--radical-ok", type=_bool, default=True)
-    p.set_defaults(fn=cmd_convert)
-
-    for name, fn in (
-        ("shape-prob", cmd_shape_prob),
-        ("shape-det", cmd_shape_det),
-        ("univar", cmd_univar),
-        ("bms", cmd_bms),
-        ("fglm", cmd_fglm),
-        ("matrices", cmd_matrices),
-    ):
-        p = sub.add_parser(name)
-        common(p)
+    for name, fn, flags in _COMMANDS:
+        p = sub.add_parser(name, help=fn.__doc__)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("analyze", help="sparsity prediction CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dmax", type=int)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("gen", help="random dense system")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("bench", help="timing over generated systems")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=int, default=65521)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_bench)
-
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ParseError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 3 if exc.code else 0
+    try:
+        out = args.fn(args)
+        if isinstance(out, Fail):
+            _write(args.out, f"Fail: {out.reason}\n")
+            return 2
+        _write(args.out, out if isinstance(out, str) else _report(args, out))
+        return 0
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except AssertionError as exc:

@@ -50,10 +50,6 @@ class MultiPoly:
         return cls(n)
 
     @classmethod
-    def constant(cls, n: int, c: int, F: PrimeField) -> "MultiPoly":
-        return cls(n, {(0,) * n: F.norm(c)})
-
-    @classmethod
     def from_uni(cls, n: int, f: UniPoly) -> "MultiPoly":
         """Lift an x1-polynomial given by ascending coefficients."""
         return cls(n, {(i,) + (0,) * (n - 1): c for i, c in enumerate(f) if c})
@@ -83,9 +79,6 @@ class MultiPoly:
 
     def lc(self, ordering: OrderingTag) -> int:
         return self.coeffs[self.lt(ordering)]
-
-    def copy(self) -> "MultiPoly":
-        return MultiPoly(self.n, dict(self.coeffs))
 
     def __eq__(self, other) -> bool:
         return (

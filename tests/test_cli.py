@@ -1,8 +1,13 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sparsefglm.cli import main
+from sparsefglm.cli import build_parser, main
 
 from conftest import GF11_TEXT, GF2_TEXT
 
@@ -138,6 +143,14 @@ def test_gen_deterministic(capsys):
     assert first == second
 
 
+def test_empty_analyze_range_exits_3(capsys):
+    rc = main(["analyze", "--n", "3", "--d", "5", "--dmax", "2"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_bad_input_exits_3(sysfile, capsys):
     rc = main(["convert", "--in", sysfile("p 11\nvars 2\nx9 + 1\n")])
     assert rc == 3
@@ -154,14 +167,6 @@ def test_composite_modulus_exits_3(capsys):
     rc = main(["gen", "--n", "2", "--d", "2", "--p", "65520", "--seed", "0"])
     assert rc == 3
     assert "not prime" in capsys.readouterr().err
-
-
-def test_bench_runs(sysfile, capsys):
-    rc = main(["bench", "--n", "2", "--d", "2", "--count", "2"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2
-    assert all("method=" in ln and "gb_ms=" in ln for ln in lines)
 
 
 def test_bms_success_on_generated_system(tmp_path, capsys):
@@ -186,3 +191,85 @@ def test_trace_lines_on_stderr(sysfile, capsys):
     trace_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(trace_lines) == 17
     assert all(ln.count("|") == 2 for ln in trace_lines)
+
+
+# the flags each subcommand's handler reads; nothing else is accepted
+FLAGS = {
+    "convert": {"--in", "--out", "--seed", "--format", "--trace", "--radical-ok"},
+    "shape-prob": {"--in", "--out", "--seed", "--format"},
+    "shape-det": {"--in", "--out", "--format"},
+    "univar": {"--in", "--out", "--seed"},
+    "bms": {"--in", "--out", "--seed", "--format", "--trace"},
+    "fglm": {"--in", "--out", "--format"},
+    "matrices": {"--in", "--out"},
+    "analyze": {"--n", "--d", "--dmax", "--out"},
+    "gen": {"--n", "--d", "--p", "--seed", "--out"},
+}
+SYSTEM_FLAGS = {"--seed": ["1"], "--format": ["json"], "--trace": [], "--radical-ok": ["false"]}
+
+
+def _subparsers() -> dict:
+    ap = build_parser()
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_subcommands():
+    assert set(_subparsers()) == set(FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_flags_are_the_ones_the_handler_reads(command, sysfile, capsys):
+    parser = _subparsers()[command]
+    declared = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+    assert declared == FLAGS[command]
+    if "--in" not in declared:
+        return
+    path = sysfile(GF11_TEXT)
+    for flag in sorted(set(SYSTEM_FLAGS) - declared):
+        assert main([command, "--in", path, flag, *SYSTEM_FLAGS[flag]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: " + flag in captured.err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys):
+    for argv in (["shape-det", "--bogus"], ["bench", "--n", "2", "--d", "2"],
+                 ["gen", "--n", "2", "--d", "2"], ["convert", "--radical-ok", "maybe"], []):
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+    for argv in (["--help"], ["convert", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: sparsefglm")
+
+
+def _cli(*argv, stdin=None):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "sparsefglm.cli", *argv],
+        input=stdin,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_exit_status_seen_by_the_shell(sysfile):
+    """The README quick start, a declined method, a usage error and --help,
+    each run as its own process."""
+    gen = _cli("gen", "--n", "2", "--d", "2", "--p", "65521", "--seed", "0")
+    assert gen.returncode == 0, gen.stderr
+    convert = _cli("convert", "--format", "json", stdin=gen.stdout)
+    assert convert.returncode == 0, convert.stderr
+    assert json.loads(convert.stdout)["basis"] == [
+        "x1^4 + 30604*x1^3 + 57095*x1^2 + 59061*x1 + 55693",
+        "46618*x1^3 + 45259*x1^2 + x2 + 55015*x1 + 50319",
+    ]
+    declined = _cli("shape-prob", "--in", sysfile(MONO_TEXT))
+    assert declined.returncode == 2
+    assert declined.stdout.startswith("Fail: ")
+    usage = _cli("shape-det", "--bogus")
+    assert usage.returncode == 3
+    assert "error:" in usage.stderr
+    assert _cli("--help").returncode == 0

@@ -25,7 +25,7 @@ def test_constructor_drops_zero_coefficients():
     f = MultiPoly(2, {(1, 0): 0, (0, 1): 3, (0, 0): 0})
     assert f.coeffs == {(0, 1): 3}
     assert MultiPoly.zero(2).is_zero()
-    assert MultiPoly.constant(2, 13, F11).coeffs == {(0, 0): 2}
+    assert MultiPoly(2, {(0, 0): F11.norm(13)}).coeffs == {(0, 0): 2}
 
 
 def test_uni_round_trip():
@@ -170,8 +170,7 @@ def test_equality_and_hash():
     f = MultiPoly(2, {(1, 0): 1})
     assert f == MultiPoly(2, {(1, 0): 1, (0, 1): 0})
     assert f != MultiPoly(3, {(1, 0, 0): 1})
-    assert hash(f) == hash(f.copy())
-    assert f.copy() is not f
+    assert hash(f) == hash(MultiPoly(2, {(1, 0): 1, (0, 1): 0}))
 
 
 def test_repr_orders_terms_drl_descending():
