@@ -1,9 +1,12 @@
 """Berlekamp-Massey-Sakata change of ordering (the general, non-shape case).
 
 The n-dimensional array E(u) = <r, T^u e> is consumed term by term in
-ascending target-LEX order.  Each pass tests the current candidate set F for
-validity at the new term, repairs failures using recorded witness
-polynomials, and re-reduces F.  The driver stops as soon as the candidates
+ascending target-LEX order.  The sweep's state is (F, G, delta): the
+candidate polynomials F, the witness records G, and the delta set, the
+staircase of the array found so far.  Between passes the leading terms of
+F are exactly the corners of delta, in ascending lex order.  Each pass
+tests F for validity at the new term, repairs failures using the
+witnesses, and re-reduces F.  The driver stops as soon as the candidates
 verify as the Groebner basis of the ideal (checked against the quotient
 structure, so a wrong answer is impossible), or gives up and returns Fail:
 at the end of the 2nD pass budget, or as soon as the delta set holds more
@@ -28,54 +31,30 @@ from .poly import (
     normal_form,
 )
 from .quotient import CoordVector, QuotientStructure, staircase
-from .terms import Term, divides, lex_key
+from .terms import Term, divides, lex_key, term_mul
 
-# witness record: (polynomial, span, fail term, discrepancy)
-WitnessRec = tuple[MultiPoly, Term, Term, int]
+# witness record: (polynomial, span, discrepancy)
+WitnessRec = tuple[MultiPoly, Term, int]
 
 
-class ArrayE:
-    """Values of u -> <r, T1^u1 ... Tn^un e>, filled on demand.
+def _array(Q: QuotientStructure, probe: CoordVector):
+    """The memoized u -> E(u) = <r, NF(x^u)>.
 
     Coordinate vectors are cached on the quotient structure (shared with
     nf_vector), so each new term costs one sparse matrix application.
     """
+    values: dict[Term, int] = {}
 
-    __slots__ = ("probe", "values")
+    def E(u: Term) -> int:
+        if u not in values:
+            values[u] = Q.F.dot(probe, Q.term_vec(u))
+        return values[u]
 
-    def __init__(self, probe: CoordVector):
-        self.probe = probe
-        self.values: dict[Term, int] = {}
-
-
-def eval_E(A: ArrayE, Q: QuotientStructure, u: Term) -> int:
-    hit = A.values.get(u)
-    if hit is None:
-        hit = Q.F.dot(A.probe, Q.term_vec(u))
-        A.values[u] = hit
-    return hit
+    return E
 
 
-class BMSState:
-    __slots__ = ("F", "G", "delta", "u", "failed")
-
-    def __init__(
-        self,
-        F: list[MultiPoly],
-        G: list[WitnessRec],
-        delta: set[Term],
-        u: Term | None,
-        failed: bool = False,
-    ):
-        self.F = F
-        self.G = G
-        self.delta = delta
-        self.u = u
-        self.failed = failed  # did the last pass see any discrepancy
-
-
-def initial_state(n: int) -> BMSState:
-    return BMSState([MultiPoly(n, {(0,) * n: 1})], [], set(), None)
+def _sub(a: Term, b: Term) -> Term:
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def _downset(t: Term):
@@ -83,139 +62,109 @@ def _downset(t: Term):
 
 
 def _corners(delta: set[Term], n: int) -> list[Term]:
-    """Minimal terms outside the (downward-closed) delta set."""
-    if not delta:
-        return [(0,) * n]
-    bounds = [max(t[i] for t in delta) + 2 for i in range(n)]
-    out = []
-    for t in iter_product(*(range(b) for b in bounds)):
-        if t in delta:
-            continue
-        if all(
-            t[i] == 0 or t[: i] + (t[i] - 1,) + t[i + 1 :] in delta
-            for i in range(n)
-        ):
-            out.append(t)
-    out.sort(key=lex_key)
-    return out
+    """Minimal terms outside the (downward-closed) delta set, in lex order.
+
+    Each one is 1 or a successor x_i * t of some t in delta.
+    """
+    succ = {t[:i] + (t[i] + 1,) + t[i + 1 :] for t in delta for i in range(n)}
+    out = [
+        t
+        for t in succ.union([(0,) * n]) - delta
+        if all(t[i] == 0 or t[:i] + (t[i] - 1,) + t[i + 1 :] in delta for i in range(n))
+    ]
+    return sorted(out, key=lex_key)
 
 
-def _discrepancy(f: MultiPoly, m: Term, A: ArrayE, Q: QuotientStructure) -> int:
-    p = Q.F.p
-    acc = 0
-    for c, coef in f.coeffs.items():
-        acc += coef * eval_E(A, Q, tuple(a + b for a, b in zip(c, m)))
-    return acc % p
+def _discrepancy(f: MultiPoly, m: Term, E, p: int) -> int:
+    return sum(coef * E(term_mul(c, m)) for c, coef in f.coeffs.items()) % p
 
 
 def sakata_update(
-    st: BMSState,
-    next_u: Term,
-    A: ArrayE,
-    Q: QuotientStructure,
+    F: list[MultiPoly],
+    G: list[WitnessRec],
+    delta: set[Term],
+    u: Term,
+    E,
+    field: PrimeField,
     grow_tail: Term | None = None,
-) -> BMSState:
-    """One pass: make the candidate set valid up to next_u.
+) -> tuple[list[MultiPoly], list[WitnessRec], set[Term]] | None:
+    """One pass: make the candidate set valid up to u.
+
+    Returns None if no candidate fails at u (a clean pass), else the new
+    state (F, G, delta), with F not yet reduced.
 
     The sweep visits only a truncated slice of each x2..xn-level, so a
     nonzero discrepancy does not always reflect the array: a polynomial may
     fail here merely because the terms that would have fixed it were never
     visited.  Genuine delta growth at a level pairs each new term v with a
-    new term next_u - v, which forces the tail of v to equal grow_tail
-    (half the current level); any other out-of-delta span would inject a
-    term into a level already verified, so it is discarded as truncation
-    noise.  grow_tail=None (revisit levels) discards all growth.
+    new term u - v, which forces the tail of v to equal grow_tail (half the
+    current level); any other out-of-delta span would inject a term into a
+    level already verified, so it is discarded as truncation noise.
+    grow_tail=None (revisit levels) discards all growth.
     """
-    F_ = Q.F
-    n = Q.n
-    u = next_u
-
-    fails: list[tuple[MultiPoly, int]] = []
-    for f in st.F:
+    # each failure, as the witness record it becomes if its span is new
+    fails: list[WitnessRec] = []
+    for f in F:
         s = f.lt("lex")
         if divides(s, u):
-            d = _discrepancy(f, tuple(a - b for a, b in zip(u, s)), A, Q)
-            if not d:
-                continue
-            span = tuple(a - b for a, b in zip(u, s))
-            if span not in st.delta and (grow_tail is None or span[1:] != grow_tail):
-                continue
-            fails.append((f, d))
+            span = _sub(u, s)
+            d = _discrepancy(f, span, E, field.p)
+            if d and (span in delta or (grow_tail is not None and span[1:] == grow_tail)):
+                fails.append((f, span, d))
     if not fails:
-        return BMSState(st.F, st.G, st.delta, u, failed=False)
+        return None
 
-    new_delta = set(st.delta)
-    for f, _ in fails:
-        s = f.lt("lex")
-        new_delta.update(_downset(tuple(a - b for a, b in zip(u, s))))
+    new_delta = set(delta)
+    for _, span, _ in fails:
+        new_delta.update(_downset(span))
 
-    fail_disc = {id(f): d for f, d in fails}
+    fail_disc = {id(f): d for f, _, d in fails}
     new_F: list[MultiPoly] = []
-    for s in _corners(new_delta, n):
-        exact = [f for f in st.F if f.lt("lex") == s]
-        if exact:
-            f = exact[0]
-        else:
-            cands = [f for f in st.F if divides(f.lt("lex"), s)]
-            unfailed = [f for f in cands if id(f) not in fail_disc]
-            f = unfailed[0] if unfailed else cands[0]
-        c = f.lt("lex")
-        shift = tuple(a - b for a, b in zip(s, c))
+    for s in _corners(new_delta, len(u)):
+        # the candidate with leading term s, else one valid at u, else any
+        cands = [f for f in F if divides(f.lt("lex"), s)]
+        f = min(cands, key=lambda f: (f.lt("lex") != s, id(f) in fail_disc))
+        shifted = mp_mul_term(f, _sub(s, f.lt("lex")), 1, field)
         if id(f) not in fail_disc or not divides(s, u):
             # valid (or untestable) at u after the shift: no correction needed
-            new_F.append(mp_mul_term(f, shift, 1, F_))
-        else:
-            need = tuple(a - b for a, b in zip(u, s))
-            rec = next(
-                (r for r in reversed(st.G) if divides(need, r[1])),
-                None,
-            )
-            if rec is None:
-                raise InternalError("no witness available for correction")
-            g, span_g, _, d_g = rec
-            corr_shift = tuple(a - b for a, b in zip(span_g, need))
-            coef = fail_disc[id(f)] * F_.inv(d_g) % F_.p
-            new_F.append(
-                mp_sub(mp_mul_term(f, shift, 1, F_), mp_mul_term(g, corr_shift, coef, F_), F_)
-            )
+            new_F.append(shifted)
+            continue
+        need = _sub(u, s)
+        rec = next((r for r in reversed(G) if divides(need, r[1])), None)
+        if rec is None:
+            raise InternalError("no witness available for correction")
+        g, span_g, d_g = rec
+        coef = fail_disc[id(f)] * field.inv(d_g) % field.p
+        new_F.append(mp_sub(shifted, mp_mul_term(g, _sub(span_g, need), coef, field), field))
 
-    new_G = list(st.G)
-    for f, d in fails:
-        span = tuple(a - b for a, b in zip(u, f.lt("lex")))
-        if span not in st.delta:
-            new_G.append((f, span, u, d))
+    new_G = G + [rec for rec in fails if rec[1] not in delta]
     # keep only span-maximal witnesses; later records win ties
-    pruned: list[WitnessRec] = []
-    for i, rec in enumerate(new_G):
-        dominated = any(
-            j != i
-            and divides(rec[1], other[1])
-            and (other[1] != rec[1] or j > i)
+    pruned = [
+        rec
+        for i, rec in enumerate(new_G)
+        if not any(
+            j != i and divides(rec[1], other[1]) and (other[1] != rec[1] or j > i)
             for j, other in enumerate(new_G)
         )
-        if not dominated:
-            pruned.append(rec)
-    return BMSState(new_F, pruned, new_delta, u, failed=True)
+    ]
+    return new_F, pruned, new_delta
 
 
 def reduce_set(F: list[MultiPoly], field: PrimeField) -> list[MultiPoly]:
-    """Reduce every f against the rest (target order), keeping list order."""
-    out = list(F)
-    for i in range(len(out)):
-        fi = out[i]
-        if fi.is_zero():
-            continue
-        ki = lex_key(fi.lt("lex"))
-        reducers = []
-        for j, fj in enumerate(out):
-            if j == i or fj.is_zero():
-                continue
-            kj = lex_key(fj.lt("lex"))
-            if kj < ki or (kj == ki and j < i):
-                reducers.append(fj)
-        r = normal_form(fi, reducers, "lex", field)
-        out[i] = mp_monic(r, "lex", field) if not r.is_zero() else r
-    return [f for f in out if not f.is_zero()]
+    """Reduce each f modulo the reduced polynomials before it, make it monic,
+    and drop zeros.
+
+    F arrives as the corners of delta, leading terms ascending in lex order.
+    A later member has a larger leading term, which divides no term of an
+    earlier one, so reducing against the earlier members is reducing
+    against all the others.
+    """
+    out: list[MultiPoly] = []
+    for f in F:
+        r = normal_form(f, out, "lex", field)
+        if not r.is_zero():
+            out.append(mp_monic(r, "lex", field))
+    return out
 
 
 def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
@@ -244,29 +193,31 @@ def bms_change(
 ) -> GroebnerBasis | Fail:
     import random
 
-    F_ = Q.F
+    field = Q.F
     n = Q.n
     D = Q.D
     if probe is None:
         rng = random.Random(seed)
-        probe = [rng.randrange(F_.p) for _ in range(D)]
-    A = ArrayE(probe)
-    st = initial_state(n)
+        probe = [rng.randrange(field.p) for _ in range(D)]
+    E = _array(Q, probe)
+    F: list[MultiPoly] = [MultiPoly(n, {(0,) * n: 1})]
+    G: list[WitnessRec] = []
+    delta: set[Term] = set()
     cap = 2 * n * D
     passes = 0
 
     def row_x1(j: Term) -> list[int]:
-        return [t[0] for t in st.delta if t[1:] == j]
+        return [t[0] for t in delta if t[1:] == j]
 
     def finish(ok: bool):
         if passes > cap:
             raise InternalError("pass budget exceeded (defect)")
         if ok:
-            polys = sorted(st.F, key=lambda f: lex_key(f.lt("lex")))
+            polys = sorted(F, key=lambda f: lex_key(f.lt("lex")))
             return GroebnerBasis(polys, "lex", reduced=True)
         return Fail(
             f"BMS sweep ended without a verified Groebner basis "
-            f"({passes} passes, |delta| = {len(st.delta)}, D = {D})"
+            f"({passes} passes, |delta| = {len(delta)}, D = {D})"
         )
 
     # Rows (fixed x2..xn exponents) are walked in ascending lex order with
@@ -287,7 +238,7 @@ def bms_change(
                 if prev[a] > 0:
                     prev[a] -= 1
                     break
-            justified = bool(row_x1(tuple(prev))) and len(st.delta) < D
+            justified = bool(row_x1(tuple(prev))) and len(delta) < D
         else:
             justified = bool(row_x1(j))
         if justified:
@@ -307,23 +258,24 @@ def bms_change(
                     if i >= width:
                         break
                 if passes >= cap:
-                    return finish(is_gb(st.F, Q))
+                    return finish(is_gb(F, Q))
                 u = (i,) + ridge
-                st = sakata_update(st, u, A, Q, grow_tail=j if even else None)
-                if st.failed:
+                step = sakata_update(F, G, delta, u, E, field, grow_tail=j if even else None)
+                clean = step is None
+                if not clean:
                     # a clean pass keeps the F the last pass already reduced,
                     # and reduce_set is idempotent on it
-                    st.F = reduce_set(st.F, F_)
+                    F, G, delta = step
+                    F = reduce_set(F, field)
                 passes += 1
-                clean = not st.failed
                 if trace is not None:
-                    trace.append((u, list(st.F), set(st.delta)))
-                if len(st.delta) > D:
+                    trace.append((u, list(F), set(delta)))
+                if len(delta) > D:
                     # lt(F) are the corners of delta, so delta is the staircase
                     # of lt(F), and delta never shrinks: is_gb cannot pass
                     return Fail(
                         f"BMS sweep ended without a verified Groebner basis: "
-                        f"|delta| = {len(st.delta)} exceeds D = {D} after {passes} passes"
+                        f"|delta| = {len(delta)} exceeds D = {D} after {passes} passes"
                     )
                 i += 1
         # advance; the +2 head-room admits one more discovery level, which
@@ -332,8 +284,8 @@ def bms_change(
         k = 0
         while True:
             if k == n - 1:
-                return finish(is_gb(st.F, Q))
-            jmax = max((t[k + 1] for t in st.delta), default=-1)
+                return finish(is_gb(F, Q))
+            jmax = max((t[k + 1] for t in delta), default=-1)
             nxt[k] += 1
             if nxt[k] <= 2 * jmax + 2:
                 break

@@ -1,24 +1,20 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import product
+from math import factorial
 from pathlib import Path
 
-from sparsefglm.bms import (
-    ArrayE,
-    _corners,
-    bms_change,
-    eval_E,
-    initial_state,
-    is_gb,
-    reduce_set,
-)
+import pytest
+
+from sparsefglm.bms import _array, _corners, bms_change, is_gb, reduce_set
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
-from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_monic, normal_form
 from sparsefglm.quotient import QuotientStructure, staircase
-from sparsefglm.terms import divides
+from sparsefglm.terms import divides, lex_key
 
 from conftest import PROBE12, basis_strs, noncommuting_units
 
@@ -26,18 +22,9 @@ F = PrimeField(65521)
 
 
 def test_array_values_match_probe_sequence(gf11):
-    A = ArrayE([8, 4, 8, 6])
-    got = [eval_E(A, gf11, (k, 0, 0)) for k in range(8)]
-    assert got == [8, 4, 0, 7, 6, 8, 10, 10]
-    assert A.values[(3, 0, 0)] == 7  # cached
-
-
-def test_initial_state():
-    st = initial_state(2)
-    assert basis_strs(st.F) == ["1"]
-    assert st.delta == set()
-    assert st.u is None
-    assert not st.failed
+    E = _array(gf11, [8, 4, 8, 6])
+    for _ in range(2):  # the second read comes from the memo
+        assert [E((k, 0, 0)) for k in range(8)] == [8, 4, 0, 7, 6, 8, 10, 10]
 
 
 def test_corners():
@@ -88,6 +75,51 @@ def test_reduce_set():
     assert [h.coeffs for h in out] == [{(1, 0): 1, (0, 0): 1}]
 
 
+def reduce_set_all_others(F, field):
+    """Reference oracle for `reduce_set`: each f, in list order, modulo every
+    other member with a smaller leading term (or an equal one earlier in the
+    list), with the members before it already reduced."""
+    out = list(F)
+    for i in range(len(out)):
+        fi = out[i]
+        if fi.is_zero():
+            continue
+        ki = lex_key(fi.lt("lex"))
+        reducers = []
+        for j, fj in enumerate(out):
+            if j == i or fj.is_zero():
+                continue
+            kj = lex_key(fj.lt("lex"))
+            if kj < ki or (kj == ki and j < i):
+                reducers.append(fj)
+        r = normal_form(fi, reducers, "lex", field)
+        out[i] = mp_monic(r, "lex", field) if not r.is_zero() else r
+    return [f for f in out if not f.is_zero()]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_reduce_set_matches_reduction_against_all_others(n, p):
+    """On the corners of a random delta set, each with a random tail of
+    lex-smaller terms, reducing against the members before it is reducing
+    against all the others."""
+    field = PrimeField(p)
+    rng = random.Random(1000 * n + p)
+    box = list(product(range(4), repeat=n))
+    for _ in range(40):
+        delta = set()
+        for _ in range(rng.randrange(1, 5)):
+            delta.update(product(*(range(a + 1) for a in rng.choice(box))))
+        F = []
+        for s in _corners(delta, n):
+            smaller = [t for t in box if lex_key(t) < lex_key(s)]
+            tail = rng.sample(smaller, min(len(smaller), rng.randrange(6)))
+            F.append(MultiPoly(n, {t: rng.randrange(1, p) for t in tail + [s]}))
+        got = reduce_set(F, field)
+        assert got == reduce_set_all_others(F, field)
+        assert [f.lt("lex") for f in got] == [f.lt("lex") for f in F]
+
+
 def test_bms_univariate_degenerates_to_bm():
     Q = QuotientStructure(
         GroebnerBasis([MultiPoly(1, {(3,): 1, (1,): 5, (0,): 2})], "drl"), F
@@ -118,6 +150,32 @@ def test_bms_matches_classic_fglm_on_random_quadrics():
         assert not isinstance(res, Fail)
         assert res == classic_fglm(Q, "lex")
         assert len(trace) <= 2 * 2 * Q.D
+
+
+def affine_power(rng, a):
+    """(c1*x1 + c2*x2 + c0)^a over GF(65521), random c1, c2 != 0 and c0."""
+    c1, c2, c0 = rng.randrange(1, F.p), rng.randrange(1, F.p), rng.randrange(F.p)
+    coeffs = {}
+    for i in range(a + 1):
+        for j in range(a + 1 - i):
+            m = factorial(a) // (factorial(i) * factorial(j) * factorial(a - i - j))
+            coeffs[(i, j)] = m * pow(c1, i, F.p) * pow(c2, j, F.p) * pow(c0, a - i - j, F.p) % F.p
+    return MultiPoly(2, {t: c for t, c in coeffs.items() if c})
+
+
+def test_bms_matches_classic_fglm_on_bivariate_complete_intersections():
+    """<l1^a, l2^b> for random affine forms l1, l2 and a, b in {2, 3, 4}: a
+    Gorenstein ideal of one point of multiplicity ab, not in shape position
+    (its lex basis has more than n elements)."""
+    rng = random.Random(15)
+    for k in range(15):
+        a, b = rng.choice((2, 3, 4)), rng.choice((2, 3, 4))
+        gb = buchberger([affine_power(rng, a), affine_power(rng, b)], "drl", F)
+        Q = QuotientStructure(gb, F)
+        assert Q.D == a * b
+        lex = classic_fglm(Q, "lex")
+        assert len(lex.polys) > 2
+        assert bms_change(Q, seed=k) == lex
 
 
 def test_bms_trace_delta_growth():
