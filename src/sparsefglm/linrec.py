@@ -54,11 +54,18 @@ def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> UniPoly:
 
 
 class HankelSystem:
-    """H[j][k] = seq[j+k] for a d x d matrix, with right-hand side rhs."""
+    """H[j][k] = seq[j+k] for a d x d matrix, with right-hand side rhs.
 
-    __slots__ = ("d", "seq", "rhs")
+    f, the minimal polynomial of seq[:2d], and ns_inv, N_s^-1 mod f, belong
+    to the sequence, not to the right-hand side: hankel_solve fills in
+    whichever is missing, and `with_rhs` hands both on to the next system
+    on the same sequence.  A caller that has already fitted seq[:2d] (and
+    nothing else) may pass that fit as f.
+    """
 
-    def __init__(self, d: int, seq: list[int], rhs: list[int]):
+    __slots__ = ("d", "seq", "rhs", "f", "ns_inv")
+
+    def __init__(self, d: int, seq: list[int], rhs: list[int], f: UniPoly | None = None):
         if len(seq) < 2 * d - 1:
             raise ValueError("sequence too short for Hankel dimension")
         if len(rhs) != d:
@@ -66,6 +73,14 @@ class HankelSystem:
         self.d = d
         self.seq = seq
         self.rhs = rhs
+        self.f = f
+        self.ns_inv: UniPoly | None = None
+
+    def with_rhs(self, rhs: list[int]) -> HankelSystem:
+        """The same sequence and whatever fit it has, against another rhs."""
+        out = HankelSystem(self.d, self.seq, rhs, self.f)
+        out.ns_inv = self.ns_inv
+        return out
 
 
 def _numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
@@ -80,16 +95,20 @@ def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
     has degree d.  Then the numerator N_s of seq over f is coprime to f (a
     common factor would leave seq a recurrence of degree < d), and c, read
     as a polynomial of degree < d, is N_b * N_s^-1 mod f, where N_b is the
-    numerator of rhs over f (Bostan-Salvy-Schost duality).
+    numerator of rhs over f (Bostan-Salvy-Schost duality).  f and N_s^-1
+    are computed once per sequence and kept on sys.
     """
     p = F.p
     d = sys.d
-    s = sys.seq[: 2 * d]
-    f = berlekamp_massey(s + [0] * (2 * d - len(s)), F)
-    if deg(f) != d:
-        raise ValueError("singular Hankel system")
-    _, inv = uni_xgcd(_numerator(f, s, p), f, F)
-    c = uni_mod(uni_mul(_numerator(f, sys.rhs, p), inv, F), f, F)
+    if sys.ns_inv is None:
+        s = sys.seq[: 2 * d]
+        f = sys.f if sys.f is not None else berlekamp_massey(s + [0] * (2 * d - len(s)), F)
+        if deg(f) != d:
+            raise ValueError("singular Hankel system")
+        sys.f = f
+        sys.ns_inv = uni_xgcd(_numerator(f, s, p), f, F)[1]
+    f = sys.f
+    c = uni_mod(uni_mul(_numerator(f, sys.rhs, p), sys.ns_inv, F), f, F)
     return c + [0] * (d - len(c))
 
 

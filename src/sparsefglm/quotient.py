@@ -15,6 +15,7 @@ direct reduction.
 from __future__ import annotations
 
 from itertools import product as iter_product
+from operator import itemgetter, mul
 
 from .field import PrimeField
 from .poly import GroebnerBasis, InternalError, MultiPoly, reduce_basis
@@ -24,9 +25,19 @@ CoordVector = list[int]
 
 
 class SparseMat:
-    """Column-major sparse D x D matrix over a prime field."""
+    """Column-major sparse D x D matrix over a prime field.
 
-    __slots__ = ("dim", "columns", "dense_column_flags", "nnz", "column_cases", "p")
+    `columns` holds each column as (row, a) pairs, read by `apply`, `nnz`
+    and `dump_matrix`.  `apply_transpose` reads a second layout: every
+    case-2/3 column whole, as a full-length coefficient list in `full`,
+    and `gather`, which picks the entry of v for each unit (case-1) column
+    and the product for each full column out of v + [products] in column
+    order.
+    """
+
+    __slots__ = (
+        "dim", "columns", "dense_column_flags", "nnz", "column_cases", "p", "full", "gather"
+    )
 
     def __init__(
         self,
@@ -41,6 +52,19 @@ class SparseMat:
         self.dense_column_flags = [c != 1 for c in column_cases]
         self.nnz = sum(len(col) for col in columns)
         self.p = p
+        self.full = []
+        picks = []
+        for col, case in zip(columns, column_cases):
+            if case == 1:
+                picks.append(col[0][0])
+            else:
+                picks.append(dim + len(self.full))
+                full = [0] * dim
+                for row, a in col:
+                    full[row] = a
+                self.full.append(full)
+        # itemgetter of one index returns the item itself, not a 1-tuple
+        self.gather = itemgetter(*picks) if dim > 1 else lambda v, k=picks[0]: (v[k],)
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
@@ -59,13 +83,7 @@ def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
     p = T.p
-    out = [0] * T.dim
-    for col in range(T.dim):
-        acc = 0
-        for row, a in T.columns[col]:
-            acc += a * v[row]
-        out[col] = acc % p
-    return out
+    return list(T.gather(v + [sum(map(mul, col, v)) % p for col in T.full]))
 
 
 def density_stats(T: SparseMat) -> dict:

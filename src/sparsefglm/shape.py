@@ -3,8 +3,9 @@
 Three entry points:
 
 * shape_prob  — probabilistic Wiedemann: one random probe, one
-  Berlekamp-Massey run, n-1 Hankel solves.  Fails (recoverably) when the
-  probe sees only a proper factor of the minimal polynomial.
+  Berlekamp-Massey run, n-1 Hankel solves on that fit and one inverse
+  N_s^-1.  Fails (recoverably) when the probe sees only a proper factor
+  of the minimal polynomial.
 * shape_det   — deterministic variant: unit probes peel the minimal
   polynomial factor by factor; failure certifies the ideal is not in shape
   position.  Always returns a basis of the radical, plus a flag telling
@@ -13,7 +14,8 @@ Three entry points:
   soon as Berlekamp-Massey stabilizes; cheap early estimate of f_1.
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
-shape_prob and shape_det share one Krylov loop (`_krylov`) and one Horner
+shape_prob and shape_det share one Krylov loop (`_krylov`), one tail loop
+(`_tail_solves`: one fit and one N_s^-1 per sequence) and one Horner
 evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
 Berlekamp-Massey fits and the Hankel solves are looked up in this module's
 globals at call time, so the benchmark's tracer can wrap them here.
@@ -121,6 +123,19 @@ def _tail_rhs(chain: list[CoordVector], v_i: CoordVector, count: int, F: PrimeFi
     return [F.dot(chain[j], v_i) for j in range(count)]
 
 
+def _tail_solves(
+    d: int, s: list[int], rhs_rows: list[list[int]], F: PrimeField, f: UniPoly | None = None
+) -> list[UniPoly]:
+    """One Hankel solve per right-hand side on the sequence s.  The first
+    fits s[:2d] (unless f is that fit) and inverts N_s; the rest reuse both."""
+    tails = []
+    H = None
+    for b in rhs_rows:
+        H = HankelSystem(d, s, b, f) if H is None else H.with_rhs(b)
+        tails.append(hankel_solve(H, F))
+    return tails
+
+
 def shape_prob(
     Q: QuotientStructure, seed, probe: CoordVector | None = None
 ) -> ShapeBasis | Fail:
@@ -134,11 +149,9 @@ def shape_prob(
     d = deg(f1)
     if d < D:
         return Fail(f"minimal polynomial degree {d} < ideal degree {D}")
-    tails = []
-    for i in range(2, Q.n + 1):
-        b = _tail_rhs(chain, Q.nf_of_var(i), D, F)
-        tails.append(hankel_solve(HankelSystem(D, s, b), F))
-    return ShapeBasis(f1, tails)
+    # s has 2D terms, so f1 is the fit hankel_solve would make of s[:2D]
+    rhs_rows = [_tail_rhs(chain, Q.nf_of_var(i), D, F) for i in range(2, Q.n + 1)]
+    return ShapeBasis(f1, _tail_solves(D, s, rhs_rows, F, f1))
 
 
 def shape_det(
@@ -190,7 +203,9 @@ def shape_det(
     for idx, (g, rhs_rows) in enumerate(components):
         dk = deg(g)
         s = trace.sequences[idx]
-        tails = [hankel_solve(HankelSystem(dk, s, rhs), F) for rhs in rhs_rows]
+        # g was fitted on all of s; the solves fit s[:2dk], the prefix that
+        # defines H, once for all variables
+        tails = _tail_solves(dk, s, rhs_rows, F)
         per_factor_tails.append(tails)
         trace.factors[idx] = (g, tails)
 

@@ -16,7 +16,7 @@ from sparsefglm.quotient import (
 )
 from sparsefglm.sysio import parse_system
 
-from conftest import GF11_TEXT
+from conftest import GF11_TEXT, quotient_from_text
 
 F11 = PrimeField(11)
 
@@ -139,6 +139,41 @@ def test_apply_transpose_is_adjoint(gf2q):
         u = [rng.randrange(2) for _ in range(7)]
         v = [rng.randrange(2) for _ in range(7)]
         assert gf2q.F.dot(apply_transpose(T, u), v) == gf2q.F.dot(u, apply(T, v))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_apply_transpose_matches_column_sums(p):
+    """(T^t v)[c] = sum_r T[r][c] v[r], read off the (row, a) pairs, on every
+    T_j: random systems, the monomial ideal (empty columns) and the D = 1
+    ideal <x1 - 3, x2 - 5> (a gather of one index)."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    quotients = [
+        QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+        for n, d in ((2, 4), (3, 2))
+        for seed in range(2)
+    ]
+    quotients.append(quotient_from_text(f"p {p}\nvars 2\nx1^3\nx1^2*x2\nx1*x2^2\nx2^3\n"))
+    point = [
+        MultiPoly(2, {t: c for t, c in ((x, 1), ((0, 0), -a % p)) if c})
+        for x, a in (((1, 0), 3), ((0, 1), 5))
+    ]
+    quotients.append(QuotientStructure(buchberger(point, "drl", F), F))
+    assert quotients[-1].D == 1
+    empty_columns = 0
+    for Q in quotients:
+        for j in range(1, Q.n + 1):
+            T = Q.matrix(j)
+            empty_columns += sum(not col for col in T.columns)
+            dense = [[0] * Q.D for _ in range(Q.D)]
+            for c, col in enumerate(T.columns):
+                for r, a in col:
+                    dense[r][c] = a
+            for _ in range(3):
+                v = [rng.randrange(p) for _ in range(Q.D)]
+                want = [sum(dense[r][c] * v[r] for r in range(Q.D)) % p for c in range(Q.D)]
+                assert apply_transpose(T, v) == want, (Q.basis, j, v)
+    assert empty_columns > 0
 
 
 def test_apply_length_check(gf11):

@@ -3,7 +3,8 @@ import random
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
-from sparsefglm.linrec import berlekamp_massey
+from sparsefglm import linrec, shape
+from sparsefglm.linrec import HankelSystem, berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, normal_form
 from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
 from sparsefglm.shape import (
@@ -14,7 +15,7 @@ from sparsefglm.shape import (
     shape_det,
     shape_prob,
 )
-from sparsefglm.unipoly import squarefree_part, uni_crt, uni_mod
+from sparsefglm.unipoly import squarefree_part, trim, uni_crt, uni_mod
 
 from conftest import basis_strs
 
@@ -100,11 +101,19 @@ def test_shape_tails_match_classic_fglm_on_small_primes():
     contains I.  Shape-det meets factors of degree 1 and 2 on the way, so the
     short per-factor tail solves run too."""
     seen = {"prob": 0, "det": 0, "radical_of": 0, "dk1": 0, "dk2": 0}
-    for p in (3, 5, 7, 101, 65521):
+    rejected = 0
+    for p in (2, 3, 5, 7, 101, 65521):
         F = PrimeField(p)
-        for n, d in ((2, 2), (2, 3), (3, 2)):
+        for n, d in ((1, 4), (2, 2), (2, 3), (3, 2), (4, 2)):
             for seed in range(6):
-                Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+                gb = buchberger(gen_random_system(n, d, p, seed), "drl", F)
+                try:
+                    Q = QuotientStructure(gb, F)
+                except ValueError:
+                    # over GF(2) a few draws generate the unit ideal or a
+                    # positive-dimensional one: bad input, not a shape system
+                    rejected += 1
+                    continue
                 lex = classic_fglm(Q, "lex")
                 res = shape_prob(Q, seed)
                 if not isinstance(res, Fail):
@@ -126,7 +135,41 @@ def test_shape_tails_match_classic_fglm_on_small_primes():
                     got = sb.to_polys(F)
                     assert all(normal_form(g, got, "lex", F).is_zero() for g in lex.polys)
                     seen["radical_of"] += 1
-    assert all(seen.values()), seen
+    assert all(seen.values()) and rejected <= 2, (seen, rejected)
+
+
+def test_shape_prob_fits_its_sequence_once(monkeypatch):
+    """On an n = 4 system one shape_prob call runs Berlekamp-Massey once (its
+    Krylov fit) and inverts N_s once for all three tails, and each tail is
+    what a fresh hankel_solve gives for that right-hand side."""
+    F = PrimeField(65521)
+    Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
+    calls = {"bm": 0, "xgcd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    systems = []
+
+    def recorded(sys, F):
+        systems.append(sys)
+        return hankel_solve(sys, F)
+
+    monkeypatch.setattr(shape, "berlekamp_massey", counted("bm", berlekamp_massey))
+    monkeypatch.setattr(linrec, "berlekamp_massey", counted("bm", berlekamp_massey))
+    monkeypatch.setattr(linrec, "uni_xgcd", counted("xgcd", linrec.uni_xgcd))
+    monkeypatch.setattr(shape, "hankel_solve", recorded)
+    sb = shape_prob(Q, seed=0)
+    monkeypatch.undo()
+    assert not isinstance(sb, Fail)
+    assert calls == {"bm": 1, "xgcd": 1}
+    assert len(systems) == 3
+    fresh = [hankel_solve(HankelSystem(H.d, H.seq, H.rhs), F) for H in systems]
+    assert sb.tails == [trim(t) for t in fresh]
 
 
 def test_shape_det_gf11_reports_nonradical(gf11):
