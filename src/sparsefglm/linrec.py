@@ -1,21 +1,31 @@
-"""Linearly recurring sequences: Berlekamp-Massey and Hankel solves."""
+"""Linearly recurring sequences: Berlekamp-Massey and Hankel solves.
+
+One Berlekamp-Massey run gives both the minimal polynomial f of a
+sequence and the inverse N_s^-1 mod f of its numerator, read off the
+run's final state, so a Hankel solve needs no extended Euclid.
+"""
 
 from __future__ import annotations
 
 from operator import mul
 
 from .field import PrimeField
-from .unipoly import UniPoly, deg, trim, uni_mod, uni_monic, uni_mul, uni_xgcd
+from .unipoly import UniPoly, deg, trim, uni_mod, uni_mul
 
 LinRecSeq = list[int]
 
 
-def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> UniPoly:
-    """Monic minimal polynomial of the recurrence satisfied by s.
+def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> tuple[UniPoly, UniPoly]:
+    """Monic minimal polynomial f of the recurrence satisfied by s, and
+    N_s^-1 mod f for the numerator N_s of s over f.
 
     Ascending coefficients: [c0, ..., c_{d-1}, 1] means
-    s_{r+d} = -(c_{d-1} s_{r+d-1} + ... + c_0 s_r).  All-zero input gives 1.
-    Only meaningful as *the* minimal polynomial when |s| >= 2 deg.
+    s_{r+d} = -(c_{d-1} s_{r+d-1} + ... + c_0 s_r).  All-zero input gives
+    ([1], []).  Only meaningful as *the* minimal polynomial when
+    |s| >= 2 deg.  BM is the extended Euclidean algorithm in another form
+    (Dornstetter 1987): with B the connection polynomial of length L_B kept
+    at the last length change and b the discrepancy there,
+    N_s^-1 = rev_{L_B}(B) / b, already of degree below deg f.
     """
     p = F.p
     s = [v % p for v in s]
@@ -23,6 +33,7 @@ def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> UniPoly:
     C = [1]
     B = [1]
     L = 0
+    LB = 0
     m = 1
     b = 1
     for i, si in enumerate(s):
@@ -37,7 +48,7 @@ def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> UniPoly:
             C = C + [0] * (len(B) + m - len(C))
             for k, Bk in enumerate(B):
                 C[k + m] = (C[k + m] - coef * Bk) % p
-            L = i + 1 - L
+            L, LB = i + 1 - L, L
             B = T
             b = delta
             m = 1
@@ -47,25 +58,29 @@ def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> UniPoly:
             for k, Bk in enumerate(B):
                 C[k + m] = (C[k + m] - coef * Bk) % p
             m += 1
-    # connection form C(x) = 1 + c1 x + ... -> reverse into a monic polynomial
-    C = C[: L + 1] + [0] * (L + 1 - len(C))
-    out = list(reversed(C))
-    return uni_monic(trim(out), F)
+    # connection form C(x) = 1 + c1 x + ... reversed is monic; B likewise
+    f = (C[: L + 1] + [0] * (L + 1 - len(C)))[::-1]
+    binv = F.inv(b)
+    ns_inv = [c * binv % p for c in (B[: LB + 1] + [0] * (LB + 1 - len(B)))[::-1]]
+    return f, trim(ns_inv[:L])
 
 
 class HankelSystem:
     """H[j][k] = seq[j+k] for a d x d matrix, with right-hand side rhs.
 
-    f, the minimal polynomial of seq[:2d], and ns_inv, N_s^-1 mod f, belong
-    to the sequence, not to the right-hand side: hankel_solve fills in
-    whichever is missing, and `with_rhs` hands both on to the next system
-    on the same sequence.  A caller that has already fitted seq[:2d] (and
-    nothing else) may pass that fit as f.
+    fit, the pair (f, N_s^-1 mod f) that berlekamp_massey returns for
+    seq[:2d], belongs to the sequence, not to the right-hand side:
+    hankel_solve fits seq when it is missing, and `with_rhs` hands it on to
+    the next system on the same sequence.  A caller that has already fitted
+    seq[:2d], or a longer stretch of seq of the same linear complexity, may
+    pass that fit.
     """
 
-    __slots__ = ("d", "seq", "rhs", "f", "ns_inv")
+    __slots__ = ("d", "seq", "rhs", "fit")
 
-    def __init__(self, d: int, seq: list[int], rhs: list[int], f: UniPoly | None = None):
+    def __init__(
+        self, d: int, seq: list[int], rhs: list[int], fit: tuple[UniPoly, UniPoly] | None = None
+    ):
         if len(seq) < 2 * d - 1:
             raise ValueError("sequence too short for Hankel dimension")
         if len(rhs) != d:
@@ -73,14 +88,11 @@ class HankelSystem:
         self.d = d
         self.seq = seq
         self.rhs = rhs
-        self.f = f
-        self.ns_inv: UniPoly | None = None
+        self.fit = fit
 
     def with_rhs(self, rhs: list[int]) -> HankelSystem:
         """The same sequence and whatever fit it has, against another rhs."""
-        out = HankelSystem(self.d, self.seq, rhs, self.f)
-        out.ns_inv = self.ns_inv
-        return out
+        return HankelSystem(self.d, self.seq, rhs, self.fit)
 
 
 def _numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
@@ -96,19 +108,17 @@ def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
     common factor would leave seq a recurrence of degree < d), and c, read
     as a polynomial of degree < d, is N_b * N_s^-1 mod f, where N_b is the
     numerator of rhs over f (Bostan-Salvy-Schost duality).  f and N_s^-1
-    are computed once per sequence and kept on sys.
+    both come from one Berlekamp-Massey run, made once per sequence and
+    kept on sys.
     """
-    p = F.p
     d = sys.d
-    if sys.ns_inv is None:
+    if sys.fit is None:
         s = sys.seq[: 2 * d]
-        f = sys.f if sys.f is not None else berlekamp_massey(s + [0] * (2 * d - len(s)), F)
-        if deg(f) != d:
-            raise ValueError("singular Hankel system")
-        sys.f = f
-        sys.ns_inv = uni_xgcd(_numerator(f, s, p), f, F)[1]
-    f = sys.f
-    c = uni_mod(uni_mul(_numerator(f, sys.rhs, p), sys.ns_inv, F), f, F)
+        sys.fit = berlekamp_massey(s + [0] * (2 * d - len(s)), F)
+    f, ns_inv = sys.fit
+    if deg(f) != d:
+        raise ValueError("singular Hankel system")
+    c = uni_mod(uni_mul(_numerator(f, sys.rhs, F.p), ns_inv, F), f, F)
     return c + [0] * (d - len(c))
 
 

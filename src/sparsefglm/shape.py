@@ -3,9 +3,9 @@
 Three entry points:
 
 * shape_prob  — probabilistic Wiedemann: one random probe, one
-  Berlekamp-Massey run, n-1 Hankel solves on that fit and one inverse
-  N_s^-1.  Fails (recoverably) when the probe sees only a proper factor
-  of the minimal polynomial.
+  Berlekamp-Massey run, which also yields the inverse N_s^-1, and n-1
+  Hankel solves on that fit.  Fails (recoverably) when the probe sees only
+  a proper factor of the minimal polynomial.
 * shape_det   — deterministic variant: unit probes peel the minimal
   polynomial factor by factor; failure certifies the ideal is not in shape
   position.  Always returns a basis of the radical, plus a flag telling
@@ -15,8 +15,9 @@ Three entry points:
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
 shape_prob and shape_det share one Krylov loop (`_krylov`), one tail loop
-(`_tail_solves`: one fit and one N_s^-1 per sequence) and one Horner
-evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
+(`_tail_solves`: every solve on a sequence reuses its Krylov fit, so each
+sequence gets one Berlekamp-Massey run and no extended Euclid) and one
+Horner evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
 Berlekamp-Massey fits and the Hankel solves are looked up in this module's
 globals at call time, so the benchmark's tracer can wrap them here.
 """
@@ -104,9 +105,9 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
 
 def _krylov(
     T1, v: CoordVector, length: int, F: PrimeField
-) -> tuple[list[CoordVector], list[int], UniPoly]:
+) -> tuple[list[CoordVector], list[int], tuple[UniPoly, UniPoly]]:
     """Chain v, T1^t v, ..., of `length` vectors, its first components s, and
-    the Berlekamp-Massey fit of s."""
+    the Berlekamp-Massey fit (f, N_s^-1 mod f) of s."""
     chain = [list(v)]
     for _ in range(length - 1):
         chain.append(apply_transpose(T1, chain[-1]))
@@ -124,14 +125,15 @@ def _tail_rhs(chain: list[CoordVector], v_i: CoordVector, count: int, F: PrimeFi
 
 
 def _tail_solves(
-    d: int, s: list[int], rhs_rows: list[list[int]], F: PrimeField, f: UniPoly | None = None
+    d: int, s: list[int], rhs_rows: list[list[int]], F: PrimeField, fit: tuple[UniPoly, UniPoly]
 ) -> list[UniPoly]:
-    """One Hankel solve per right-hand side on the sequence s.  The first
-    fits s[:2d] (unless f is that fit) and inverts N_s; the rest reuse both."""
+    """One Hankel solve per right-hand side on the sequence s, all on the
+    Krylov fit of s: s has linear complexity d, so that fit is also the fit
+    of s[:2d], the prefix that defines H."""
     tails = []
     H = None
     for b in rhs_rows:
-        H = HankelSystem(d, s, b, f) if H is None else H.with_rhs(b)
+        H = HankelSystem(d, s, b, fit) if H is None else H.with_rhs(b)
         tails.append(hankel_solve(H, F))
     return tails
 
@@ -145,13 +147,12 @@ def shape_prob(
     if probe is None:
         rng = random.Random(seed)
         probe = [rng.randrange(F.p) for _ in range(D)]
-    chain, s, f1 = _krylov(T1, probe, 2 * D, F)
-    d = deg(f1)
+    chain, s, fit = _krylov(T1, probe, 2 * D, F)
+    d = deg(fit[0])
     if d < D:
         return Fail(f"minimal polynomial degree {d} < ideal degree {D}")
-    # s has 2D terms, so f1 is the fit hankel_solve would make of s[:2D]
     rhs_rows = [_tail_rhs(chain, Q.nf_of_var(i), D, F) for i in range(2, Q.n + 1)]
-    return ShapeBasis(f1, _tail_solves(D, s, rhs_rows, F, f1))
+    return ShapeBasis(fit[0], _tail_solves(D, s, rhs_rows, F, fit))
 
 
 def shape_det(
@@ -164,7 +165,8 @@ def shape_det(
 
     f = [1]
     b = Q.e()
-    components: list[tuple[UniPoly, list[list[int]]]] = []  # (factor, rhs rows per tail var)
+    # (fit of the factor's sequence, rhs rows per tail var)
+    components: list[tuple[tuple[UniPoly, UniPoly], list[list[int]]]] = []
     k = 0
     while any(b):
         if k >= D:
@@ -176,13 +178,14 @@ def shape_det(
         u[k] = 1
         # view the current b through probe u: same sequence as <u_adj, T1^i e>
         w = matrix_poly_apply(f, apply_transpose, T1, u, F)
-        chain, s, g = _krylov(T1, w, 2 * (D - d), F)
+        chain, s, fit = _krylov(T1, w, 2 * (D - d), F)
+        g = fit[0]
         dk = deg(g)
         if dk > 0:
             rhs_rows = [
                 _tail_rhs(chain, Q.nf_of_var(i), dk, F) for i in range(2, Q.n + 1)
             ]
-            components.append((g, rhs_rows))
+            components.append((fit, rhs_rows))
             f = uni_mul(f, g, F)
             trace.factors.append((g, []))
             trace.probe_vectors.append(u)
@@ -199,15 +202,9 @@ def shape_det(
     f1 = f
 
     # per-factor tails from the recorded sequences (Hankel of each factor)
-    per_factor_tails: list[list[UniPoly]] = []
-    for idx, (g, rhs_rows) in enumerate(components):
-        dk = deg(g)
-        s = trace.sequences[idx]
-        # g was fitted on all of s; the solves fit s[:2dk], the prefix that
-        # defines H, once for all variables
-        tails = _tail_solves(dk, s, rhs_rows, F)
-        per_factor_tails.append(tails)
-        trace.factors[idx] = (g, tails)
+    for idx, (fit, rhs_rows) in enumerate(components):
+        g = fit[0]
+        trace.factors[idx] = (g, _tail_solves(deg(g), trace.sequences[idx], rhs_rows, F, fit))
 
     fbar1 = squarefree_part(f1, F)
     is_radical = fbar1 == f1
@@ -217,7 +214,7 @@ def shape_det(
     moduli: list[UniPoly] = []
     residues_per_var: list[list[UniPoly]] = [[] for _ in range(Q.n - 1)]
     remaining = fbar1
-    for (g, _), tails in zip(components, per_factor_tails):
+    for g, tails in trace.factors:
         if deg(remaining) == 0:
             break
         piece = uni_gcd(g, remaining, F)
@@ -252,7 +249,7 @@ def incremental_univariate(Q: QuotientStructure, seed) -> UniPoly:
             if len(s) >= 2 * D:
                 break
             cur = apply_transpose(T1, cur)
-        m = berlekamp_massey(s, F)
+        m = berlekamp_massey(s, F)[0]
         history.append(m)
         if len(history) >= 2 and history[-2] == m:
             return m

@@ -55,12 +55,15 @@ def uni_scale(f: UniPoly, c: int, F: PrimeField) -> UniPoly:
 def uni_mul(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
+    if len(f) > len(g):
+        f, g = g, f
+    m = len(g)
+    # one shifted row of g per coefficient of the shorter f, reduced once
+    out = [0] * (len(f) + m - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % F.p
-    return trim(out)
+            out[i : i + m] = [c + a * b for c, b in zip(out[i : i + m], g)]
+    return trim([c % F.p for c in out])
 
 
 def uni_monic(f: UniPoly, F: PrimeField) -> UniPoly:
@@ -76,16 +79,19 @@ def uni_monic(f: UniPoly, F: PrimeField) -> UniPoly:
 def uni_divmod(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly]:
     if not g:
         raise ZeroDivisionError("division by zero polynomial")
+    p = F.p
+    n = len(g) - 1
     r = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
+    q = [0] * (len(f) - n)  # empty when deg f < deg g
     inv = F.inv(g[-1])
-    for i in range(len(r) - len(g), -1, -1):
-        c = r[i + len(g) - 1] * inv % F.p
+    # the steps leave r unreduced; only the remainder is reduced, once per
+    # coefficient, at the end
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + n] * inv % p
         if c:
             q[i] = c
-            for j, b in enumerate(g):
-                r[i + j] = (r[i + j] - c * b) % F.p
-    return trim(q), trim(r)
+            r[i : i + n] = [a - c * b for a, b in zip(r[i : i + n], g)]
+    return trim(q), trim([a % p for a in r[:n]])
 
 
 def uni_mod(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:

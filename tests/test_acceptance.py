@@ -48,7 +48,7 @@ def test_c01_probabilistic_shape_conversion_worked_example(gf11):
         chain.append(apply_transpose(gf11.matrix(1), chain[-1]))
     s = [v[0] for v in chain]
     assert s == [8, 4, 0, 7, 6, 8, 10, 10]
-    f1 = berlekamp_massey(s, F)
+    f1 = berlekamp_massey(s, F)[0]
     assert f1 == [9, 8, 0, 0, 1]  # x1^4 + 8*x1 + 9
     b = [F.dot(chain[i], gf11.nf_of_var(2)) for i in range(4)]
     assert b == [8, 6, 8, 3]
@@ -231,7 +231,7 @@ def test_c07_recurrence_recovery_with_hankel_rank_certificates():
             # proper divisor of m
             if _rank([s[j : j + d] for j in range(d)], F) == d:
                 break
-        assert berlekamp_massey(s[: 2 * d], F) == m, f"trial {trial}"
+        assert berlekamp_massey(s[: 2 * d], F)[0] == m, f"trial {trial}"
         H_d1 = [s[j : j + d + 1] for j in range(d + 1)]
         assert _rank(H_d1, F) == d
         for row in H_d1:

@@ -5,11 +5,12 @@ import pytest
 from sparsefglm.field import PrimeField
 from sparsefglm.linrec import (
     HankelSystem,
+    _numerator,
     _rank,
     berlekamp_massey,
     hankel_solve,
 )
-from sparsefglm.unipoly import deg
+from sparsefglm.unipoly import deg, uni_xgcd
 
 F2 = PrimeField(2)
 F11 = PrimeField(11)
@@ -26,27 +27,28 @@ def extend(init, m, F, count):
 
 def test_bm_known_gf11_sequence():
     s = [8, 4, 0, 7, 6, 8, 10, 10]
-    assert berlekamp_massey(s, F11) == [9, 8, 0, 0, 1]
+    assert berlekamp_massey(s, F11)[0] == [9, 8, 0, 0, 1]
 
 
 def test_bm_known_gf2_sequence():
     # a degree-5 recurrence: (x+1)^3 (x^2+x+1)
     s = [1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 1]
-    assert berlekamp_massey(s, F2) == [1, 0, 1, 1, 0, 1]
+    assert berlekamp_massey(s, F2)[0] == [1, 0, 1, 1, 0, 1]
 
 
 def test_bm_fibonacci():
     s = extend([0, 1], [10, 10, 1], F11, 12)  # x^2 - x - 1
-    assert berlekamp_massey(s, F11) == [10, 10, 1]
+    assert berlekamp_massey(s, F11)[0] == [10, 10, 1]
 
 
 def test_bm_degenerate_inputs():
-    assert berlekamp_massey([0, 0, 0, 0], F11) == [1]
-    assert berlekamp_massey([], F11) == [1]
+    # f = 1, and N_s^-1 mod 1 is the zero polynomial
+    assert berlekamp_massey([0, 0, 0, 0], F11) == ([1], [])
+    assert berlekamp_massey([], F11) == ([1], [])
     # constant sequence: annihilated by x - 1
-    assert berlekamp_massey([3, 3, 3, 3], F11) == [10, 1]
+    assert berlekamp_massey([3, 3, 3, 3], F11)[0] == [10, 1]
     # geometric sequence: x - 2
-    assert berlekamp_massey([1, 2, 4, 8], F11) == [9, 1]
+    assert berlekamp_massey([1, 2, 4, 8], F11)[0] == [9, 1]
 
 
 def test_bm_reproduces_its_sequence():
@@ -55,11 +57,39 @@ def test_bm_reproduces_its_sequence():
         d = rng.randrange(1, 8)
         m = [rng.randrange(11) for _ in range(d)] + [1]
         s = extend([rng.randrange(11) for _ in range(d)], m, F11, 2 * d)
-        c = berlekamp_massey(s, F11)
+        c = berlekamp_massey(s, F11)[0]
         # recovered generator annihilates the sequence at every shift
         dc = deg(c)
         for r in range(len(s) - dc):
             assert F11.dot(c, s[r : r + dc + 1]) == 0
+
+
+def test_bm_inverse_matches_extended_euclid():
+    """Seeded sweep over p, sequences of length 2L to 2L + 60 for their
+    linear complexity L, arbitrary ones, ones with leading zeros, all-zero
+    and empty ones: the N_s^-1 that berlekamp_massey reads off its final
+    state is the cofactor that extended Euclid gives for N_s modulo f.  When
+    deg f = 0 (s is all zero or empty), f = 1 and N_s^-1 mod 1 is the zero
+    polynomial [], which is also what the oracle returns."""
+    rng = random.Random(2718)
+    for p in (2, 3, 5, 7, 11, 101, 65521):
+        F = PrimeField(p)
+        cases = [[], [0], [0] * 9]
+        for _ in range(40):
+            L = rng.randrange(0, 13)
+            m = [rng.randrange(p) for _ in range(L)] + [1]
+            s = extend([rng.randrange(p) for _ in range(L)], m, F, 2 * L + rng.randrange(61))
+            cases.append(s)
+            cases.append([0] * rng.randrange(1, 6) + s)
+            cases.append([rng.randrange(p) for _ in range(rng.randrange(61))])
+        for s in cases:
+            f, ns_inv = berlekamp_massey(s, F)
+            g, want = uni_xgcd(_numerator(f, s, p), f, F)
+            assert ns_inv == want, (p, s)
+            if deg(f) == 0:
+                assert (f, ns_inv) == ([1], [])
+            else:
+                assert g == [1] and deg(ns_inv) < deg(f), (p, s)
 
 
 def gauss_jordan_hankel_solve(sys, F):

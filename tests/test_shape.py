@@ -3,7 +3,7 @@ import random
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
-from sparsefglm import linrec, shape
+from sparsefglm import linrec, shape, unipoly
 from sparsefglm.linrec import HankelSystem, berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, normal_form
 from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
@@ -138,13 +138,11 @@ def test_shape_tails_match_classic_fglm_on_small_primes():
     assert all(seen.values()) and rejected <= 2, (seen, rejected)
 
 
-def test_shape_prob_fits_its_sequence_once(monkeypatch):
-    """On an n = 4 system one shape_prob call runs Berlekamp-Massey once (its
-    Krylov fit) and inverts N_s once for all three tails, and each tail is
-    what a fresh hankel_solve gives for that right-hand side."""
-    F = PrimeField(65521)
-    Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
+def _count_fits(monkeypatch):
+    """Count Berlekamp-Massey runs as shape and linrec look them up, extended
+    Euclid runs in unipoly, and record every Hankel system shape solves."""
     calls = {"bm": 0, "xgcd": 0}
+    systems = []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -153,23 +151,56 @@ def test_shape_prob_fits_its_sequence_once(monkeypatch):
 
         return wrapper
 
-    systems = []
-
     def recorded(sys, F):
         systems.append(sys)
         return hankel_solve(sys, F)
 
     monkeypatch.setattr(shape, "berlekamp_massey", counted("bm", berlekamp_massey))
     monkeypatch.setattr(linrec, "berlekamp_massey", counted("bm", berlekamp_massey))
-    monkeypatch.setattr(linrec, "uni_xgcd", counted("xgcd", linrec.uni_xgcd))
+    monkeypatch.setattr(unipoly, "uni_xgcd", counted("xgcd", unipoly.uni_xgcd))
     monkeypatch.setattr(shape, "hankel_solve", recorded)
+    return calls, systems
+
+
+def _fresh_solves(systems, F):
+    return [hankel_solve(HankelSystem(H.d, H.seq, H.rhs), F) for H in systems]
+
+
+def test_shape_prob_fits_its_sequence_once(monkeypatch):
+    """On an n = 4 system one shape_prob call runs Berlekamp-Massey once (its
+    Krylov fit, which also gives N_s^-1) and no extended Euclid for all three
+    tails, and each tail is what a fresh hankel_solve gives for that
+    right-hand side."""
+    F = PrimeField(65521)
+    Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
+    calls, systems = _count_fits(monkeypatch)
     sb = shape_prob(Q, seed=0)
     monkeypatch.undo()
+    assert not hasattr(linrec, "uni_xgcd")
     assert not isinstance(sb, Fail)
-    assert calls == {"bm": 1, "xgcd": 1}
+    assert calls == {"bm": 1, "xgcd": 0}
     assert len(systems) == 3
-    fresh = [hankel_solve(HankelSystem(H.d, H.seq, H.rhs), F) for H in systems]
-    assert sb.tails == [trim(t) for t in fresh]
+    assert sb.tails == [trim(t) for t in _fresh_solves(systems, F)]
+
+
+def test_shape_det_fits_each_factor_once(monkeypatch):
+    """shape_det runs Berlekamp-Massey once per probe (on the second system
+    one of three probes peels nothing) and hands each factor's Krylov fit to
+    its tail solves, which then refit nothing; the only extended Euclid runs
+    are the CRT glue steps.  Each per-factor tail is what a fresh
+    hankel_solve on the prefix that defines H gives."""
+    for p, seed, degrees, probes in ((3, 1, [1, 8], 2), (7, 1, [8, 1], 3)):
+        F = PrimeField(p)
+        Q = QuotientStructure(buchberger(gen_random_system(2, 3, p, seed), "drl", F), F)
+        calls, systems = _count_fits(monkeypatch)
+        tr = WiedemannTrace()
+        out = shape_det(Q, trace_out=tr)
+        monkeypatch.undo()
+        assert out[1] is True
+        assert [len(g) - 1 for g, _ in tr.factors] == degrees
+        assert calls == {"bm": probes, "xgcd": len(degrees) - 1}
+        assert [H.d for H in systems] == degrees
+        assert [t for _, tails in tr.factors for t in tails] == _fresh_solves(systems, F)
 
 
 def test_shape_det_gf11_reports_nonradical(gf11):
@@ -211,7 +242,7 @@ def test_incremental_univariate_gf11_matches_full_bm(gf11):
         for _ in range(2 * gf11.D):
             s.append(cur[0])
             cur = apply_transpose(gf11.matrix(1), cur)
-        assert m == berlekamp_massey(s, gf11.F)
+        assert m == berlekamp_massey(s, gf11.F)[0]
         # unlucky probes land on proper divisors of x1^4 + 8*x1 + 9, never junk
         assert uni_mod([9, 8, 0, 0, 1], m, gf11.F) == []
 

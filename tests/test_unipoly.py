@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sparsefglm.field import PrimeField
@@ -55,6 +57,51 @@ def test_divmod_reconstruction():
     assert uni_add(uni_mul(q, g, F11), r, F11) == f
     with pytest.raises(ZeroDivisionError):
         uni_divmod(f, [], F11)
+
+
+def _schoolbook_mul(f, g, p):
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return trim([c % p for c in out])
+
+
+def _schoolbook_divmod(f, g, p):
+    r = list(f)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    inv = pow(g[-1], -1, p)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = r[i + len(g) - 1] * inv % p
+        for j, b in enumerate(g):
+            r[i + j] = (r[i + j] - q[i] * b) % p
+    return trim(q), trim(r)
+
+
+def test_mul_and_divmod_match_schoolbook():
+    """Seeded operands with zero, constant and leading-zero-free random
+    polynomials of unequal lengths: the kernels give the schoolbook answers,
+    coefficient for coefficient."""
+    rng = random.Random(77)
+    for p in (2, 65521):
+        F = PrimeField(p)
+
+        def poly(length):
+            if length == 0:
+                return []
+            return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+        lengths = [0, 1, 1, 2, 3, 5, 8, 13, 30]
+        for lf in lengths:
+            for lg in lengths:
+                f, g = poly(lf), poly(lg)
+                assert uni_mul(f, g, F) == _schoolbook_mul(f, g, p), (p, f, g)
+                if g:
+                    assert uni_divmod(f, g, F) == _schoolbook_divmod(f, g, p), (p, f, g)
+        # a product divides exactly; a constant divisor leaves no remainder
+        f, g = poly(9), poly(4)
+        assert uni_divmod(uni_mul(f, g, F), g, F) == (f, [])
+        assert uni_divmod(f, [1], F) == (f, [])
 
 
 def test_gcd_and_xgcd():
