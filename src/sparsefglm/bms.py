@@ -17,6 +17,7 @@ Restricted to one variable the update degenerates to Berlekamp-Massey.
 
 from __future__ import annotations
 
+import random
 from itertools import product as iter_product
 
 from .field import PrimeField
@@ -191,14 +192,14 @@ def bms_change(
     probe: CoordVector | None = None,
     trace: list | None = None,
 ) -> GroebnerBasis | Fail:
-    import random
-
     field = Q.F
     n = Q.n
     D = Q.D
     if probe is None:
         rng = random.Random(seed)
         probe = [rng.randrange(field.p) for _ in range(D)]
+    elif len(probe) != D:
+        raise ValueError(f"probe length {len(probe)} does not match D = {D}")
     E = _array(Q, probe)
     F: list[MultiPoly] = [MultiPoly(n, {(0,) * n: 1})]
     G: list[WitnessRec] = []

@@ -1,8 +1,9 @@
 """Linearly recurring sequences: Berlekamp-Massey and Hankel solves.
 
-One Berlekamp-Massey run gives both the minimal polynomial f of a
-sequence and the inverse N_s^-1 mod f of its numerator, read off the
-run's final state, so a Hankel solve needs no extended Euclid.
+Berlekamp-Massey is one online algorithm, its update written once in
+`BMState`: it takes one term at a time and reports, for the prefix seen so
+far, the minimal polynomial f and the inverse N_s^-1 mod f of the
+numerator, so a Hankel solve needs no extended Euclid.
 """
 
 from __future__ import annotations
@@ -15,54 +16,57 @@ from .unipoly import UniPoly, deg, trim, uni_mod, uni_mul
 LinRecSeq = list[int]
 
 
-def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> tuple[UniPoly, UniPoly]:
-    """Monic minimal polynomial f of the recurrence satisfied by s, and
-    N_s^-1 mod f for the numerator N_s of s over f.
+class BMState:
+    """Berlekamp-Massey fed one term at a time (Massey 1969).
 
-    Ascending coefficients: [c0, ..., c_{d-1}, 1] means
-    s_{r+d} = -(c_{d-1} s_{r+d-1} + ... + c_0 s_r).  All-zero input gives
-    ([1], []).  Only meaningful as *the* minimal polynomial when
-    |s| >= 2 deg.  BM is the extended Euclidean algorithm in another form
-    (Dornstetter 1987): with B the connection polynomial of length L_B kept
-    at the last length change and b the discrepancy there,
-    N_s^-1 = rev_{L_B}(B) / b, already of degree below deg f.
+    f is the monic minimal polynomial of the terms pushed so far (ascending,
+    length L + 1 for their linear complexity L), g the f from before the
+    last length change and binv the inverse of the discrepancy there.  A
+    step is one dot product and, on a nonzero discrepancy, one slice update.
     """
-    p = F.p
-    s = [v % p for v in s]
-    # C = current connection polynomial, B = copy from the last length change
-    C = [1]
-    B = [1]
-    L = 0
-    LB = 0
-    m = 1
-    b = 1
-    for i, si in enumerate(s):
-        delta = si
-        for k in range(1, L + 1):
-            delta = (delta + C[k] * s[i - k]) % p
-        if delta == 0:
-            m += 1
-        elif 2 * L <= i:
-            T = C[:]
-            coef = delta * F.inv(b) % p
-            C = C + [0] * (len(B) + m - len(C))
-            for k, Bk in enumerate(B):
-                C[k + m] = (C[k + m] - coef * Bk) % p
-            L, LB = i + 1 - L, L
-            B = T
-            b = delta
-            m = 1
-        else:
-            coef = delta * F.inv(b) % p
-            C = C + [0] * max(0, len(B) + m - len(C))
-            for k, Bk in enumerate(B):
-                C[k + m] = (C[k + m] - coef * Bk) % p
-            m += 1
-    # connection form C(x) = 1 + c1 x + ... reversed is monic; B likewise
-    f = (C[: L + 1] + [0] * (L + 1 - len(C)))[::-1]
-    binv = F.inv(b)
-    ns_inv = [c * binv % p for c in (B[: LB + 1] + [0] * (LB + 1 - len(B)))[::-1]]
-    return f, trim(ns_inv[:L])
+
+    __slots__ = ("p", "s", "f", "g", "binv")
+
+    def __init__(self, F: PrimeField):
+        self.p, self.s = F.p, []
+        self.f, self.g, self.binv = [1], [1], 1
+
+    def push(self, v: int) -> None:
+        p = self.p
+        s = self.s
+        s.append(v % p)
+        f, g = self.f, self.g
+        L, i = len(f) - 1, len(s) - 1
+        delta = sum(map(mul, f, s[i - L :])) % p
+        if not delta:
+            return
+        coef = delta * self.binv % p
+        # g sits at offset 2L - i - 1 in f; if that is negative, the
+        # complexity grows to i + 1 - L, f shifts up and g sits at 0
+        if 2 * L <= i:
+            self.f, self.g, self.binv = [0] * (i + 1 - 2 * L) + f, f, pow(delta, -1, p)
+        h = self.f
+        off = max(2 * L - i - 1, 0)
+        h[off : off + len(g)] = [(a - coef * c) % p for a, c in zip(h[off:], g)]
+
+    def fit(self) -> tuple[UniPoly, UniPoly]:
+        """(f, N_s^-1 mod f) for the terms pushed so far: BM is extended
+        Euclid in another form (Dornstetter 1987), and N_s^-1 = g * binv,
+        cut to deg f coefficients.  No terms, or only zeros: ([1], [])."""
+        f, p = self.f, self.p
+        return f[:], trim([c * self.binv % p for c in self.g[: len(f) - 1]])
+
+
+def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> tuple[UniPoly, UniPoly]:
+    """`BMState.fit` after pushing all of s: the monic minimal polynomial f
+    of s, [c0, ..., c_{d-1}, 1] for s_{r+d} = -(c_{d-1} s_{r+d-1} + ... +
+    c_0 s_r), and N_s^-1 mod f for the numerator N_s of s over f.  Only
+    meaningful as *the* minimal polynomial when |s| >= 2 deg."""
+    state = BMState(F)
+    push = state.push
+    for v in s:
+        push(v)
+    return state.fit()
 
 
 class HankelSystem:
@@ -108,8 +112,7 @@ def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
     common factor would leave seq a recurrence of degree < d), and c, read
     as a polynomial of degree < d, is N_b * N_s^-1 mod f, where N_b is the
     numerator of rhs over f (Bostan-Salvy-Schost duality).  f and N_s^-1
-    both come from one Berlekamp-Massey run, made once per sequence and
-    kept on sys.
+    come from one Berlekamp-Massey run per sequence, kept on sys.
     """
     d = sys.d
     if sys.fit is None:

@@ -35,9 +35,7 @@ class SparseMat:
     order.
     """
 
-    __slots__ = (
-        "dim", "columns", "dense_column_flags", "nnz", "column_cases", "p", "full", "gather"
-    )
+    __slots__ = ("dim", "columns", "nnz", "column_cases", "p", "full", "gather")
 
     def __init__(
         self,
@@ -49,7 +47,6 @@ class SparseMat:
         self.dim = dim
         self.columns = columns
         self.column_cases = column_cases
-        self.dense_column_flags = [c != 1 for c in column_cases]
         self.nnz = sum(len(col) for col in columns)
         self.p = p
         self.full = []
@@ -90,7 +87,7 @@ def density_stats(T: SparseMat) -> dict:
     return {
         "nnz": T.nnz,
         "percent_nonzero": 100.0 * T.nnz / (T.dim * T.dim),
-        "dense_column_count": sum(T.dense_column_flags),
+        "dense_column_count": len(T.column_cases) - T.column_cases.count(1),
     }
 
 

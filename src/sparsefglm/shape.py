@@ -10,8 +10,9 @@ Three entry points:
   polynomial factor by factor; failure certifies the ideal is not in shape
   position.  Always returns a basis of the radical, plus a flag telling
   whether that is the ideal itself.
-* incremental_univariate — grows the probe sequence lazily and stops as
-  soon as Berlekamp-Massey stabilizes; cheap early estimate of f_1.
+* incremental_univariate — grows the probe sequence lazily into one
+  online Berlekamp-Massey state and stops as soon as its fit stabilizes;
+  cheap early estimate of f_1, O(D^2) beside its matrix products.
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
 shape_prob and shape_det share one Krylov loop (`_krylov`), one tail loop
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 
 from .field import PrimeField
-from .linrec import HankelSystem, berlekamp_massey, hankel_solve
+from .linrec import BMState, HankelSystem, berlekamp_massey, hankel_solve
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_sub
 from .quotient import CoordVector, QuotientStructure, apply, apply_transpose
 from .unipoly import (
@@ -234,23 +235,21 @@ def shape_det(
 
 
 def incremental_univariate(Q: QuotientStructure, seed) -> UniPoly:
-    """Minimal polynomial estimate, returned once two consecutive fits agree."""
-    F = Q.F
-    D = Q.D
+    """Minimal polynomial estimate from one random probe: the Krylov terms
+    feed one online Berlekamp-Massey state, and its f is returned once it
+    is the same after two consecutive pairs of terms (or after 2D terms).
+    No prefix is refitted and no product is made past the last term."""
     T1 = Q.matrix(1)
     rng = random.Random(seed)
-    r = [rng.randrange(F.p) for _ in range(D)]
-    s: list[int] = []
-    cur = r
-    history: list[UniPoly] = []
-    while len(s) < 2 * D:
-        for _ in range(2):
-            s.append(cur[0])
-            if len(s) >= 2 * D:
+    v = [rng.randrange(Q.F.p) for _ in range(Q.D)]
+    state = BMState(Q.F)
+    prev = None
+    for j in range(2 * Q.D):
+        if j:
+            v = apply_transpose(T1, v)
+        state.push(v[0])
+        if j % 2:
+            if state.f == prev:
                 break
-            cur = apply_transpose(T1, cur)
-        m = berlekamp_massey(s, F)[0]
-        history.append(m)
-        if len(history) >= 2 and history[-2] == m:
-            return m
-    return history[-1]
+            prev = state.f[:]
+    return state.f[:]

@@ -14,6 +14,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_monic, normal_form
 from sparsefglm.quotient import QuotientStructure, staircase
+from sparsefglm.shape import shape_prob
 from sparsefglm.terms import divides, lex_key
 
 from conftest import PROBE12, basis_strs, noncommuting_units
@@ -225,6 +226,18 @@ def test_bms_declines_inconsistent_input():
     res = bms_change(Q, seed=None, probe=list(PROBE12))
     assert isinstance(res, Fail)
     assert "without a verified Groebner basis" in res.reason
+
+
+def test_bms_rejects_probe_of_wrong_length(gf11):
+    """A probe that is not D long is bad input (ValueError, the CLI's exit
+    code 3), not a sweep that ends in Fail; shape_prob rejects it too."""
+    assert gf11.D == 4
+    for probe in ([1], [1, 2, 3, 4, 5], []):
+        with pytest.raises(ValueError, match="probe length"):
+            bms_change(gf11, None, probe=probe)
+        with pytest.raises(ValueError):
+            shape_prob(gf11, None, probe=probe)
+    assert isinstance(bms_change(gf11, None, probe=[1, 2, 3, 4]), (GroebnerBasis, Fail))
 
 
 def test_bms_declines_as_soon_as_delta_outgrows_D():

@@ -4,13 +4,14 @@ import pytest
 
 from sparsefglm.field import PrimeField
 from sparsefglm.linrec import (
+    BMState,
     HankelSystem,
     _numerator,
     _rank,
     berlekamp_massey,
     hankel_solve,
 )
-from sparsefglm.unipoly import deg, uni_xgcd
+from sparsefglm.unipoly import deg, trim, uni_xgcd
 
 F2 = PrimeField(2)
 F11 = PrimeField(11)
@@ -90,6 +91,72 @@ def test_bm_inverse_matches_extended_euclid():
                 assert (f, ns_inv) == ([1], [])
             else:
                 assert g == [1] and deg(ns_inv) < deg(f), (p, s)
+
+
+def reference_berlekamp_massey(s, F):
+    """Oracle: the textbook Berlekamp-Massey in connection form, one % p per
+    inner step, run afresh on the whole of s; returns (f, N_s^-1 mod f)
+    with N_s^-1 = rev_{L_B}(B) / b read off its final state."""
+    p = F.p
+    s = [v % p for v in s]
+    C = [1]
+    B = [1]
+    L = 0
+    LB = 0
+    m = 1
+    b = 1
+    for i, si in enumerate(s):
+        delta = si
+        for k in range(1, L + 1):
+            delta = (delta + C[k] * s[i - k]) % p
+        if delta == 0:
+            m += 1
+        elif 2 * L <= i:
+            T = C[:]
+            coef = delta * F.inv(b) % p
+            C = C + [0] * (len(B) + m - len(C))
+            for k, Bk in enumerate(B):
+                C[k + m] = (C[k + m] - coef * Bk) % p
+            L, LB = i + 1 - L, L
+            B = T
+            b = delta
+            m = 1
+        else:
+            coef = delta * F.inv(b) % p
+            C = C + [0] * max(0, len(B) + m - len(C))
+            for k, Bk in enumerate(B):
+                C[k + m] = (C[k + m] - coef * Bk) % p
+            m += 1
+    f = (C[: L + 1] + [0] * (L + 1 - len(C)))[::-1]
+    binv = F.inv(b)
+    ns_inv = [c * binv % p for c in (B[: LB + 1] + [0] * (LB + 1 - len(B)))[::-1]]
+    return f, trim(ns_inv[:L])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 65521])
+def test_online_state_matches_fresh_bm_on_every_prefix(p):
+    """After every push the online state reports exactly the (f, N_s^-1)
+    that a fresh textbook run gives on the prefix seen so far, on random,
+    linearly recurrent, all-zero, leading-zero and empty sequences; terms
+    are pushed unreduced, as any integer, and berlekamp_massey on the whole
+    sequence agrees with both."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    cases = [[], [0] * 9]
+    for _ in range(12):
+        L = rng.randrange(0, 13)
+        m = [rng.randrange(p) for _ in range(L)] + [1]
+        rec = extend([rng.randrange(p) for _ in range(L)], m, F, 2 * L + rng.randrange(30))
+        cases.append(rec)
+        cases.append([0] * rng.randrange(1, 6) + rec)
+        cases.append([rng.randrange(p) for _ in range(rng.randrange(50))])
+    for s in cases:
+        state = BMState(F)
+        assert state.fit() == reference_berlekamp_massey([], F) == ([1], [])
+        for i, v in enumerate(s):
+            state.push(v + p * rng.randrange(-3, 4))
+            assert state.fit() == reference_berlekamp_massey(s[: i + 1], F), (p, s[: i + 1])
+        assert berlekamp_massey(s, F) == state.fit()
 
 
 def gauss_jordan_hankel_solve(sys, F):

@@ -259,3 +259,32 @@ def test_incremental_univariate_gf2_early_stops(gf2q):
     }
     for seed, want in expected.items():
         assert incremental_univariate(gf2q, seed) == want
+
+
+def test_incremental_univariate_feeds_one_state(monkeypatch, gf11, gf2q):
+    """univar pushes each Krylov term once into one online state, refits no
+    prefix (no berlekamp_massey call) and makes one transposed product per
+    term after the first, none past the last term it pushes; over GF(2)
+    seed 0 stops after four terms and over GF(11) seed 0 runs to 2D."""
+    counts = {}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(shape, "apply_transpose", counted("matvec", apply_transpose))
+    monkeypatch.setattr(shape, "berlekamp_massey", counted("bm", berlekamp_massey))
+    monkeypatch.setattr(linrec.BMState, "push", counted("push", linrec.BMState.push))
+    seen = {}
+    for name, Q in (("gf11", gf11), ("gf2q", gf2q)):
+        for seed in range(5):
+            counts.update(matvec=0, bm=0, push=0)
+            incremental_univariate(Q, seed)
+            assert counts["bm"] == 0
+            assert 0 < counts["push"] <= 2 * Q.D and counts["push"] % 2 == 0
+            assert counts["matvec"] == counts["push"] - 1
+            seen[name, seed] = counts["push"]
+    assert seen["gf2q", 0] == 4 and seen["gf11", 0] == 2 * gf11.D
