@@ -94,32 +94,50 @@ def toplevel(
     quotient: QuotientStructure | None = None,
     bms_trace: list | None = None,
 ) -> ConversionResult:
-    """Dispatch: shape_prob (3 probes) -> shape_det -> bms_change -> classic_fglm.
+    """Decide the method in a fixed order and convert G1 to LEX.
 
-    The quotient structure and matrices are built once and shared by every
-    stage.  Deterministic for a fixed seed.
+    1. One random probe through shape_prob; its answer is returned.
+    2. Otherwise shape_det decides shape position: the minimal polynomial of
+       e under T_1 has degree D exactly then, and every probe's minimal
+       polynomial divides it.  Not in shape position: no probe can succeed,
+       so probes 2 and 3 are skipped.  Radical: its basis is that of I.
+       Not radical: probes 2 and 3 may still find I; if neither does, the
+       radical(I) basis is returned when want_radical_ok.
+    3. Otherwise bms_change, but only when p > D: a probe drawn from GF(p)^D
+       has no Schwartz-Zippel guarantee once p <= D, and classic_fglm gives
+       the same (unique) reduced basis.  Last, classic_fglm.
+
+    Probe k is the k-th draw of random.Random(seed), drawn even when its
+    stage is skipped, and the BMS probe is the 4th.  The quotient structure
+    and matrices are built once and shared by every stage.
     """
     Q = quotient if quotient is not None else canonical_basis(G1, field)
     rng = random.Random(seed)
 
-    for _ in range(3):
-        probe = [rng.randrange(field.p) for _ in range(Q.D)]
-        res = shape_prob(Q, seed=None, probe=probe)
-        if not isinstance(res, Fail):
-            return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
+    def draw() -> list[int]:
+        return [rng.randrange(field.p) for _ in range(Q.D)]
 
-    if want_radical_ok:
-        det = shape_det(Q)
-        if not isinstance(det, Fail):
-            sb, is_radical = det
-            return ConversionResult(
-                sb.to_groebner(field),
-                "I" if is_radical else "radical(I)",
-                "shape-det",
-                Q,
-            )
+    res = shape_prob(Q, seed=None, probe=draw())
+    if not isinstance(res, Fail):
+        return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
 
-    probe = [rng.randrange(field.p) for _ in range(Q.D)]
+    det = shape_det(Q)
+    if isinstance(det, Fail):
+        draw(), draw()  # probes 2 and 3 cannot succeed; the BMS probe stays 4th
+    else:
+        sb, is_radical = det
+        if is_radical:
+            return ConversionResult(sb.to_groebner(field), "I", "shape-det", Q)
+        for _ in range(2):
+            res = shape_prob(Q, seed=None, probe=draw())
+            if not isinstance(res, Fail):
+                return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
+        if want_radical_ok:
+            return ConversionResult(sb.to_groebner(field), "radical(I)", "shape-det", Q)
+
+    if field.p <= Q.D:
+        return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", Q)
+    probe = draw()
     trace = bms_trace if bms_trace is not None else []
     res = bms_change(Q, seed=None, probe=probe, trace=trace)
     if not isinstance(res, Fail):

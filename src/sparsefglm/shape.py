@@ -108,11 +108,17 @@ def _krylov(
     T1, v: CoordVector, length: int, F: PrimeField
 ) -> tuple[list[CoordVector], list[int], tuple[UniPoly, UniPoly]]:
     """Chain v, T1^t v, ..., of `length` vectors, its first components s, and
-    the Berlekamp-Massey fit (f, N_s^-1 mod f) of s."""
+    the Berlekamp-Massey fit (f, N_s^-1 mod f) of s.  Only the first
+    length // 2 vectors are kept whole (all that `_tail_rhs` reads); past
+    them only component 0 is kept."""
     chain = [list(v)]
-    for _ in range(length - 1):
+    for _ in range(length // 2 - 1):
         chain.append(apply_transpose(T1, chain[-1]))
     s = [w[0] for w in chain]
+    w = chain[-1]
+    for _ in range(length - len(chain)):
+        w = apply_transpose(T1, w)
+        s.append(w[0])
     return chain, s, berlekamp_massey(s, F)
 
 

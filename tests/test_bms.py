@@ -264,12 +264,17 @@ def test_bms_declines_as_soon_as_delta_outgrows_D():
 
 
 WITNESS_DEFECT = """
-from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system, toplevel
+import random
+from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system
+from sparsefglm.bms import bms_change
+from sparsefglm.quotient import QuotientStructure
 from sparsefglm.shape import ShapeBasis
 GF5 = PrimeField(5)
-G1 = buchberger(gen_random_system(3, 3, 5, 41100005), "drl", GF5)
+Q = QuotientStructure(buchberger(gen_random_system(3, 3, 5, 41100005), "drl", GF5), GF5)
+rng = random.Random(41100005)
+probe = [[rng.randrange(5) for _ in range(Q.D)] for _ in range(4)][3]
 try:
-    toplevel(G1, GF5, seed=41100005)
+    bms_change(Q, seed=None, probe=probe)
 except InternalError as exc:
     print(type(exc).__name__, exc)
 try:
@@ -281,7 +286,9 @@ except InternalError as exc:
 
 def test_defect_raises_internal_error_under_python_O():
     """Known defects (the BMS sweep finds no witness to correct with on this
-    p = 5 system; a shape tail whose degree reaches deg(f1)) must surface as
+    p = 5 system, D = 26, probed with the 4th draw of its seed, the
+    dispatcher's sweep probe, although the dispatcher does not sweep at
+    p <= D; a shape tail whose degree reaches deg(f1)) must surface as
     InternalError even with asserts stripped."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

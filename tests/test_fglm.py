@@ -1,6 +1,13 @@
+import random
+
+import pytest
+
+import sparsefglm.fglm as fglm
+from sparsefglm.bms import bms_change
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import ConversionResult, classic_fglm, toplevel
+from sparsefglm.poly import Fail
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
@@ -77,8 +84,17 @@ def test_toplevel_radical_not_ok_keeps_exact_ideal(gf2q):
     res = toplevel(gf2q.G1, gf2q.F, seed=10, want_radical_ok=False, quotient=gf2q)
     assert res.method_used == "fglm"
     assert res.of_what == "I"
-    assert res.bms_passes == 13
+    assert res.bms_passes is None  # p = 2 <= D = 7: no sweep
     assert basis_strs(res.basis) == GF2_LEX
+
+
+def test_bms_declines_gf2_on_dispatcher_probe(gf2q):
+    # the 4th draw of seed 10, the probe the dispatcher's sweep would get
+    rng = random.Random(10)
+    probe = [[rng.randrange(2) for _ in range(gf2q.D)] for _ in range(4)][3]
+    trace = []
+    assert isinstance(bms_change(gf2q, seed=None, probe=probe, trace=trace), Fail)
+    assert len(trace) == 13
 
 
 def test_toplevel_monomial_falls_through_to_fglm(monomial6):
@@ -97,3 +113,48 @@ def test_toplevel_builds_quotient_when_not_given():
     res = toplevel(gb, F, seed=0)
     assert res.quotient.D == 2
     assert basis_strs(res.basis) == ["x1^2 + 1", "x2 + x1"]
+
+
+def _gf5_system(seed: int) -> QuotientStructure:
+    F = PrimeField(5)
+    return QuotientStructure(buchberger(gen_random_system(3, 3, 5, seed), "drl", F), F)
+
+
+def test_toplevel_non_shape_small_prime_goes_straight_to_fglm(monkeypatch):
+    # one failed probe, then shape_det proves the ideal is not in shape
+    # position; p = 5 <= D, so no sweep runs before classic FGLM
+    Q = _gf5_system(41100005)
+    calls = {}
+    for name in ("shape_prob", "shape_det", "bms_change", "classic_fglm"):
+        def counted(*args, _f=getattr(fglm, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(fglm, name, counted)
+    res = toplevel(Q.G1, Q.F, seed=41100005, quotient=Q)
+    assert calls == {"shape_prob": 1, "shape_det": 1, "classic_fglm": 1}
+    assert res.method_used == "fglm"
+    assert res.bms_passes is None
+
+
+def test_toplevel_sweep_probe_is_the_fourth_draw(trusted12):
+    # not in shape position and p > D: the two skipped probes are still
+    # drawn, so the sweep sees exactly what a direct call on draw 4 sees
+    rng = random.Random(3)
+    probes = [[rng.randrange(trusted12.F.p) for _ in range(trusted12.D)] for _ in range(4)]
+    trace, direct = [], []
+    res = toplevel(trusted12.G1, trusted12.F, seed=3, quotient=trusted12, bms_trace=trace)
+    bms_change(trusted12, seed=None, probe=probes[3], trace=direct)
+    assert res.method_used == "bms"
+    assert trace == direct
+
+
+@pytest.mark.parametrize("seed", [40100125, 40100213, 41100005, 41100061])
+def test_toplevel_answers_where_the_sweep_raised(seed):
+    # on these p = 5 systems bms_change raises InternalError on the 4th
+    # draw; at p <= D the dispatcher answers by FGLM without sweeping
+    Q = _gf5_system(seed)
+    res = toplevel(Q.G1, Q.F, seed=seed, quotient=Q)
+    assert res.method_used == "fglm"
+    assert res.of_what == "I"
+    assert basis_strs(res.basis) == basis_strs(classic_fglm(Q, "lex"))
