@@ -7,6 +7,8 @@ exact.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def _is_prime(n: int) -> bool:
     # deterministic Miller-Rabin, valid far beyond 64 bits with this base set
@@ -62,4 +64,4 @@ class PrimeField:
 
     def dot(self, u, v) -> int:
         """Inner product of two equal-length int vectors."""
-        return sum(a * b for a, b in zip(u, v)) % self.p
+        return sum(map(mul, u, v)) % self.p

@@ -9,12 +9,15 @@ Column construction distinguishes three cases for the product term eps_i*x_j:
 (read the column off that polynomial), (3) it is a border term and must be
 reduced.  Case (3) rewrites the product through previously computed columns
 (a cascade), never reducing a polynomial; tests check every column against
-direct reduction.
+direct reduction.  Each matrix also packs its case-2/3 columns side by side
+into one int per row, so a transposed product is one multiply-add per
+vector entry, not one per stored entry.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+import struct
+from itertools import product as iter_product, repeat
 from operator import itemgetter, mul
 
 from .field import PrimeField
@@ -28,14 +31,19 @@ class SparseMat:
     """Column-major sparse D x D matrix over a prime field.
 
     `columns` holds each column as (row, a) pairs, read by `apply`, `nnz`
-    and `dump_matrix`.  `apply_transpose` reads a second layout: every
-    case-2/3 column whole, as a full-length coefficient list in `full`,
-    and `gather`, which picks the entry of v for each unit (case-1) column
-    and the product for each full column out of v + [products] in column
-    order.
+    and `dump_matrix`.  `apply_transpose` reads a second layout: `packed`
+    holds one int per row r with T[r][c] of every case-2/3 (dense) column c
+    side by side, the k-th dense column in the k-th little-endian field of
+    w bytes.  w is the smallest power of two with 8w >= bit_length(D*(p-1)^2),
+    the largest dot product of a column with a reduced vector, so a sum of
+    rows scaled by reduced entries never carries from one field into the
+    next.  `fields` splits the `nbytes` bytes of such a sum into its field
+    values (a struct format up to w = 8, `int.from_bytes` slices above),
+    and `gather` picks the entry of v for each unit (case-1) column and the
+    field of each dense column out of v + [fields] in column order.
     """
 
-    __slots__ = ("dim", "columns", "nnz", "column_cases", "p", "full", "gather")
+    __slots__ = ("dim", "columns", "nnz", "column_cases", "p", "packed", "nbytes", "fields", "gather")
 
     def __init__(
         self,
@@ -49,17 +57,32 @@ class SparseMat:
         self.column_cases = column_cases
         self.nnz = sum(len(col) for col in columns)
         self.p = p
-        self.full = []
+        width = 1
+        while 8 * width < (dim * (p - 1) ** 2).bit_length():
+            width *= 2
+        dense = []
         picks = []
         for col, case in zip(columns, column_cases):
             if case == 1:
                 picks.append(col[0][0])
             else:
-                picks.append(dim + len(self.full))
+                picks.append(dim + len(dense))
                 full = [0] * dim
                 for row, a in col:
                     full[row] = a
-                self.full.append(full)
+                dense.append(full)
+        self.nbytes = nbytes = len(dense) * width
+        if width <= 8:
+            fmt = struct.Struct(f"<{len(dense)}{'BHIQ'[width.bit_length() - 1]}")
+            pack, self.fields = fmt.pack, fmt.unpack
+        else:
+
+            def pack(*row: int) -> bytes:
+                return b"".join(a.to_bytes(width, "little") for a in row)
+
+            self.fields = lambda b: [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
+        # row r packs the r-th entry of every dense column
+        self.packed = list(map(int.from_bytes, map(pack, *dense), repeat("little")))
         # itemgetter of one index returns the item itself, not a 1-tuple
         self.gather = itemgetter(*picks) if dim > 1 else lambda v, k=picks[0]: (v[k],)
 
@@ -80,7 +103,11 @@ def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
     p = T.p
-    return list(T.gather(v + [sum(map(mul, col, v)) % p for col in T.full]))
+    if min(v) < 0 or max(v) >= p:
+        # the field width in T.packed holds only products of reduced entries
+        v = [x % p for x in v]
+    fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.nbytes, "little"))
+    return list(T.gather(v + list(map(p.__rmod__, fields))))
 
 
 def density_stats(T: SparseMat) -> dict:
@@ -179,10 +206,11 @@ class QuotientStructure:
             else:
                 raise InternalError(f"no reducible divisor for border term {t}")
             p = self.F.p
+            xl = var_term(self.n, l + 1)
             v = [0] * self.D
             for k, c in enumerate(self._nf_term_cascade(u)):
                 if c:
-                    w = self._nf_term_cascade(term_mul(self.basis[k], var_term(self.n, l + 1)))
+                    w = self._nf_term_cascade(term_mul(self.basis[k], xl))
                     for row, a in enumerate(w):
                         if a:
                             v[row] = (v[row] + c * a) % p

@@ -8,6 +8,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.poly import GroebnerBasis, InternalError, MultiPoly, mp_scale, normal_form
 from sparsefglm.quotient import (
     QuotientStructure,
+    SparseMat,
     apply,
     apply_transpose,
     canonical_basis,
@@ -19,6 +20,8 @@ from sparsefglm.sysio import parse_system
 from conftest import GF11_TEXT, quotient_from_text
 
 F11 = PrimeField(11)
+# 1-byte fields at p = 2 up to 32-byte ones at 2^89 - 1, past every struct format
+TRANSPOSE_PRIMES = [2, 3, 5, 7, 257, 65521, 2**31 - 1, 2**61 - 1, 2**89 - 1]
 
 
 def test_staircase_gf11(gf11):
@@ -141,11 +144,12 @@ def test_apply_transpose_is_adjoint(gf2q):
         assert gf2q.F.dot(apply_transpose(T, u), v) == gf2q.F.dot(u, apply(T, v))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
 def test_apply_transpose_matches_column_sums(p):
     """(T^t v)[c] = sum_r T[r][c] v[r], read off the (row, a) pairs, on every
     T_j: random systems, the monomial ideal (empty columns) and the D = 1
-    ideal <x1 - 3, x2 - 5> (a gather of one index)."""
+    ideal <x1 - 3, x2 - 5> (a gather of one index).  One vector per matrix
+    has entries outside [0, p), which must be reduced before packing."""
     F = PrimeField(p)
     rng = random.Random(p)
     quotients = [
@@ -173,7 +177,20 @@ def test_apply_transpose_matches_column_sums(p):
                 v = [rng.randrange(p) for _ in range(Q.D)]
                 want = [sum(dense[r][c] * v[r] for r in range(Q.D)) % p for c in range(Q.D)]
                 assert apply_transpose(T, v) == want, (Q.basis, j, v)
+            v = [rng.randrange(-p, 2 * p) for _ in range(Q.D)]
+            want = [sum(dense[r][c] * v[r] for r in range(Q.D)) % p for c in range(Q.D)]
+            assert [x % p for x in apply_transpose(T, v)] == want, (Q.basis, j, v)
     assert empty_columns > 0
+
+
+@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
+@pytest.mark.parametrize("D", [1, 2, 3, 64, 257])
+def test_apply_transpose_fields_hold_the_largest_dot_product(D, p):
+    """Dense columns of p - 1 against v = [p - 1] * D fill every field of
+    the packed rows with D (p - 1)^2, the most it may hold; a field one
+    width step narrower would carry into its neighbour."""
+    T = SparseMat(D, [[(r, p - 1) for r in range(D)] for _ in range(D)], [3] * D, p)
+    assert apply_transpose(T, [p - 1] * D) == [D * (p - 1) ** 2 % p] * D
 
 
 def test_apply_length_check(gf11):
