@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from .bms import bms_change
 from .field import PrimeField
 from .poly import Fail, GroebnerBasis, MultiPoly
-from .quotient import QuotientStructure, apply, canonical_basis
+from .quotient import QuotientStructure, apply, canonical_basis, field_codec
 from .shape import shape_det, shape_prob
 from .terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
 
@@ -17,18 +18,34 @@ from .terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, va
 def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     """Reduced Groebner basis w.r.t. target by enumerating terms ascending.
 
-    Maintains an echelon form of the coordinate vectors of the standard
+    Keeps an echelon form of the coordinate vectors of the standard
     monomials seen so far; a dependency yields a basis polynomial whose
-    leading term is the current term.  O(D^2) per inserted vector.
+    leading term is the current term.  Each echelon row is one int of
+    2D + 1 fields of `field_codec`: the normalized vector in fields 0..D-1,
+    then its combination over the target-staircase terms, the k-th such
+    term in field D + k (field 2D is for the terms met once all D are
+    found).  A new term's vector is packed once with a 1 in its own
+    combination field; each pivot, ascending, then costs one field read and
+    one big-int multiply-add, and the result is unpacked once.  At most D
+    rows of reduced fields, each scaled by at most p - 1, are added to
+    reduced fields, so the bound (p-1) + D(p-1)^2 keeps every field from
+    carrying into the next.
     """
     F = Q.F
     p = F.p
     n = Q.n
+    D = Q.D
     key = term_key(target)
+    width, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    nbytes = (2 * D + 1) * width
+    pad = [0] * (D + 1)
+    xs = [var_term(n, jj) for jj in range(1, n + 1)]
 
     raw_vec: dict[Term, list[int]] = {}  # target-staircase term -> vec(NF(term))
-    # echelon rows: pivot -> (normalized vector, combination over staircase terms)
-    rows: dict[int, tuple[list[int], dict[Term, int]]] = {}
+    stair: list[Term] = []  # target-staircase terms, the k-th in field D + k
+    echelon: list[tuple[int, int]] = []  # (bits * pivot, packed row), ascending
     out: list[MultiPoly] = []
     lts: list[Term] = []
 
@@ -39,37 +56,28 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
         _, t, parent, j = heapq.heappop(heap)
         if any(divides(l, t) for l in lts):
             continue
-        v = list(Q.e()) if parent is None else apply(Q.matrix(j), raw_vec[parent])
-        # reduce against the echelon, tracking the combination
-        r = list(v)
-        combo: dict[Term, int] = {}
-        for piv in sorted(rows):
-            if r[piv]:
-                w, cmb = rows[piv]
-                c = r[piv]
-                for idx, a in enumerate(w):
-                    if a:
-                        r[idx] = (r[idx] - c * a) % p
-                for s, a in cmb.items():
-                    combo[s] = (combo.get(s, 0) - c * a) % p
-        piv = next((idx for idx, a in enumerate(r) if a), None)
+        v = Q.e() if parent is None else apply(Q.matrix(j), raw_vec[parent])
+        r = int.from_bytes(pack(*v, *pad), "little") | 1 << bits * (D + len(stair))
+        for shift, row in echelon:
+            c = (r >> shift & mask) % p
+            if c:
+                r += (p - c) * row
+        fields = [a % p for a in unpack(r.to_bytes(nbytes, "little"))]
+        piv = next(filter(fields.__getitem__, range(D)), None)
         if piv is None:
             # dependency: t = sum of earlier staircase terms inside the quotient
-            coeffs = {s: a % p for s, a in combo.items() if a % p}
+            coeffs = {s: a for s, a in zip(stair, fields[D:]) if a}
             coeffs[t] = 1
             out.append(MultiPoly(n, coeffs))
             lts.append(t)
             continue
-        inv = F.inv(r[piv])
-        w = [a * inv % p for a in r]
-        cmb = {t: inv}
-        for s, a in combo.items():
-            if a % p:
-                cmb[s] = a * inv % p
-        rows[piv] = (w, cmb)
+        inv = F.inv(fields[piv])
+        row = int.from_bytes(pack(*[a * inv % p for a in fields]), "little")
+        bisect.insort(echelon, (bits * piv, row))
+        stair.append(t)
         raw_vec[t] = v
-        for jj in range(1, n + 1):
-            nt = term_mul(t, var_term(n, jj))
+        for jj, x in enumerate(xs, start=1):
+            nt = term_mul(t, x)
             if nt not in seen:
                 seen.add(nt)
                 heapq.heappush(heap, (key(nt), nt, t, jj))
@@ -97,7 +105,8 @@ def toplevel(
     """Decide the method in a fixed order and convert G1 to LEX.
 
     1. One random probe through shape_prob; its answer is returned.
-    2. Otherwise shape_det decides shape position: the minimal polynomial of
+    2. Otherwise shape_det, taking the declined probe's Krylov result as
+       its first factor, decides shape position: the minimal polynomial of
        e under T_1 has degree D exactly then, and every probe's minimal
        polynomial divides it.  Not in shape position: no probe can succeed,
        so probes 2 and 3 are skipped.  Radical: its basis is that of I.
@@ -121,7 +130,7 @@ def toplevel(
     if not isinstance(res, Fail):
         return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
 
-    det = shape_det(Q)
+    det = shape_det(Q, start=res.krylov)
     if isinstance(det, Fail):
         draw(), draw()  # probes 2 and 3 cannot succeed; the BMS probe stays 4th
     else:

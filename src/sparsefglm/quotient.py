@@ -27,20 +27,42 @@ from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 CoordVector = list[int]
 
 
+def field_codec(count: int, bound: int):
+    """(w, pack, unpack) for `count` little-endian unsigned fields of w bytes,
+    w the smallest power of two with 8w >= bit_length(bound): pack(*values)
+    gives the bytes, unpack(bytes) the values back.  A struct format up to
+    w = 8, `int.from_bytes` slices above."""
+    width = 1
+    while 8 * width < bound.bit_length():
+        width *= 2
+    if width <= 8:
+        fmt = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}")
+        return width, fmt.pack, fmt.unpack
+    nbytes = count * width
+
+    def pack(*values: int) -> bytes:
+        return b"".join(a.to_bytes(width, "little") for a in values)
+
+    def unpack(b: bytes) -> list[int]:
+        return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
+
+    return width, pack, unpack
+
+
 class SparseMat:
     """Column-major sparse D x D matrix over a prime field.
 
     `columns` holds each column as (row, a) pairs, read by `apply`, `nnz`
     and `dump_matrix`.  `apply_transpose` reads a second layout: `packed`
     holds one int per row r with T[r][c] of every case-2/3 (dense) column c
-    side by side, the k-th dense column in the k-th little-endian field of
-    w bytes.  w is the smallest power of two with 8w >= bit_length(D*(p-1)^2),
-    the largest dot product of a column with a reduced vector, so a sum of
-    rows scaled by reduced entries never carries from one field into the
-    next.  `fields` splits the `nbytes` bytes of such a sum into its field
-    values (a struct format up to w = 8, `int.from_bytes` slices above),
-    and `gather` picks the entry of v for each unit (case-1) column and the
-    field of each dense column out of v + [fields] in column order.
+    side by side, the k-th dense column in the k-th field of `field_codec`
+    for the bound D*(p-1)^2, the largest dot product of a column with a
+    reduced vector, so a sum of rows scaled by reduced entries never carries
+    from one field into the next.  `dense` gives those columns as full
+    vectors, in column order.  `fields` splits the `nbytes` bytes of such a
+    sum into its field values, and `gather` picks the entry of v for each
+    unit (case-1) column and the field of each dense column out of
+    v + [fields] in column order.
     """
 
     __slots__ = ("dim", "columns", "nnz", "column_cases", "p", "packed", "nbytes", "fields", "gather")
@@ -51,36 +73,17 @@ class SparseMat:
         columns: list[list[tuple[int, int]]],
         column_cases: list[int],
         p: int,
+        dense: list[CoordVector],
     ):
         self.dim = dim
         self.columns = columns
         self.column_cases = column_cases
         self.nnz = sum(len(col) for col in columns)
         self.p = p
-        width = 1
-        while 8 * width < (dim * (p - 1) ** 2).bit_length():
-            width *= 2
-        dense = []
-        picks = []
-        for col, case in zip(columns, column_cases):
-            if case == 1:
-                picks.append(col[0][0])
-            else:
-                picks.append(dim + len(dense))
-                full = [0] * dim
-                for row, a in col:
-                    full[row] = a
-                dense.append(full)
-        self.nbytes = nbytes = len(dense) * width
-        if width <= 8:
-            fmt = struct.Struct(f"<{len(dense)}{'BHIQ'[width.bit_length() - 1]}")
-            pack, self.fields = fmt.pack, fmt.unpack
-        else:
-
-            def pack(*row: int) -> bytes:
-                return b"".join(a.to_bytes(width, "little") for a in row)
-
-            self.fields = lambda b: [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
+        width, pack, self.fields = field_codec(len(dense), dim * (p - 1) ** 2)
+        self.nbytes = len(dense) * width
+        at = iter(range(dim, dim + len(dense)))
+        picks = [col[0][0] if case == 1 else next(at) for col, case in zip(columns, column_cases)]
         # row r packs the r-th entry of every dense column
         self.packed = list(map(int.from_bytes, map(pack, *dense), repeat("little")))
         # itemgetter of one index returns the item itself, not a 1-tuple
@@ -239,6 +242,7 @@ class QuotientStructure:
         xj = var_term(self.n, j)
         columns = []
         cases = []
+        dense = []
         for eps in self.basis:
             t = term_mul(eps, xj)
             if t in self.index:
@@ -248,7 +252,8 @@ class QuotientStructure:
             cases.append(2 if t in self._lt_map else 3)
             v = self._nf_term_cascade(t)
             columns.append([(row, a) for row, a in enumerate(v) if a])
-        return SparseMat(self.D, columns, cases, self.F.p)
+            dense.append(v)
+        return SparseMat(self.D, columns, cases, self.F.p, dense)
 
     # --- vectors of polynomials -------------------------------------------
 

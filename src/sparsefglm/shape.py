@@ -44,6 +44,10 @@ from .unipoly import (
 )
 
 
+# a Krylov chain, its first components s and the Berlekamp-Massey fit of s
+KrylovRun = tuple[list[CoordVector], list[int], tuple[UniPoly, UniPoly]]
+
+
 class ShapeBasis:
     """[f1, x2 - f2, ..., xn - fn] with deg(fi) < deg(f1)."""
 
@@ -81,6 +85,15 @@ class ShapeBasis:
         return f"ShapeBasis(f1={self.f1}, tails={self.tails})"
 
 
+class ProbeFail(Fail):
+    """shape_prob's decline.  `krylov` is its probe's (chain, s, fit), which
+    shape_det can take as its first factor."""
+
+    def __init__(self, reason: str, krylov: KrylovRun):
+        super().__init__(reason)
+        self.krylov = krylov
+
+
 class WiedemannTrace:
     """What the deterministic loop saw, for reporting and tests."""
 
@@ -104,9 +117,7 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
     return out
 
 
-def _krylov(
-    T1, v: CoordVector, length: int, F: PrimeField
-) -> tuple[list[CoordVector], list[int], tuple[UniPoly, UniPoly]]:
+def _krylov(T1, v: CoordVector, length: int, F: PrimeField) -> KrylovRun:
     """Chain v, T1^t v, ..., of `length` vectors, its first components s, and
     the Berlekamp-Massey fit (f, N_s^-1 mod f) of s.  Only the first
     length // 2 vectors are kept whole (all that `_tail_rhs` reads); past
@@ -157,14 +168,25 @@ def shape_prob(
     chain, s, fit = _krylov(T1, probe, 2 * D, F)
     d = deg(fit[0])
     if d < D:
-        return Fail(f"minimal polynomial degree {d} < ideal degree {D}")
+        return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", (chain, s, fit))
     rhs_rows = [_tail_rhs(chain, Q.nf_of_var(i), D, F) for i in range(2, Q.n + 1)]
     return ShapeBasis(fit[0], _tail_solves(D, s, rhs_rows, F, fit))
 
 
 def shape_det(
-    Q: QuotientStructure, trace_out: WiedemannTrace | None = None
+    Q: QuotientStructure,
+    trace_out: WiedemannTrace | None = None,
+    start: KrylovRun | None = None,
 ) -> tuple[ShapeBasis, bool] | Fail:
+    """Peel the minimal polynomial f1 of e under T_1 factor by factor, unit
+    probe k viewing b = f(T_1) e for the product f of the factors so far.
+
+    start, a declined shape_prob probe's (chain, s, fit) on e, is
+    taken as the first factor in place of one from unit probe e_0.  The
+    factors then differ, but their product is f1 all the same, and the
+    answer (the radical basis, from the squarefree part of f1 and the CRT of
+    the tails, and whether that is the basis of I) is unique.
+    """
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
@@ -176,16 +198,22 @@ def shape_det(
     components: list[tuple[tuple[UniPoly, UniPoly], list[list[int]]]] = []
     k = 0
     while any(b):
-        if k >= D:
-            raise InternalError("probe loop exceeded D iterations")
-        d = deg(f)
-        if d >= D:
-            raise InternalError("peeled degree reached D with probes left")
-        u = [0] * D
-        u[k] = 1
-        # view the current b through probe u: same sequence as <u_adj, T1^i e>
-        w = matrix_poly_apply(f, apply_transpose, T1, u, F)
-        chain, s, fit = _krylov(T1, w, 2 * (D - d), F)
+        if start is None:
+            if k >= D:
+                raise InternalError("probe loop exceeded D iterations")
+            d = deg(f)
+            if d >= D:
+                raise InternalError("peeled degree reached D with probes left")
+            u = [0] * D
+            u[k] = 1
+            k += 1
+            # view the current b through probe u: same sequence as <u_adj, T1^i e>
+            w = matrix_poly_apply(f, apply_transpose, T1, u, F)
+            chain, s, fit = _krylov(T1, w, 2 * (D - d), F)
+        else:
+            chain, s, fit = start
+            u = chain[0]  # the chain starts at the probe
+            start = None
         g = fit[0]
         dk = deg(g)
         if dk > 0:
@@ -199,7 +227,6 @@ def shape_det(
             trace.sequences.append(s)
         b = matrix_poly_apply(g, apply, T1, b, F)
         trace.b_vectors.append(list(b))
-        k += 1
 
     if deg(f) != D:
         return Fail(

@@ -5,6 +5,9 @@ position), a 12-dimensional bivariate ideal for the array-sweep tests, and
 the monomial ideal the sweep is expected to decline.
 """
 
+import heapq
+from operator import sub
+
 import pytest
 
 from sparsefglm.buchberger import buchberger
@@ -12,9 +15,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.poly import GroebnerBasis, MultiPoly
 from sparsefglm.quotient import QuotientStructure, apply
 from sparsefglm.sysio import parse_system, poly_str
-from operator import sub
-
-from sparsefglm.terms import divides, term_key, term_mul
+from sparsefglm.terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
 
 GF11_TEXT = """\
 p 11
@@ -87,6 +88,71 @@ def normal_form_linear_scan(f, reducers, ordering, F):
         else:
             out[t] = c
     return MultiPoly(f.n, out)
+
+
+def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
+    """Reference oracle for `classic_fglm`, the unpacked version it replaced.
+
+    Reduced Groebner basis w.r.t. target by enumerating terms ascending.
+
+    Maintains an echelon form of the coordinate vectors of the standard
+    monomials seen so far; a dependency yields a basis polynomial whose
+    leading term is the current term.  O(D^2) per inserted vector.
+    """
+    F = Q.F
+    p = F.p
+    n = Q.n
+    key = term_key(target)
+
+    raw_vec: dict[Term, list[int]] = {}  # target-staircase term -> vec(NF(term))
+    # echelon rows: pivot -> (normalized vector, combination over staircase terms)
+    rows: dict[int, tuple[list[int], dict[Term, int]]] = {}
+    out: list[MultiPoly] = []
+    lts: list[Term] = []
+
+    start = unit_term(n)
+    heap: list[tuple[tuple, Term, Term | None, int]] = [(key(start), start, None, 0)]
+    seen = {start}
+    while heap:
+        _, t, parent, j = heapq.heappop(heap)
+        if any(divides(l, t) for l in lts):
+            continue
+        v = list(Q.e()) if parent is None else apply(Q.matrix(j), raw_vec[parent])
+        # reduce against the echelon, tracking the combination
+        r = list(v)
+        combo: dict[Term, int] = {}
+        for piv in sorted(rows):
+            if r[piv]:
+                w, cmb = rows[piv]
+                c = r[piv]
+                for idx, a in enumerate(w):
+                    if a:
+                        r[idx] = (r[idx] - c * a) % p
+                for s, a in cmb.items():
+                    combo[s] = (combo.get(s, 0) - c * a) % p
+        piv = next((idx for idx, a in enumerate(r) if a), None)
+        if piv is None:
+            # dependency: t = sum of earlier staircase terms inside the quotient
+            coeffs = {s: a % p for s, a in combo.items() if a % p}
+            coeffs[t] = 1
+            out.append(MultiPoly(n, coeffs))
+            lts.append(t)
+            continue
+        inv = F.inv(r[piv])
+        w = [a * inv % p for a in r]
+        cmb = {t: inv}
+        for s, a in combo.items():
+            if a % p:
+                cmb[s] = a * inv % p
+        rows[piv] = (w, cmb)
+        raw_vec[t] = v
+        for jj in range(1, n + 1):
+            nt = term_mul(t, var_term(n, jj))
+            if nt not in seen:
+                seen.add(nt)
+                heapq.heappush(heap, (key(nt), nt, t, jj))
+    out.sort(key=lambda f: key(f.lt(target)))
+    return GroebnerBasis(out, target, reduced=True)
 
 
 def noncommuting_units(Q: QuotientStructure) -> list[int]:

@@ -9,9 +9,10 @@ from sparsefglm.field import PrimeField
 from sparsefglm.fglm import ConversionResult, classic_fglm, toplevel
 from sparsefglm.poly import Fail
 from sparsefglm.quotient import QuotientStructure
+from sparsefglm.shape import shape_det, shape_prob
 from sparsefglm.sysio import parse_system
 
-from conftest import basis_strs
+from conftest import basis_strs, reference_classic_fglm
 
 GF11_LEX = ["x1^4 + 8*x1 + 9", "6*x1^2 + x2 + 10", "x3 + 9"]
 GF2_LEX = ["x1^7 + x1^6 + x1 + 1", "x1^4 + x1^3 + x2 + 1"]
@@ -39,6 +40,68 @@ def test_classic_fglm_monomial(monomial6):
 def test_classic_fglm_same_ordering_is_identity(gf11):
     out = classic_fglm(gf11, "drl")
     assert basis_strs(out) == basis_strs(gf11.G1)
+
+
+PACKED_PRIMES = [2, 3, 5, 7, 101, 65521, 2**31 - 1, 2**61 - 1, 618970019642690137449562111]
+SMALL_PRIMES = [2, 3, 5, 7]
+SHAPES = [(1, 4), (2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2)]
+
+
+def _quotient(n: int, d: int, p: int, seed: int) -> QuotientStructure | None:
+    """The quotient of a seeded random system, or None when it is bad input
+    (over tiny fields a few draws give the unit ideal or a
+    positive-dimensional one)."""
+    F = PrimeField(p)
+    try:
+        return QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_classic_fglm_packed_rows_match_reference(p):
+    """The packed echelon rows give the same basis text as the unpacked
+    reference, for 1-byte fields (p = 2) up to int.from_bytes fields (the
+    89-bit prime), towards LEX and back to DRL."""
+    checked = 0
+    for n, d in SHAPES:
+        for seed in range(2):
+            Q = _quotient(n, d, p, seed)
+            if Q is None:
+                continue
+            for target in ("lex", "drl"):
+                got = classic_fglm(Q, target)
+                want = reference_classic_fglm(Q, target)
+                assert got.ordering == want.ordering == target
+                assert basis_strs(got) == basis_strs(want), (n, d, p, seed, target)
+            checked += 1
+    assert checked >= len(SHAPES)
+
+
+def test_shape_det_from_declined_probe_agrees():
+    """shape_det started from a declined probe's Krylov result gives the
+    answer, radical flag (so of_what) and decline reason it gives on its
+    own: in and out of shape position, radical or not, and from a probe
+    that saw nothing (a factor of degree 0)."""
+    seen = {"declined": 0, "radical": 0, "not radical": 0, "degree 0": 0}
+    for p in SMALL_PRIMES:
+        for n, d in SHAPES:
+            for seed in range(4):
+                Q = _quotient(n, d, p, seed)
+                if Q is None:
+                    continue
+                res = shape_prob(Q, seed)
+                if not isinstance(res, Fail):
+                    continue
+                alone, started = shape_det(Q), shape_det(Q, start=res.krylov)
+                if isinstance(alone, Fail):
+                    assert isinstance(started, Fail) and started.reason == alone.reason
+                    seen["declined"] += 1
+                else:
+                    assert started == alone, (n, d, p, seed)
+                    seen["radical" if alone[1] else "not radical"] += 1
+                seen["degree 0"] += res.krylov[2][0] == [1]
+    assert all(seen.values()), seen
 
 
 def test_round_trip_drl_lex_drl():

@@ -189,7 +189,7 @@ def test_apply_transpose_fields_hold_the_largest_dot_product(D, p):
     """Dense columns of p - 1 against v = [p - 1] * D fill every field of
     the packed rows with D (p - 1)^2, the most it may hold; a field one
     width step narrower would carry into its neighbour."""
-    T = SparseMat(D, [[(r, p - 1) for r in range(D)] for _ in range(D)], [3] * D, p)
+    T = SparseMat(D, [[(r, p - 1) for r in range(D)] for _ in range(D)], [3] * D, p, [[p - 1] * D] * D)
     assert apply_transpose(T, [p - 1] * D) == [D * (p - 1) ** 2 % p] * D
 
 
