@@ -21,7 +21,6 @@ from .generic import (
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
 from .quotient import (
     QuotientStructure,
-    canonical_basis,
     density_stats,
     dump_matrix,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "normal_form",
     "reduce_basis",
     "QuotientStructure",
-    "canonical_basis",
     "density_stats",
     "dump_matrix",
     "ShapeBasis",

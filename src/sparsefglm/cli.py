@@ -20,7 +20,7 @@ from .fglm import classic_fglm, toplevel
 from .generic import analyze_rows
 from .bms import bms_change
 from .poly import Fail, MultiPoly
-from .quotient import canonical_basis, density_stats, dump_matrix
+from .quotient import QuotientStructure, density_stats, dump_matrix
 from .shape import incremental_univariate, shape_det, shape_prob
 from .sysio import parse_system, poly_str, write_system
 
@@ -43,7 +43,7 @@ def _write(path: str, text: str):
 def _load_quotient(args):
     field, polys = parse_system(_read(args.infile))
     gb = buchberger(polys, "drl", field)
-    return field, gb, canonical_basis(gb, field)
+    return field, gb, QuotientStructure(gb, field)
 
 
 def _bool(text: str) -> bool:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .bms import bms_change
 from .field import PrimeField
 from .poly import Fail, GroebnerBasis, MultiPoly
-from .quotient import QuotientStructure, apply, canonical_basis, field_codec
+from .quotient import QuotientStructure, apply, field_codec
 from .shape import shape_det, shape_prob
 from .terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
 
@@ -120,7 +120,7 @@ def toplevel(
     stage is skipped, and the BMS probe is the 4th.  The quotient structure
     and matrices are built once and shared by every stage.
     """
-    Q = quotient if quotient is not None else canonical_basis(G1, field)
+    Q = quotient if quotient is not None else QuotientStructure(G1, field)
     rng = random.Random(seed)
 
     def draw() -> list[int]:

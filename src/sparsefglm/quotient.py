@@ -280,10 +280,6 @@ class QuotientStructure:
         return out
 
 
-def canonical_basis(G1: GroebnerBasis, F: PrimeField) -> QuotientStructure:
-    return QuotientStructure(G1, F)
-
-
 def dump_matrix(Q: QuotientStructure, j: int) -> str:
     """`D n j nnz` header, then `row col value` per nonzero, ascending (col, row)."""
     T = Q.matrix(j)

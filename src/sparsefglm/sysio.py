@@ -7,9 +7,13 @@
     x1^2 + 2*x2 + 9
     x3 + 9
 
-Monomials are `c*x<i>^<e>` products joined by `+`/`-`; whitespace is
-insignificant; `#` starts a comment.  Coefficients must already lie in
-[0, p).
+After the `p <modulus>` and `vars <n>` headers, each non-blank line is one
+polynomial: terms joined by `+` or `-`, only the first with an optional
+leading `-`; a term is factors joined by `*`, each `<digits>`, `x<i>` or
+`x<i>^<digits>`.  Blanks may sit between tokens; `#` starts a comment.
+Variable indices run 1..n and coefficients must lie in [0, p).  A
+`ParseError` gives the line and the raw-line column of the first offending
+character.
 """
 
 from __future__ import annotations
@@ -27,89 +31,41 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*^]))")
-
-
-def _tokenize(text: str, ln: int):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if stripped >= len(text):
-                break
-            raise ParseError(ln, stripped + 1, f"unexpected character {text[stripped]!r}")
-        col = m.start(m.lastgroup) + 1
-        out.append((m.lastgroup, m.group(m.lastgroup), col))
-        pos = m.end()
-    return out
+_FACTOR = r"(?:\d+|x\d+(?:\s*\^\s*\d+)?)"
+# A factor possibly cut short, with the blanks after it; none may follow a bare x.
+_CUT = r"(?:(?:\d+|x\d+(?:\s*\^(?:\s*\d+)?)?)\s*|x)?"
+# Factors joined by '*', '+' or '-' after an optional leading '-', the last
+# one possibly cut short: the match ends at the first character that no
+# completion of the line allows.
+_LINE = re.compile(rf"\s*(?:-\s*)?(?:{_FACTOR}\s*[-+*]\s*)*{_CUT}")
+_TERM = re.compile(r"\s*([-+]?)([^-+]+)")
+_FACTORS = re.compile(r"(\d+)|(x\d+)(?:\s*\^\s*(\d+))?")
 
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
-    toks = _tokenize(text, ln)
-    if not toks:
-        raise ParseError(ln, 1, "empty polynomial")
+    end = _LINE.match(text).end()
+    if end < len(text):
+        raise ParseError(ln, end + 1, f"unexpected {text[end]!r}")
+    body = text.rstrip()
+    if not body[-1].isdecimal():  # every factor ends in a digit
+        raise ParseError(ln, len(body) + 1, "unexpected end of line")
+    p = F.p
     coeffs: dict[tuple, int] = {}
-    i = 0
-    sign = 1
-    first = True
-    while i < len(toks):
-        kind, val, col = toks[i]
-        if kind == "op" and val in "+-":
-            if first and val == "-":
-                sign = -1
-                i += 1
-            elif not first:
-                sign = 1 if val == "+" else -1
-                i += 1
-            else:
-                raise ParseError(ln, col, "polynomial cannot start with '+'")
-            if i >= len(toks):
-                raise ParseError(ln, col, "dangling sign")
-        first = False
-        # one monomial: factors joined by '*'
+    for term in _TERM.finditer(text):
         coef = 1
         expo = [0] * n
-        expect_factor = True
-        while i < len(toks):
-            kind, val, col = toks[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise ParseError(ln, col, "misplaced '*'")
-                expect_factor = True
-                i += 1
-                continue
-            if not expect_factor:
-                raise ParseError(ln, col, f"expected '*', '+' or '-' before {val!r}")
-            if kind == "num":
-                c = int(val)
-                if c >= F.p:
-                    raise ParseError(ln, col, f"coefficient {c} not reduced mod {F.p}")
-                coef = coef * c % F.p
-                i += 1
-            elif kind == "var":
-                idx = int(val[1:])
-                if not 1 <= idx <= n:
-                    raise ParseError(ln, col, f"variable {val} out of range (vars = {n})")
-                e = 1
-                if i + 1 < len(toks) and toks[i + 1][:2] == ("op", "^"):
-                    if i + 2 >= len(toks) or toks[i + 2][0] != "num":
-                        raise ParseError(ln, toks[i + 1][2], "'^' needs an integer exponent")
-                    e = int(toks[i + 2][1])
-                    i += 3
-                else:
-                    i += 1
-                expo[idx - 1] += e
+        for f in _FACTORS.finditer(text, term.start(2), term.end(2)):
+            num, var, e = f.groups()
+            if num is None and 1 <= (i := int(var[1:])) <= n:
+                expo[i - 1] += int(e or 1)
+            elif num is None:
+                raise ParseError(ln, f.start() + 1, f"variable {var} out of range (vars = {n})")
+            elif int(num) < p:
+                coef = coef * int(num) % p
             else:
-                raise ParseError(ln, col, f"unexpected {val!r}")
-            expect_factor = False
-        if expect_factor:
-            raise ParseError(ln, toks[-1][2], "dangling '*'")
+                raise ParseError(ln, f.start() + 1, f"coefficient {int(num)} not reduced mod {p}")
         t = tuple(expo)
-        v = (coeffs.get(t, 0) + sign * coef) % F.p
+        v = (coeffs.get(t, 0) + (-coef if term[1] == "-" else coef)) % p
         if v:
             coeffs[t] = v
         else:
@@ -122,25 +78,25 @@ def parse_system(text: str) -> tuple[PrimeField, list[MultiPoly]]:
     n: int | None = None
     polys: list[MultiPoly] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
-        if field is None:
-            m = re.fullmatch(r"p\s+(\d+)", line)
+        if field is None or n is None:
+            key, what = ("p", "modulus") if field is None else ("vars", "count")
+            m = re.fullmatch(rf"\s*{key}\s+(\d+)\s*", line)
             if m is None:
-                raise ParseError(ln, 1, "expected header 'p <modulus>'")
-            try:
-                field = PrimeField(int(m.group(1)))
-            except ValueError as exc:
-                raise ParseError(ln, 3, str(exc)) from None
-            continue
-        if n is None:
-            m = re.fullmatch(r"vars\s+(\d+)", line)
-            if m is None:
-                raise ParseError(ln, 1, "expected header 'vars <count>'")
-            n = int(m.group(1))
-            if n < 1:
-                raise ParseError(ln, 6, "need at least one variable")
+                col = len(line) - len(line.lstrip()) + 1
+                raise ParseError(ln, col, f"expected header '{key} <{what}>'")
+            value, col = int(m[1]), m.start(1) + 1
+            if field is None:
+                try:
+                    field = PrimeField(value)
+                except ValueError as exc:
+                    raise ParseError(ln, col, str(exc)) from None
+            elif value < 1:
+                raise ParseError(ln, col, "need at least one variable")
+            else:
+                n = value
             continue
         polys.append(_parse_poly(line, ln, n, field))
     if field is None or n is None:

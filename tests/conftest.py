@@ -2,10 +2,12 @@
 
 Two tiny worked systems (GF(11) in shape position, GF(2) not in shape
 position), a 12-dimensional bivariate ideal for the array-sweep tests, and
-the monomial ideal the sweep is expected to decline.
+the monomial ideal the sweep is expected to decline; and reference oracles
+that tests compare the library against.
 """
 
 import heapq
+import re
 from operator import sub
 
 import pytest
@@ -14,7 +16,7 @@ from sparsefglm.buchberger import buchberger
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import GroebnerBasis, MultiPoly
 from sparsefglm.quotient import QuotientStructure, apply
-from sparsefglm.sysio import parse_system, poly_str
+from sparsefglm.sysio import ParseError, parse_system, poly_str
 from sparsefglm.terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
 
 GF11_TEXT = """\
@@ -153,6 +155,100 @@ def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> Groebne
                 heapq.heappush(heap, (key(nt), nt, t, jj))
     out.sort(key=lambda f: key(f.lt(target)))
     return GroebnerBasis(out, target, reduced=True)
+
+
+# Reference oracle for `sysio._parse_poly`: the per-token tokenizer and
+# flag-driven parser it replaced, verbatim.  It takes the line with its
+# comment and blanks already stripped, and reports some errors at other
+# columns, but accepts the same lines and builds the same polynomials.
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[-+*^]))")
+
+
+def _tokenize(text: str, ln: int):
+    pos = 0
+    out = []
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = pos + len(text[pos:]) - len(text[pos:].lstrip())
+            if stripped >= len(text):
+                break
+            raise ParseError(ln, stripped + 1, f"unexpected character {text[stripped]!r}")
+        col = m.start(m.lastgroup) + 1
+        out.append((m.lastgroup, m.group(m.lastgroup), col))
+        pos = m.end()
+    return out
+
+
+def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
+    toks = _tokenize(text, ln)
+    if not toks:
+        raise ParseError(ln, 1, "empty polynomial")
+    coeffs: dict[tuple, int] = {}
+    i = 0
+    sign = 1
+    first = True
+    while i < len(toks):
+        kind, val, col = toks[i]
+        if kind == "op" and val in "+-":
+            if first and val == "-":
+                sign = -1
+                i += 1
+            elif not first:
+                sign = 1 if val == "+" else -1
+                i += 1
+            else:
+                raise ParseError(ln, col, "polynomial cannot start with '+'")
+            if i >= len(toks):
+                raise ParseError(ln, col, "dangling sign")
+        first = False
+        # one monomial: factors joined by '*'
+        coef = 1
+        expo = [0] * n
+        expect_factor = True
+        while i < len(toks):
+            kind, val, col = toks[i]
+            if kind == "op" and val in "+-":
+                break
+            if kind == "op" and val == "*":
+                if expect_factor:
+                    raise ParseError(ln, col, "misplaced '*'")
+                expect_factor = True
+                i += 1
+                continue
+            if not expect_factor:
+                raise ParseError(ln, col, f"expected '*', '+' or '-' before {val!r}")
+            if kind == "num":
+                c = int(val)
+                if c >= F.p:
+                    raise ParseError(ln, col, f"coefficient {c} not reduced mod {F.p}")
+                coef = coef * c % F.p
+                i += 1
+            elif kind == "var":
+                idx = int(val[1:])
+                if not 1 <= idx <= n:
+                    raise ParseError(ln, col, f"variable {val} out of range (vars = {n})")
+                e = 1
+                if i + 1 < len(toks) and toks[i + 1][:2] == ("op", "^"):
+                    if i + 2 >= len(toks) or toks[i + 2][0] != "num":
+                        raise ParseError(ln, toks[i + 1][2], "'^' needs an integer exponent")
+                    e = int(toks[i + 2][1])
+                    i += 3
+                else:
+                    i += 1
+                expo[idx - 1] += e
+            else:
+                raise ParseError(ln, col, f"unexpected {val!r}")
+            expect_factor = False
+        if expect_factor:
+            raise ParseError(ln, toks[-1][2], "dangling '*'")
+        t = tuple(expo)
+        v = (coeffs.get(t, 0) + sign * coef) % F.p
+        if v:
+            coeffs[t] = v
+        else:
+            coeffs.pop(t, None)
+    return MultiPoly(n, coeffs)
 
 
 def noncommuting_units(Q: QuotientStructure) -> list[int]:

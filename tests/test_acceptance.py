@@ -19,7 +19,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.generic import asymptotic_estimate, dense_column_count, verify_moreno_socias
 from sparsefglm.linrec import HankelSystem, _rank, berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, MultiPoly, mp_sub, normal_form
-from sparsefglm.quotient import apply_transpose, canonical_basis
+from sparsefglm.quotient import QuotientStructure, apply_transpose
 from sparsefglm.shape import ShapeBasis, WiedemannTrace, shape_det, shape_prob
 from sparsefglm.unipoly import (
     squarefree_part,
@@ -182,7 +182,7 @@ def test_c05_dispatcher_agrees_with_classic_fglm_on_random_systems():
     for seed in range(50):
         n = [2, 3, 4][seed % 3]
         gb = buchberger(gen_random_system(n, 2, P, seed), "drl", F)
-        Q = canonical_basis(gb, F)
+        Q = QuotientStructure(gb, F)
         conv = toplevel(gb, F, seed=seed, quotient=Q)
         assert conv.of_what == "I"
         assert conv.basis == classic_fglm(Q, "lex"), f"seed {seed} diverged"
@@ -204,7 +204,7 @@ def test_c06_sweep_pass_budget_never_exceeded(trusted12, monomial6):
     for seed in range(6):
         n = [2, 3, 4][seed % 3]
         gb = buchberger(gen_random_system(n, 2, P, seed), "drl", F)
-        Q = canonical_basis(gb, F)
+        Q = QuotientStructure(gb, F)
         trace = []
         res = bms_change(Q, seed=seed, trace=trace)
         assert len(trace) <= 2 * n * Q.D
@@ -248,7 +248,7 @@ def test_c08_dense_column_count_matches_prediction():
         m0 = dense_column_count(n, d)
         for seed in range(10):
             gb = buchberger(gen_random_system(n, d, P, seed), "drl", F)
-            Q = canonical_basis(gb, F)
+            Q = QuotientStructure(gb, F)
             rep = verify_moreno_socias(Q, n, d)
             assert rep["match"], (n, d, seed, rep)
             assert rep["case3_absent"], (n, d, seed)
@@ -310,7 +310,7 @@ def test_c10_non_radical_systems_reduce_to_squarefree_shape():
         polys = [MultiPoly.from_uni(n, f1)]
         for i, t in enumerate(tails, start=2):
             polys.append(mp_sub(_var(n, i), MultiPoly.from_uni(n, t), F))
-        Q = canonical_basis(buchberger(polys, "drl", F), F)
+        Q = QuotientStructure(buchberger(polys, "drl", F), F)
         assert Q.D == 5
 
         det = shape_det(Q)

@@ -11,7 +11,6 @@ from sparsefglm.quotient import (
     SparseMat,
     apply,
     apply_transpose,
-    canonical_basis,
     density_stats,
     dump_matrix,
 )
@@ -229,6 +228,6 @@ def test_unreduced_input_is_reduced(gf11):
 def test_helper_constructors(gf11):
     F, polys = parse_system(GF11_TEXT)
     gb = buchberger(polys, "drl", F)
-    Q = canonical_basis(gb, F)
+    Q = QuotientStructure(gb, F)
     assert Q.basis == gf11.basis
     assert Q.matrix(2).dim == 4

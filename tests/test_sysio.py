@@ -1,10 +1,13 @@
+import random
+import time
+
 import pytest
 
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly
-from sparsefglm.sysio import ParseError, parse_system, poly_str, write_system
+from sparsefglm.sysio import ParseError, _parse_poly, parse_system, poly_str, write_system
 
-from conftest import GF11_TEXT
+from conftest import GF11_TEXT, _parse_poly as reference_parse_poly
 
 
 def test_parse_known_system():
@@ -66,9 +69,98 @@ def test_parse_errors_carry_position():
         parse_system("p 11\nvars 2\nx3 + 1\n")
     assert "out of range" in str(e.value)
 
-    for bad in ("x1^", "* x1", "x1 +", "x1 ? 2", "x1 x2", "+x1"):
+    # (line, column, message): the first character no completion allows
+    for bad, col, msg in (
+        ("--x1", 2, "unexpected '-'"),
+        ("x1 + + x2", 6, "unexpected '+'"),
+        ("x1^", 4, "unexpected end of line"),
+        ("3*", 3, "unexpected end of line"),
+        ("x1 x2", 4, "unexpected 'x'"),
+        ("* x1", 1, "unexpected '*'"),
+        ("x1 +", 5, "unexpected end of line"),
+        ("x1 ? 2", 4, "unexpected '?'"),
+        ("+x1", 1, "unexpected '+'"),
+        ("x1^2^3", 5, "unexpected '^'"),
+        ("x 1", 2, "unexpected ' '"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_system(f"p 11\nvars 2\n{bad}\n")
+        assert (e.value.line, e.value.col) == (3, col), bad
+        assert str(e.value).endswith(msg), bad
+
+
+def test_error_columns_count_from_the_raw_line():
+    for text, line, col, msg in (
+        ("p 11\nvars 2\n    x1 ? 2\n", 3, 8, "unexpected '?'"),
+        ("  p 4\nvars 1\nx1\n", 1, 5, "not prime"),
+        ("p 11\n  vars 0\nx1\n", 2, 8, "need at least one variable"),
+        ("  q 3\n", 1, 3, "expected header 'p <modulus>'"),
+        ("p 11\nvars 2\n\t 11*x1\n", 3, 3, "coefficient 11 not reduced mod 11"),
+        ("p 11\nvars 2\n  x1 + x3  # x3\n", 3, 8, "variable x3 out of range (vars = 2)"),
+        ("p 11\nvars 2\n  x1 +  # open\n", 3, 7, "unexpected end of line"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_system(text)
+        assert (e.value.line, e.value.col) == (line, col), text
+        assert msg in str(e.value), text
+
+
+def test_long_malformed_lines_fail_fast():
+    n = 10**5
+    for bad in (
+        "x1" + " " * n + "?",
+        "x1 ^" + " " * n + "?",
+        "1" * n + "?",
+        "x1*" * (n // 3) + "?",
+        "x1 + " * (n // 5) + "+",
+        "x1^2 *" + " \t" * (n // 2) + "^",
+    ):
+        start = time.perf_counter()
         with pytest.raises(ParseError):
             parse_system(f"p 11\nvars 2\n{bad}\n")
+        assert time.perf_counter() - start < 1.0
+
+
+# the token alphabet of the differential test, one stray character included
+_FACTOR_TOKENS = ("0", "00", "007", "3", "10", "11", "x0", "x1", "x3", "x01")
+_OTHER_TOKENS = ("+", "-", "*", "^", " ", "\t", "?")
+
+
+def _random_line(rng: random.Random) -> str:
+    """Factor and operator tokens in turn, each slot drawn from the whole
+    alphabet at times, with blanks sprinkled in."""
+    out = []
+    for k in range(rng.randint(1, 9)):
+        if rng.random() < 0.15:
+            out.append(rng.choice(_FACTOR_TOKENS + _OTHER_TOKENS))
+        else:
+            out.append(rng.choice(_OTHER_TOKENS[:4] if k % 2 else _FACTOR_TOKENS))
+        if rng.random() < 0.3:
+            out.append(rng.choice(" \t"))
+    return "".join(out)
+
+
+def _outcome(parse, text, F):
+    try:
+        return parse(text, 1, 2, F).coeffs
+    except ParseError:
+        return None
+
+
+def test_parser_agrees_with_reference_parser():
+    F = PrimeField(11)
+    rng = random.Random(15)
+    accepted = rejected = 0
+    while accepted + rejected < 20_000:
+        line = _random_line(rng)
+        if not line.strip():
+            continue
+        # the reference takes the line stripped, as its caller did
+        got, want = _outcome(_parse_poly, line, F), _outcome(reference_parse_poly, line.strip(), F)
+        assert got == want, line
+        accepted += got is not None
+        rejected += got is None
+    assert accepted > 2_000 and rejected > 2_000
 
 
 def test_parse_rejects_composite_modulus():
