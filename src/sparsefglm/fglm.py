@@ -8,9 +8,9 @@ import random
 from dataclasses import dataclass
 
 from .bms import bms_change
-from .field import PrimeField
+from .field import PrimeField, field_codec
 from .poly import Fail, GroebnerBasis, MultiPoly
-from .quotient import QuotientStructure, apply, field_codec
+from .quotient import QuotientStructure, apply
 from .shape import shape_det, shape_prob
 from .terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
 

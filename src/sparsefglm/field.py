@@ -2,11 +2,13 @@
 
 Elements are plain ints in [0, p).  The class only carries the modulus and
 the handful of operations the rest of the package needs; everything stays
-exact.
+exact.  `field_codec` packs many elements, or sums of their products, into
+one int of fixed-width fields, for matrix rows and polynomial products.
 """
 
 from __future__ import annotations
 
+import struct
 from operator import mul
 
 
@@ -65,3 +67,25 @@ class PrimeField:
     def dot(self, u, v) -> int:
         """Inner product of two equal-length int vectors."""
         return sum(map(mul, u, v)) % self.p
+
+
+def field_codec(count: int, bound: int):
+    """(w, pack, unpack) for `count` little-endian unsigned fields of w bytes,
+    w the smallest power of two with 8w >= bit_length(bound): pack(*values)
+    gives the bytes, unpack(bytes) the values back.  A struct format up to
+    w = 8, `int.from_bytes` slices above."""
+    width = 1
+    while 8 * width < bound.bit_length():
+        width *= 2
+    if width <= 8:
+        fmt = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}")
+        return width, fmt.pack, fmt.unpack
+    nbytes = count * width
+
+    def pack(*values: int) -> bytes:
+        return b"".join(a.to_bytes(width, "little") for a in values)
+
+    def unpack(b: bytes) -> list[int]:
+        return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
+
+    return width, pack, unpack

@@ -3,7 +3,10 @@
 Berlekamp-Massey is one online algorithm, its update written once in
 `BMState`: it takes one term at a time and reports, for the prefix seen so
 far, the minimal polynomial f and the inverse N_s^-1 mod f of the
-numerator, so a Hankel solve needs no extended Euclid.
+numerator, so a Hankel solve needs no extended Euclid.  The solve's
+numerator N_b and its product with N_s^-1 are packed `unipoly` products,
+reduced mod f by one packed division; each field is sized for the largest
+value it can receive, so none carries into the next.
 """
 
 from __future__ import annotations
@@ -99,9 +102,11 @@ class HankelSystem:
         return HankelSystem(self.d, self.seq, rhs, self.fit)
 
 
-def _numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
-    """N with sum_j s_j x^(-j-1) = N / f, from the first deg(f) terms of s."""
-    return trim([sum(map(mul, f[k + 1 :], s)) % p for k in range(deg(f))])
+def _numerator(f: UniPoly, s: list[int], F: PrimeField) -> UniPoly:
+    """N with sum_j s_j x^(-j-1) = N / f, from the first d = deg(f) terms of
+    s: N_k = sum_j f_(k+1+j) s_j is coefficient d + k of f * rev(s[:d])."""
+    d = deg(f)
+    return uni_mul(f, s[:d][::-1], F)[d:]
 
 
 def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
@@ -121,25 +126,5 @@ def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
     f, ns_inv = sys.fit
     if deg(f) != d:
         raise ValueError("singular Hankel system")
-    c = uni_mod(uni_mul(_numerator(f, sys.rhs, F.p), ns_inv, F), f, F)
+    c = uni_mod(uni_mul(_numerator(f, sys.rhs, F), ns_inv, F), f, F)
     return c + [0] * (d - len(c))
-
-
-def _rank(rows: list[list[int]], F: PrimeField) -> int:
-    p = F.p
-    M = [[a % p for a in row] for row in rows]
-    rank = 0
-    ncols = len(M[0]) if M else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = F.inv(M[rank][col])
-        M[rank] = [a * inv % p for a in M[rank]]
-        for r in range(len(M)):
-            if r != rank and M[r][col]:
-                c = M[r][col]
-                M[r] = [(a - c * b) % p for a, b in zip(M[r], M[rank])]
-        rank += 1
-    return rank

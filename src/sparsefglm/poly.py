@@ -226,10 +226,12 @@ def interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> list[Row]:
         ),
         key=itemgetter(0),
     )
-    out = []
-    for i, (lt, tail) in enumerate(keep):
-        # the leading term is divisible by no other, so only the tail reduces
-        rest = reduce_rows({lt + d: p - m for d, m in tail}, keep[:i] + keep[i + 1 :], codec, p)
+    out: list[Row] = []
+    for lt, tail in keep:
+        # the leading term is divisible by no other; a tail term lies below
+        # lt, so no larger leading term divides it, and the rows below are
+        # already interreduced
+        rest = reduce_rows({lt + d: p - m for d, m in tail}, out, codec, p)
         out.append((lt, [(u - lt, p - c) for u, c in rest.items()]))
     return out
 

@@ -16,37 +16,14 @@ vector entry, not one per stored entry.
 
 from __future__ import annotations
 
-import struct
 from itertools import product as iter_product, repeat
 from operator import itemgetter, mul
 
-from .field import PrimeField
+from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, InternalError, MultiPoly, reduce_basis
 from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 
 CoordVector = list[int]
-
-
-def field_codec(count: int, bound: int):
-    """(w, pack, unpack) for `count` little-endian unsigned fields of w bytes,
-    w the smallest power of two with 8w >= bit_length(bound): pack(*values)
-    gives the bytes, unpack(bytes) the values back.  A struct format up to
-    w = 8, `int.from_bytes` slices above."""
-    width = 1
-    while 8 * width < bound.bit_length():
-        width *= 2
-    if width <= 8:
-        fmt = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}")
-        return width, fmt.pack, fmt.unpack
-    nbytes = count * width
-
-    def pack(*values: int) -> bytes:
-        return b"".join(a.to_bytes(width, "little") for a in values)
-
-    def unpack(b: bytes) -> list[int]:
-        return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
-
-    return width, pack, unpack
 
 
 class SparseMat:

@@ -13,7 +13,8 @@ leading `-`; a term is factors joined by `*`, each `<digits>`, `x<i>` or
 `x<i>^<digits>`.  Blanks may sit between tokens; `#` starts a comment.
 Variable indices run 1..n and coefficients must lie in [0, p).  A
 `ParseError` gives the line and the raw-line column of the first offending
-character.
+character; a digit run longer than `int()` converts is one at its first
+digit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,17 @@ _CUT = r"(?:(?:\d+|x\d+(?:\s*\^(?:\s*\d+)?)?)\s*|x)?"
 # completion of the line allows.
 _LINE = re.compile(rf"\s*(?:-\s*)?(?:{_FACTOR}\s*[-+*]\s*)*{_CUT}")
 _TERM = re.compile(r"\s*([-+]?)([^-+]+)")
-_FACTORS = re.compile(r"(\d+)|(x\d+)(?:\s*\^\s*(\d+))?")
+_FACTORS = re.compile(r"(\d+)|x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+def _int(m: re.Match, group: int, ln: int) -> int:
+    """The digit run m[group], or a ParseError at its first digit when it is
+    longer than int() converts (4,300 digits by default)."""
+    try:
+        return int(m[group])
+    except ValueError:
+        msg = f"number of {len(m[group])} digits is too long"
+        raise ParseError(ln, m.start(group) + 1, msg) from None
 
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
@@ -55,15 +66,15 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
         coef = 1
         expo = [0] * n
         for f in _FACTORS.finditer(text, term.start(2), term.end(2)):
-            num, var, e = f.groups()
-            if num is None and 1 <= (i := int(var[1:])) <= n:
-                expo[i - 1] += int(e or 1)
+            num, idx, e = f.groups()
+            if num is None and 1 <= (i := _int(f, 2, ln)) <= n:
+                expo[i - 1] += _int(f, 3, ln) if e else 1
             elif num is None:
-                raise ParseError(ln, f.start() + 1, f"variable {var} out of range (vars = {n})")
-            elif int(num) < p:
-                coef = coef * int(num) % p
+                raise ParseError(ln, f.start() + 1, f"variable x{idx} out of range (vars = {n})")
+            elif (c := _int(f, 1, ln)) < p:
+                coef = coef * c % p
             else:
-                raise ParseError(ln, f.start() + 1, f"coefficient {int(num)} not reduced mod {p}")
+                raise ParseError(ln, f.start() + 1, f"coefficient {c} not reduced mod {p}")
         t = tuple(expo)
         v = (coeffs.get(t, 0) + (-coef if term[1] == "-" else coef)) % p
         if v:
@@ -87,7 +98,7 @@ def parse_system(text: str) -> tuple[PrimeField, list[MultiPoly]]:
             if m is None:
                 col = len(line) - len(line.lstrip()) + 1
                 raise ParseError(ln, col, f"expected header '{key} <{what}>'")
-            value, col = int(m[1]), m.start(1) + 1
+            value, col = _int(m, 1, ln), m.start(1) + 1
             if field is None:
                 try:
                     field = PrimeField(value)

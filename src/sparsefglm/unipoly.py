@@ -1,12 +1,20 @@
 """Univariate polynomials over GF(p), as ascending coefficient lists.
 
 The zero polynomial is the empty list; all functions return trimmed lists
-(no trailing zero coefficients).
+(no trailing zero coefficients) and take coefficients in [0, p).
+
+Products and divisions run on packed ints (Kronecker substitution): the
+coefficients go into little-endian fields of `field_codec`, wide enough
+for the largest value a field can reach, so one big-int multiply makes a
+whole product and no field ever carries into the next.  Fields are
+unpacked and reduced mod p once, at the end.
 """
 
 from __future__ import annotations
 
-from .field import PrimeField
+from itertools import zip_longest
+
+from .field import PrimeField, field_codec
 
 UniPoly = list[int]
 
@@ -26,23 +34,11 @@ def is_zero(f: UniPoly) -> bool:
 
 
 def uni_add(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % F.p
-    return trim(out)
+    return trim([(a + b) % F.p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def uni_sub(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] - c) % F.p
-    return trim(out)
+    return trim([(a - b) % F.p for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def uni_scale(f: UniPoly, c: int, F: PrimeField) -> UniPoly:
@@ -52,18 +48,22 @@ def uni_scale(f: UniPoly, c: int, F: PrimeField) -> UniPoly:
     return [c * a % F.p for a in f]
 
 
+def _packed(f: UniPoly, bound: int) -> int:
+    return int.from_bytes(field_codec(len(f), bound)[1](*f), "little")
+
+
+def _unpacked(a: int, count: int, bound: int, p: int) -> UniPoly:
+    """The first `count` fields of a, reduced mod p and trimmed."""
+    width, _, unpack = field_codec(count, bound)
+    return trim(list(map(p.__rmod__, unpack(a.to_bytes(count * width, "little")))))
+
+
 def uni_mul(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
     if not f or not g:
         return []
-    if len(f) > len(g):
-        f, g = g, f
-    m = len(g)
-    # one shifted row of g per coefficient of the shorter f, reduced once
-    out = [0] * (len(f) + m - 1)
-    for i, a in enumerate(f):
-        if a:
-            out[i : i + m] = [c + a * b for c, b in zip(out[i : i + m], g)]
-    return trim([c % F.p for c in out])
+    # a product coefficient sums at most min(len) products of reduced entries
+    bound = min(len(f), len(g)) * (F.p - 1) ** 2
+    return _unpacked(_packed(f, bound) * _packed(g, bound), len(f) + len(g) - 1, bound, F.p)
 
 
 def uni_monic(f: UniPoly, F: PrimeField) -> UniPoly:
@@ -81,17 +81,24 @@ def uni_divmod(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly]
         raise ZeroDivisionError("division by zero polynomial")
     p = F.p
     n = len(g) - 1
-    r = list(f)
-    q = [0] * (len(f) - n)  # empty when deg f < deg g
+    k = len(f) - n  # the quotient length
     inv = F.inv(g[-1])
-    # the steps leave r unreduced; only the remainder is reduced, once per
-    # coefficient, at the end
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + n] * inv % p
+    if k <= 0:
+        return [], trim([a % p for a in f])
+    # step i reads c off field i + n and adds (p - c) * g from field i on,
+    # which leaves a multiple of p in field i + n; a field holds p - 1 plus
+    # at most k such additions of at most (p-1)^2
+    bound = (p - 1) + k * (p - 1) ** 2
+    bits = 8 * field_codec(1, bound)[0]
+    mask = (1 << bits) - 1
+    r, gp = _packed(f, bound), _packed(g, bound)
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c = (r >> bits * (i + n) & mask) * inv % p
         if c:
             q[i] = c
-            r[i : i + n] = [a - c * b for a, b in zip(r[i : i + n], g)]
-    return trim(q), trim([a % p for a in r[:n]])
+            r += (p - c) * gp << bits * i
+    return trim(q), _unpacked(r & (1 << bits * n) - 1, n, bound, p)
 
 
 def uni_mod(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:

@@ -8,16 +8,26 @@ that tests compare the library against.
 
 import heapq
 import re
-from operator import sub
+from operator import itemgetter, mul, sub
 
 import pytest
 
 from sparsefglm.buchberger import buchberger
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, MultiPoly
+from sparsefglm.poly import GroebnerBasis, MultiPoly, Row, reduce_rows
 from sparsefglm.quotient import QuotientStructure, apply
 from sparsefglm.sysio import ParseError, parse_system, poly_str
-from sparsefglm.terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
+from sparsefglm.terms import (
+    OrderingTag,
+    Term,
+    TermCodec,
+    divides,
+    term_key,
+    term_mul,
+    unit_term,
+    var_term,
+)
+from sparsefglm.unipoly import UniPoly, deg, trim
 
 GF11_TEXT = """\
 p 11
@@ -249,6 +259,91 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
         else:
             coeffs.pop(t, None)
     return MultiPoly(n, coeffs)
+
+# Reference oracles for the packed univariate arithmetic: the schoolbook
+# `uni_mul`, `uni_divmod` and `linrec._numerator` it replaced, verbatim.
+def reference_uni_mul(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
+    if not f or not g:
+        return []
+    if len(f) > len(g):
+        f, g = g, f
+    m = len(g)
+    # one shifted row of g per coefficient of the shorter f, reduced once
+    out = [0] * (len(f) + m - 1)
+    for i, a in enumerate(f):
+        if a:
+            out[i : i + m] = [c + a * b for c, b in zip(out[i : i + m], g)]
+    return trim([c % F.p for c in out])
+
+
+def reference_uni_divmod(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly]:
+    if not g:
+        raise ZeroDivisionError("division by zero polynomial")
+    p = F.p
+    n = len(g) - 1
+    r = list(f)
+    q = [0] * (len(f) - n)  # empty when deg f < deg g
+    inv = F.inv(g[-1])
+    # the steps leave r unreduced; only the remainder is reduced, once per
+    # coefficient, at the end
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + n] * inv % p
+        if c:
+            q[i] = c
+            r[i : i + n] = [a - c * b for a, b in zip(r[i : i + n], g)]
+    return trim(q), trim([a % p for a in r[:n]])
+
+
+def reference_numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
+    """N with sum_j s_j x^(-j-1) = N / f, from the first deg(f) terms of s."""
+    return trim([sum(map(mul, f[k + 1 :], s)) % p for k in range(deg(f))])
+
+
+# Reference oracle for `poly.interreduce_rows`: the version that reduces each
+# kept row by every other kept row in its unreduced form, verbatim.
+def reference_interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> list[Row]:
+    """Rows of the minimal, monic, pairwise-reduced basis, by ascending
+    leading term; of several equal leading terms the first row is kept."""
+    lts = [lt for lt, _ in rows]
+    keep = sorted(
+        (
+            row
+            for i, row in enumerate(rows)
+            if not any(
+                j != i and codec.divides(lt, lts[i]) and (lt != lts[i] or j < i)
+                for j, lt in enumerate(lts)
+            )
+        ),
+        key=itemgetter(0),
+    )
+    out = []
+    for i, (lt, tail) in enumerate(keep):
+        # the leading term is divisible by no other, so only the tail reduces
+        rest = reduce_rows({lt + d: p - m for d, m in tail}, keep[:i] + keep[i + 1 :], codec, p)
+        out.append((lt, [(u - lt, p - c) for u, c in rest.items()]))
+    return out
+
+
+# The rank of a matrix over GF(p) by Gauss-Jordan elimination; the
+# reference oracle of c07's Hankel rank certificates.
+def rank_mod_p(rows: list[list[int]], F: PrimeField) -> int:
+    p = F.p
+    M = [[a % p for a in row] for row in rows]
+    rank = 0
+    ncols = len(M[0]) if M else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(M)) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        inv = F.inv(M[rank][col])
+        M[rank] = [a * inv % p for a in M[rank]]
+        for r in range(len(M)):
+            if r != rank and M[r][col]:
+                c = M[r][col]
+                M[r] = [(a - c * b) % p for a, b in zip(M[r], M[rank])]
+        rank += 1
+    return rank
 
 
 def noncommuting_units(Q: QuotientStructure) -> list[int]:

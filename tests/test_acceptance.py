@@ -10,14 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PROBE12, basis_strs, noncommuting_units
+from conftest import PROBE12, basis_strs, noncommuting_units, rank_mod_p
 
 from sparsefglm.bms import bms_change, is_gb
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm, toplevel
 from sparsefglm.field import PrimeField
 from sparsefglm.generic import asymptotic_estimate, dense_column_count, verify_moreno_socias
-from sparsefglm.linrec import HankelSystem, _rank, berlekamp_massey, hankel_solve
+from sparsefglm.linrec import HankelSystem, berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, MultiPoly, mp_sub, normal_form
 from sparsefglm.quotient import QuotientStructure, apply_transpose
 from sparsefglm.shape import ShapeBasis, WiedemannTrace, shape_det, shape_prob
@@ -229,11 +229,11 @@ def test_c07_recurrence_recovery_with_hankel_rank_certificates():
                 s.append(-acc % P)
             # redraw the rare initial segments whose minimal polynomial is a
             # proper divisor of m
-            if _rank([s[j : j + d] for j in range(d)], F) == d:
+            if rank_mod_p([s[j : j + d] for j in range(d)], F) == d:
                 break
         assert berlekamp_massey(s[: 2 * d], F)[0] == m, f"trial {trial}"
         H_d1 = [s[j : j + d + 1] for j in range(d + 1)]
-        assert _rank(H_d1, F) == d
+        assert rank_mod_p(H_d1, F) == d
         for row in H_d1:
             assert sum(c * a for c, a in zip(m, row)) % P == 0
 

@@ -11,10 +11,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sparsefglm"
-# test-only helpers kept on purpose, each with its reason
-TEST_ONLY_ALLOWED = {
-    "linrec._rank",  # the reference oracle of c07's Hankel rank certificates
-}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -116,4 +112,4 @@ def test_no_library_helper_only_tests_use():
         for node in init.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )
-    assert set(unreferenced_defs(sources, library, exported)) == TEST_ONLY_ALLOWED
+    assert unreferenced_defs(sources, library, exported) == []

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
+from conftest import rank_mod_p, reference_numerator
+
 from sparsefglm.field import PrimeField
 from sparsefglm.linrec import (
     BMState,
     HankelSystem,
     _numerator,
-    _rank,
     berlekamp_massey,
     hankel_solve,
 )
@@ -65,6 +66,26 @@ def test_bm_reproduces_its_sequence():
             assert F11.dot(c, s[r : r + dc + 1]) == 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521, 2**61 - 1, 618970019642690137449562111])
+def test_numerator_matches_schoolbook_oracle(p):
+    """N_s read off one product agrees with the schoolbook sum on random f
+    of degree 0 to 1024, against s of exactly deg f terms and of more, zero
+    ones included; ones of p - 1 fill the packed fields to their bound."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+    for d in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 1024):
+        f = [rng.randrange(p) for _ in range(d)] + [1]
+        extra = rng.randrange(3)
+        for s in (
+            [rng.randrange(p) for _ in range(d + extra)],
+            [0] * (d + extra),
+            [p - 1] * d,
+        ):
+            assert _numerator(f, s, F) == reference_numerator(f, s, p), (p, d)
+        top = [p - 1] * (d + 1)
+        assert _numerator(top, top[:d], F) == reference_numerator(top, top[:d], p)
+
+
 def test_bm_inverse_matches_extended_euclid():
     """Seeded sweep over p, sequences of length 2L to 2L + 60 for their
     linear complexity L, arbitrary ones, ones with leading zeros, all-zero
@@ -85,7 +106,7 @@ def test_bm_inverse_matches_extended_euclid():
             cases.append([rng.randrange(p) for _ in range(rng.randrange(61))])
         for s in cases:
             f, ns_inv = berlekamp_massey(s, F)
-            g, want = uni_xgcd(_numerator(f, s, p), f, F)
+            g, want = uni_xgcd(_numerator(f, s, F), f, F)
             assert ns_inv == want, (p, s)
             if deg(f) == 0:
                 assert (f, ns_inv) == ([1], [])
@@ -261,6 +282,6 @@ def test_hankel_solve_singular_raises():
 
 
 def test_rank_helper():
-    assert _rank([[1, 2], [2, 4]], F11) == 1
-    assert _rank([[1, 0], [0, 1]], F11) == 2
-    assert _rank([[0, 0], [0, 0]], F11) == 0
+    assert rank_mod_p([[1, 2], [2, 4]], F11) == 1
+    assert rank_mod_p([[1, 0], [0, 1]], F11) == 2
+    assert rank_mod_p([[0, 0], [0, 0]], F11) == 0

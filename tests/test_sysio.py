@@ -121,6 +121,26 @@ def test_long_malformed_lines_fail_fast():
         assert time.perf_counter() - start < 1.0
 
 
+RUN = "9" * 5000  # past the 4,300 digits int() converts by default
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        (f"p 11\nvars 2\nx1 + {RUN}*x2\n", 3, 6),  # coefficient
+        (f"p 11\nvars 2\nx2 + x1^{RUN}\n", 3, 9),  # exponent
+        (f"p 11\nvars 2\n  x{RUN}\n", 3, 4),  # variable index
+        (f"p {RUN}\nvars 2\nx1\n", 1, 3),  # header: modulus
+        (f"p 11\n vars  {RUN}\nx1\n", 2, 8),  # header: variable count
+    ],
+)
+def test_overlong_digit_runs_name_their_column(text, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_system(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert str(e.value).endswith("number of 5000 digits is too long")
+
+
 # the token alphabet of the differential test, one stray character included
 _FACTOR_TOKENS = ("0", "00", "007", "3", "10", "11", "x0", "x1", "x3", "x01")
 _OTHER_TOKENS = ("+", "-", "*", "^", " ", "\t", "?")

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import reference_uni_divmod, reference_uni_mul
+
 from sparsefglm.field import PrimeField
 from sparsefglm.unipoly import (
     deg,
@@ -59,25 +61,6 @@ def test_divmod_reconstruction():
         uni_divmod(f, [], F11)
 
 
-def _schoolbook_mul(f, g, p):
-    out = [0] * max(0, len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim([c % p for c in out])
-
-
-def _schoolbook_divmod(f, g, p):
-    r = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv = pow(g[-1], -1, p)
-    for i in range(len(q) - 1, -1, -1):
-        q[i] = r[i + len(g) - 1] * inv % p
-        for j, b in enumerate(g):
-            r[i + j] = (r[i + j] - q[i] * b) % p
-    return trim(q), trim(r)
-
-
 def test_mul_and_divmod_match_schoolbook():
     """Seeded operands with zero, constant and leading-zero-free random
     polynomials of unequal lengths: the kernels give the schoolbook answers,
@@ -95,13 +78,63 @@ def test_mul_and_divmod_match_schoolbook():
         for lf in lengths:
             for lg in lengths:
                 f, g = poly(lf), poly(lg)
-                assert uni_mul(f, g, F) == _schoolbook_mul(f, g, p), (p, f, g)
+                assert uni_mul(f, g, F) == reference_uni_mul(f, g, F), (p, f, g)
                 if g:
-                    assert uni_divmod(f, g, F) == _schoolbook_divmod(f, g, p), (p, f, g)
+                    assert uni_divmod(f, g, F) == reference_uni_divmod(f, g, F), (p, f, g)
         # a product divides exactly; a constant divisor leaves no remainder
         f, g = poly(9), poly(4)
         assert uni_divmod(uni_mul(f, g, F), g, F) == (f, [])
         assert uni_divmod(f, [1], F) == (f, [])
+
+
+# every prime width the field packing meets: one byte, two, four, eight,
+# and the int.from_bytes path above eight
+PRIMES = [2, 3, 5, 7, 65521, 2**61 - 1, 618970019642690137449562111]
+LENGTHS = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 1024]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_arithmetic_matches_schoolbook_oracles(p):
+    """Products and divisions agree with the schoolbook oracles on random
+    operands: every pair of lengths up to 89, and each longer length against
+    itself, against a short operand and against half its length, divisors
+    longer than the dividend included."""
+    F = PrimeField(p)
+    rng = random.Random(p)
+
+    def poly(length):
+        if length == 0:
+            return []
+        return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)]
+
+    short = [L for L in LENGTHS if L <= 89]
+    pairs = [(a, b) for a in short for b in short]
+    for L in LENGTHS[len(short) :]:
+        pairs += [(L, L), (L, 3), (3, L), (L, L // 2 + 1), (L // 2, L)]
+    for lf, lg in pairs:
+        f, g = poly(lf), poly(lg)
+        assert uni_mul(f, g, F) == reference_uni_mul(f, g, F), (p, lf, lg)
+        if g:
+            assert uni_divmod(f, g, F) == reference_uni_divmod(f, g, F), (p, lf, lg)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_fields_hold_the_largest_values(p):
+    """Operands of p - 1 at the longest lengths fill the packed fields up to
+    their bounds, min(len) (p-1)^2 for a product and (p-1) + k (p-1)^2 for a
+    division with quotient length k; a field one width step narrower would
+    carry into its neighbour."""
+    F = PrimeField(p)
+    top = [p - 1] * 1024
+    for lg in (1024, 512):
+        # (p-1)^2 = 1, so coefficient i counts the products that meet there
+        want = trim([min(i + 1, lg, 1024 + lg - 1 - i) % p for i in range(1024 + lg - 1)])
+        assert uni_mul(top, top[:lg], F) == want
+    # g of p - 1 and a quotient of ones: each step adds (p-1) * g, so the
+    # remainder fields take k additions of (p-1)^2 each
+    g, k = top[:513], 512
+    f = uni_add(reference_uni_mul([1] * k, g, F), top[:512], F)
+    assert uni_divmod(f, g, F) == ([1] * k, top[:512])
 
 
 def test_gcd_and_xgcd():
