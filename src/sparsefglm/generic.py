@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .quotient import QuotientStructure
+from .quotient import QuotientStructure, density_stats
 from .terms import divides, var_term
 
 
@@ -74,7 +74,7 @@ def verify_moreno_socias(Q: QuotientStructure, n: int, d: int) -> dict:
     """
     predicted = dense_column_count(n, d)
     T1 = Q.matrix(1)
-    measured = len(T1.column_cases) - T1.column_cases.count(1)
+    measured = density_stats(T1)["dense_column_count"]
     x1 = var_term(Q.n, 1)
     gens_with_x1 = sum(1 for g in Q.G1.polys if divides(x1, g.lt("drl")))
     return {

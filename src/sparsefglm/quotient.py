@@ -9,9 +9,10 @@ Column construction distinguishes three cases for the product term eps_i*x_j:
 (read the column off that polynomial), (3) it is a border term and must be
 reduced.  Case (3) rewrites the product through previously computed columns
 (a cascade), never reducing a polynomial; tests check every column against
-direct reduction.  Each matrix also packs its case-2/3 columns side by side
-into one int per row, so a transposed product is one multiply-add per
-vector entry, not one per stored entry.
+direct reduction.  Each matrix is held packed twice, one int per column and
+one int per row of its case-2/3 columns, so a product with it or with its
+transpose is one big-int multiply-add per vector entry, not one per stored
+entry.  Both products take vectors already reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -27,73 +28,70 @@ CoordVector = list[int]
 
 
 class SparseMat:
-    """Column-major sparse D x D matrix over a prime field.
+    """D x D matrix over GF(p) in two packed layouts, both in the fields of
+    `field_codec` for the bound D*(p-1)^2: a sum of columns (or rows) scaled
+    by entries in [0, p) holds each dot product in its own field, uncarried.
 
-    `columns` holds each column as (row, a) pairs, read by `apply`, `nnz`
-    and `dump_matrix`.  `apply_transpose` reads a second layout: `packed`
-    holds one int per row r with T[r][c] of every case-2/3 (dense) column c
-    side by side, the k-th dense column in the k-th field of `field_codec`
-    for the bound D*(p-1)^2, the largest dot product of a column with a
-    reduced vector, so a sum of rows scaled by reduced entries never carries
-    from one field into the next.  `dense` gives those columns as full
-    vectors, in column order.  `fields` splits the `nbytes` bytes of such a
-    sum into its field values, and `gather` picks the entry of v for each
-    unit (case-1) column and the field of each dense column out of
-    v + [fields] in column order.
+    `columns` holds one int per column c with T[r][c] in field r (a unit,
+    case-1, column is a single 1 in its row's field) for `apply`;
+    `column_fields` splits the `column_nbytes` bytes of a sum of them.
+    `packed` holds one int per row r with T[r][c] of every case-2/3 (dense)
+    column c, the k-th dense column in field k, for `apply_transpose`;
+    `fields` splits the `nbytes` bytes of a sum of them, and `gather` picks
+    the entry of v for each unit column and the field of each dense column
+    out of v + [fields] in column order.
     """
 
-    __slots__ = ("dim", "columns", "nnz", "column_cases", "p", "packed", "nbytes", "fields", "gather")
+    __slots__ = ("dim", "column_cases", "p", "columns", "column_nbytes", "column_fields",
+                 "packed", "nbytes", "fields", "gather")
 
-    def __init__(
-        self,
-        dim: int,
-        columns: list[list[tuple[int, int]]],
-        column_cases: list[int],
-        p: int,
-        dense: list[CoordVector],
-    ):
+    def __init__(self, dim: int, columns: list[int | CoordVector], column_cases: list[int], p: int):
+        """columns[c] is the row of a unit column's 1, else the whole column."""
         self.dim = dim
-        self.columns = columns
         self.column_cases = column_cases
-        self.nnz = sum(len(col) for col in columns)
         self.p = p
-        width, pack, self.fields = field_codec(len(dense), dim * (p - 1) ** 2)
+        bound = dim * (p - 1) ** 2
+        width, pack_column, self.column_fields = field_codec(dim, bound)
+        self.column_nbytes = dim * width
+        dense = [col for col, case in zip(columns, column_cases) if case != 1]
+        _, pack_row, self.fields = field_codec(len(dense), bound)
         self.nbytes = len(dense) * width
+        self.columns = [
+            1 << 8 * width * col if case == 1 else int.from_bytes(pack_column(*col), "little")
+            for col, case in zip(columns, column_cases)
+        ]
         at = iter(range(dim, dim + len(dense)))
-        picks = [col[0][0] if case == 1 else next(at) for col, case in zip(columns, column_cases)]
+        picks = [col if case == 1 else next(at) for col, case in zip(columns, column_cases)]
         # row r packs the r-th entry of every dense column
-        self.packed = list(map(int.from_bytes, map(pack, *dense), repeat("little")))
+        self.packed = list(map(int.from_bytes, map(pack_row, *dense), repeat("little")))
         # itemgetter of one index returns the item itself, not a 1-tuple
         self.gather = itemgetter(*picks) if dim > 1 else lambda v, k=picks[0]: (v[k],)
+
+    def column_entries(self) -> list:
+        """Every column's D entries, unpacked (tuples or lists)."""
+        nbytes = self.column_nbytes
+        return [self.column_fields(c.to_bytes(nbytes, "little")) for c in self.columns]
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    p = T.p
-    out = [0] * T.dim
-    for col, vc in enumerate(v):
-        if vc:
-            for row, a in T.columns[col]:
-                out[row] = (out[row] + a * vc) % p
-    return out
+    fields = T.column_fields(sum(map(mul, T.columns, v)).to_bytes(T.column_nbytes, "little"))
+    return list(map(T.p.__rmod__, fields))
 
 
 def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    p = T.p
-    if min(v) < 0 or max(v) >= p:
-        # the field width in T.packed holds only products of reduced entries
-        v = [x % p for x in v]
     fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.nbytes, "little"))
-    return list(T.gather(v + list(map(p.__rmod__, fields))))
+    return list(T.gather(v + list(map(T.p.__rmod__, fields))))
 
 
 def density_stats(T: SparseMat) -> dict:
+    nnz = sum(T.dim - col.count(0) for col in T.column_entries())
     return {
-        "nnz": T.nnz,
-        "percent_nonzero": 100.0 * T.nnz / (T.dim * T.dim),
+        "nnz": nnz,
+        "percent_nonzero": 100.0 * nnz / (T.dim * T.dim),
         "dense_column_count": len(T.column_cases) - T.column_cases.count(1),
     }
 
@@ -219,18 +217,16 @@ class QuotientStructure:
         xj = var_term(self.n, j)
         columns = []
         cases = []
-        dense = []
         for eps in self.basis:
             t = term_mul(eps, xj)
-            if t in self.index:
-                columns.append([(self.index[t], 1)])
+            row = self.index.get(t)
+            if row is not None:
+                columns.append(row)
                 cases.append(1)
-                continue
-            cases.append(2 if t in self._lt_map else 3)
-            v = self._nf_term_cascade(t)
-            columns.append([(row, a) for row, a in enumerate(v) if a])
-            dense.append(v)
-        return SparseMat(self.D, columns, cases, self.F.p, dense)
+            else:
+                columns.append(self._nf_term_cascade(t))
+                cases.append(2 if t in self._lt_map else 3)
+        return SparseMat(self.D, columns, cases, self.F.p)
 
     # --- vectors of polynomials -------------------------------------------
 
@@ -260,8 +256,10 @@ class QuotientStructure:
 def dump_matrix(Q: QuotientStructure, j: int) -> str:
     """`D n j nnz` header, then `row col value` per nonzero, ascending (col, row)."""
     T = Q.matrix(j)
-    lines = [f"{T.dim} {Q.n} {j} {T.nnz}"]
-    for col in range(T.dim):
-        for row, a in T.columns[col]:
-            lines.append(f"{row} {col} {a}")
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{row} {col} {a}"
+        for col, entries in enumerate(T.column_entries())
+        for row, a in enumerate(entries)
+        if a
+    ]
+    return "\n".join([f"{T.dim} {Q.n} {j} {len(lines)}", *lines]) + "\n"

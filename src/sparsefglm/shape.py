@@ -111,9 +111,7 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
     for c in reversed(g):
         out = step(T, out)
         if c:
-            for k, vk in enumerate(v):
-                if vk:
-                    out[k] = (out[k] + c * vk) % p
+            out = [(o + c * x) % p for o, x in zip(out, v)]
     return out
 
 
@@ -165,7 +163,10 @@ def shape_prob(
     if probe is None:
         rng = random.Random(seed)
         probe = [rng.randrange(F.p) for _ in range(D)]
-    chain, s, fit = _krylov(T1, probe, 2 * D, F)
+    elif len(probe) != D:
+        raise ValueError(f"probe length {len(probe)} does not match D = {D}")
+    # the products take reduced vectors; a given probe is reduced here, once
+    chain, s, fit = _krylov(T1, [x % F.p for x in probe], 2 * D, F)
     d = deg(fit[0])
     if d < D:
         return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", (chain, s, fit))

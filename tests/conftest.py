@@ -14,8 +14,8 @@ import pytest
 
 from sparsefglm.buchberger import buchberger
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, MultiPoly, Row, reduce_rows
-from sparsefglm.quotient import QuotientStructure, apply
+from sparsefglm.poly import GroebnerBasis, MultiPoly, Row, normal_form, reduce_rows
+from sparsefglm.quotient import CoordVector, QuotientStructure
 from sparsefglm.sysio import ParseError, parse_system, poly_str
 from sparsefglm.terms import (
     OrderingTag,
@@ -102,8 +102,39 @@ def normal_form_linear_scan(f, reducers, ordering, F):
     return MultiPoly(f.n, out)
 
 
+def reference_nf_term(Q: QuotientStructure, t: Term) -> CoordVector:
+    """Coordinate vector of NF(x^t) by direct reduction against the basis."""
+    f = normal_form(MultiPoly(Q.n, {t: 1}), Q.G1.polys, "drl", Q.F)
+    v = [0] * Q.D
+    for s, c in f.coeffs.items():
+        v[Q.index[s]] = c
+    return v
+
+
+def reference_matrix(Q: QuotientStructure, j: int) -> list[CoordVector]:
+    """Reference oracle for T_j, dense and column by column: column c is
+    NF(b_c * x_j) by direct reduction, b_c the c-th staircase term.  It
+    shares neither the cascade nor the packed layout of `Q.matrix(j)`."""
+    xj = var_term(Q.n, j)
+    return [reference_nf_term(Q, term_mul(b, xj)) for b in Q.basis]
+
+
+def reference_apply(M: list[CoordVector], v: CoordVector, p: int) -> CoordVector:
+    """Reference oracle for `quotient.apply` on the columns M of
+    `reference_matrix`: the schoolbook loop over each column's nonzero
+    (row, a) entries that the packed columns replaced."""
+    out = [0] * len(M)
+    for col, vc in enumerate(v):
+        if vc:
+            for row, a in enumerate(M[col]):
+                if a:
+                    out[row] = (out[row] + a * vc) % p
+    return out
+
+
 def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
-    """Reference oracle for `classic_fglm`, the unpacked version it replaced.
+    """Reference oracle for `classic_fglm`, the unpacked version it replaced,
+    on `reference_matrix` and `reference_apply` rather than Q's matrices.
 
     Reduced Groebner basis w.r.t. target by enumerating terms ascending.
 
@@ -115,6 +146,7 @@ def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> Groebne
     p = F.p
     n = Q.n
     key = term_key(target)
+    mats = [None] + [reference_matrix(Q, j) for j in range(1, n + 1)]
 
     raw_vec: dict[Term, list[int]] = {}  # target-staircase term -> vec(NF(term))
     # echelon rows: pivot -> (normalized vector, combination over staircase terms)
@@ -129,7 +161,7 @@ def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> Groebne
         _, t, parent, j = heapq.heappop(heap)
         if any(divides(l, t) for l in lts):
             continue
-        v = list(Q.e()) if parent is None else apply(Q.matrix(j), raw_vec[parent])
+        v = list(Q.e()) if parent is None else reference_apply(mats[j], raw_vec[parent], p)
         # reduce against the echelon, tracking the combination
         r = list(v)
         combo: dict[Term, int] = {}
@@ -347,12 +379,16 @@ def rank_mod_p(rows: list[list[int]], F: PrimeField) -> int:
 
 
 def noncommuting_units(Q: QuotientStructure) -> list[int]:
-    """Indices i of the bivariate Q with T_1 T_2 e_i != T_2 T_1 e_i."""
-    T1, T2 = Q.matrix(1), Q.matrix(2)
+    """Indices i of the bivariate Q with T_1 T_2 e_i != T_2 T_1 e_i, on
+    `reference_matrix` and `reference_apply`."""
+    T1, T2 = reference_matrix(Q, 1), reference_matrix(Q, 2)
+    p = Q.F.p
     bad = []
     for i in range(Q.D):
         e = [int(k == i) for k in range(Q.D)]
-        if apply(T1, apply(T2, e)) != apply(T2, apply(T1, e)):
+        if reference_apply(T1, reference_apply(T2, e, p), p) != reference_apply(
+            T2, reference_apply(T1, e, p), p
+        ):
             bad.append(i)
     return bad
 

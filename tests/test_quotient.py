@@ -1,11 +1,12 @@
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, InternalError, MultiPoly, mp_scale, normal_form
+from sparsefglm.poly import GroebnerBasis, InternalError, MultiPoly, mp_scale
 from sparsefglm.quotient import (
     QuotientStructure,
     SparseMat,
@@ -16,7 +17,13 @@ from sparsefglm.quotient import (
 )
 from sparsefglm.sysio import parse_system
 
-from conftest import GF11_TEXT, quotient_from_text
+from conftest import (
+    GF11_TEXT,
+    quotient_from_text,
+    reference_apply,
+    reference_matrix,
+    reference_nf_term,
+)
 
 F11 = PrimeField(11)
 # 1-byte fields at p = 2 up to 32-byte ones at 2^89 - 1, past every struct format
@@ -42,26 +49,14 @@ def test_nf_of_var(gf11):
     assert gf11.nf_of_var(3) == [2, 0, 0, 0]
 
 
-def nf_term_oracle(Q, t):
-    """Coordinate vector of NF(x^t) by direct reduction against the basis."""
-    f = normal_form(MultiPoly(Q.n, {t: 1}), Q.G1.polys, "drl", Q.F)
-    v = [0] * Q.D
-    for s, c in f.coeffs.items():
-        v[Q.index[s]] = c
-    return v
-
-
 def assert_columns_are_reduced_normal_forms(Q):
+    """Column k of T_j, read as T_j e_k, is the reference column NF(b_k x_j)."""
     case3 = 0
     for j in range(1, Q.n + 1):
         T = Q.matrix(j)
         case3 += T.column_cases.count(3)
-        for k, eps in enumerate(Q.basis):
-            t = tuple(e + (idx == j - 1) for idx, e in enumerate(eps))
-            col = [0] * Q.D
-            for row, a in T.columns[k]:
-                col[row] = a
-            assert col == nf_term_oracle(Q, t), (j, eps)
+        for k, (eps, want) in enumerate(zip(Q.basis, reference_matrix(Q, j))):
+            assert apply(T, [int(r == k) for r in range(Q.D)]) == want, (j, eps)
     return case3
 
 
@@ -70,7 +65,7 @@ def test_matrix_columns_are_normal_forms(gf11, gf2q):
     assert assert_columns_are_reduced_normal_forms(gf2q) > 0
     # term_vec reaches the terms no column holds through matrix products
     for t in product(range(6), repeat=2):
-        assert gf2q.term_vec(t) == nf_term_oracle(gf2q, t), t
+        assert gf2q.term_vec(t) == reference_nf_term(gf2q, t), t
 
 
 def test_case_counts_gf11(gf11):
@@ -143,14 +138,11 @@ def test_apply_transpose_is_adjoint(gf2q):
         assert gf2q.F.dot(apply_transpose(T, u), v) == gf2q.F.dot(u, apply(T, v))
 
 
-@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
-def test_apply_transpose_matches_column_sums(p):
-    """(T^t v)[c] = sum_r T[r][c] v[r], read off the (row, a) pairs, on every
-    T_j: random systems, the monomial ideal (empty columns) and the D = 1
-    ideal <x1 - 3, x2 - 5> (a gather of one index).  One vector per matrix
-    has entries outside [0, p), which must be reduced before packing."""
+def product_quotients(p):
+    """Every Q whose T_j the product tests run on: random systems, the
+    monomial ideal (empty columns) and the D = 1 ideal <x1 - 3, x2 - 5> (a
+    gather of one index)."""
     F = PrimeField(p)
-    rng = random.Random(p)
     quotients = [
         QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
         for n, d in ((2, 4), (3, 2))
@@ -163,23 +155,43 @@ def test_apply_transpose_matches_column_sums(p):
     ]
     quotients.append(QuotientStructure(buchberger(point, "drl", F), F))
     assert quotients[-1].D == 1
+    return quotients
+
+
+@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
+def test_apply_transpose_matches_column_sums(p):
+    """(T^t v)[c] = sum_r T[r][c] v[r] over the columns of reference_matrix,
+    on every T_j of product_quotients.  Entries outside [0, p) are the
+    caller's to reduce (see test_shape_prob_reduces_its_probe_once)."""
+    rng = random.Random(p)
     empty_columns = 0
-    for Q in quotients:
+    for Q in product_quotients(p):
         for j in range(1, Q.n + 1):
-            T = Q.matrix(j)
-            empty_columns += sum(not col for col in T.columns)
-            dense = [[0] * Q.D for _ in range(Q.D)]
-            for c, col in enumerate(T.columns):
-                for r, a in col:
-                    dense[r][c] = a
+            M = reference_matrix(Q, j)
+            empty_columns += sum(not any(col) for col in M)
             for _ in range(3):
                 v = [rng.randrange(p) for _ in range(Q.D)]
-                want = [sum(dense[r][c] * v[r] for r in range(Q.D)) % p for c in range(Q.D)]
-                assert apply_transpose(T, v) == want, (Q.basis, j, v)
-            v = [rng.randrange(-p, 2 * p) for _ in range(Q.D)]
-            want = [sum(dense[r][c] * v[r] for r in range(Q.D)) % p for c in range(Q.D)]
-            assert [x % p for x in apply_transpose(T, v)] == want, (Q.basis, j, v)
+                want = [sum(map(mul, col, v)) % p for col in M]
+                assert apply_transpose(Q.matrix(j), v) == want, (Q.basis, j, v)
     assert empty_columns > 0
+
+
+@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
+def test_apply_matches_reference_apply(p):
+    """T v against the schoolbook loop over reference_matrix's columns, on
+    every T_j of product_quotients, for random vectors and unit vectors."""
+    rng = random.Random(p)
+    for Q in product_quotients(p):
+        for j in range(1, Q.n + 1):
+            M = reference_matrix(Q, j)
+            vectors = [[rng.randrange(p) for _ in range(Q.D)] for _ in range(3)]
+            vectors.append([int(r == Q.D - 1) for r in range(Q.D)])
+            for v in vectors:
+                assert apply(Q.matrix(j), v) == reference_apply(M, v, p), (Q.basis, j, v)
+
+
+def all_p_minus_one(D, p):
+    return SparseMat(D, [[p - 1] * D for _ in range(D)], [3] * D, p)
 
 
 @pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
@@ -188,8 +200,17 @@ def test_apply_transpose_fields_hold_the_largest_dot_product(D, p):
     """Dense columns of p - 1 against v = [p - 1] * D fill every field of
     the packed rows with D (p - 1)^2, the most it may hold; a field one
     width step narrower would carry into its neighbour."""
-    T = SparseMat(D, [[(r, p - 1) for r in range(D)] for _ in range(D)], [3] * D, p, [[p - 1] * D] * D)
+    T = all_p_minus_one(D, p)
     assert apply_transpose(T, [p - 1] * D) == [D * (p - 1) ** 2 % p] * D
+
+
+@pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
+@pytest.mark.parametrize("D", [1, 2, 3, 64, 257])
+def test_apply_fields_hold_the_largest_dot_product(D, p):
+    """The same bound for the packed columns: every field of T v holds
+    D (p - 1)^2."""
+    T = all_p_minus_one(D, p)
+    assert apply(T, [p - 1] * D) == [D * (p - 1) ** 2 % p] * D
 
 
 def test_apply_length_check(gf11):

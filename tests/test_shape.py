@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
@@ -47,6 +49,26 @@ def test_shape_prob_gf11_random_probe_agrees(gf11):
     pinned = shape_prob(gf11, seed=0, probe=[8, 4, 8, 6])
     got = shape_prob(gf11, seed=1)
     assert got == pinned
+
+
+@pytest.mark.parametrize("p", [11, 65521, 2**61 - 1, 2**89 - 1])
+def test_shape_prob_reduces_its_probe_once(gf11, p):
+    """A given probe is reduced mod p once, so entries below 0 or at p and
+    above give the answer of the reduced probe (the products and the
+    packed tail solves take reduced entries only); a probe of the wrong
+    length is a ValueError, as in bms_change."""
+    Q, probe = gf11, [8, 4, 8, 6]
+    if p != 11:
+        F = PrimeField(p)
+        Q = QuotientStructure(buchberger(gen_random_system(2, 3, p, 5), "drl", F), F)
+        probe = [random.Random(p).randrange(p) for _ in range(Q.D)]
+    want = shape_prob(Q, seed=None, probe=probe)
+    assert isinstance(want, ShapeBasis)
+    for shifted in ([x - p for x in probe], [x + p for x in probe], [x - 5 * p for x in probe]):
+        assert shape_prob(Q, seed=None, probe=shifted) == want
+    for bad in (probe[:-1], probe + [0]):
+        with pytest.raises(ValueError, match="probe length"):
+            shape_prob(Q, seed=None, probe=bad)
 
 
 def test_shape_prob_gf2_probes_see_proper_factors(gf2q):
