@@ -2,6 +2,12 @@
 
 Good enough for the desk-scale inputs the converters are exercised on
 (D up to a few hundred); not a serious GB engine.
+
+The working polynomials are packed over DRL ranks (`terms.rank_space`):
+one int of `field.field_codec` fields, the field at rank r holding the
+coefficient of the r-th term.  A reducer row's tail times the quotient
+term that puts its leading term at t is packed once per (row, t) and kept
+for the run, so a reduction step is one big-int multiply-add.
 """
 
 from __future__ import annotations
@@ -10,104 +16,218 @@ import bisect
 import heapq
 import random
 from itertools import combinations_with_replacement
-from operator import itemgetter
 
-from .field import PrimeField
-from .poly import (
-    GroebnerBasis,
-    MultiPoly,
-    Row,
-    interreduce_rows,
-    make_row,
-    reduce_rows,
-    reducer_row,
-    row_poly,
-)
-from .terms import OrderingTag, Term, TermCodec, term_codec
+from .field import PrimeField, field_codec
+from .poly import GroebnerBasis, MultiPoly, reducer_row, row_poly
+from .terms import OrderingTag, Term, TermCodec, rank_space, term_codec
 
 
-def _lcm(a: Term, b: Term) -> Term:
-    return tuple(map(max, a, b))
+_UNSEEN = object()
 
 
-def _coprime(a: Term, b: Term) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+class _PackedRows:
+    """The reducer table of one Buchberger run, with its products packed
+    over DRL ranks.
 
+    `product(k, r)` is the tail of row k times the quotient term that puts
+    its leading term at rank r: the entries (delta, m) of the tail land at
+    rank(t + delta) for the term t of rank r.  It is kept as (P, shift),
+    P packed from its lowest rank up, so that a sparse row far up the space
+    holds only the span of its own terms.  `reduce` reads the top field of a
+    packed polynomial, clears it and reduces it mod p to c; a nonzero c
+    either goes to the output or adds c * product for the smallest dividing
+    leading term, the fields left unreduced.
 
-def _spoly(f: Row, g: Row, m: int, codec: TermCodec, p: int) -> dict[int, int]:
-    """The packed S-polynomial of two monic rows whose leading terms have the
-    packed lcm m: the term at m cancels, and a tail entry (delta, c) of a row
-    lands at m + delta."""
-    out = {codec.check(m + d): p - c for d, c in f[1]}
-    for d, c in g[1]:
-        u = codec.check(m + d)
-        v = (out.get(u, 0) + c) % p
-        if v:
-            out[u] = v
-        else:
-            out.pop(u, None)
-    return out
+    Pivots strictly descend, so a field below the top rank R gets its start
+    value, at most (p-1) + (p-1)^2 for an S-polynomial, and at most one
+    c * m <= (p-1)^2 per pivot above it: `fit` sizes the fields for
+    (p-1) + (R+1)(p-1)^2 and, when a reduction reaches past the top rank it
+    was sized for, widens them and drops every product packed so far.
+    """
+
+    def __init__(self, codec: TermCodec, p: int):
+        space = rank_space(codec.n)
+        self.terms, self.ranks, self.rank = space.terms, space.ranks, space.rank
+        self.codec = codec
+        self.p = p
+        # (leading term - lift, row index) ascending, equal leading terms in
+        # basis order: lt divides t iff (t - low) & guard == mark
+        self.table: list[tuple[int, int]] = []
+        # per row, the tail's deltas and multipliers by descending term
+        self.tails: list[tuple[list[int], list[int]]] = []
+        self.top = -1
+        self.bound = self.bits = 0
+        self.products: dict[tuple[int, int], tuple[int, int]] = {}
+        # rank -> (P, shift, low) of the winning row's product at that rank,
+        # or None if no leading term divides; kept up to date by `add`
+        self.reducers: dict[int, tuple[int, int, int] | None] = {}
+
+    def add(self, lt: int, tail: list[tuple[int, int]]) -> None:
+        """Append the row (lt, tail), its tail by descending term."""
+        low = lt - self.codec.lift
+        bisect.insort(self.table, (low, len(self.tails)))
+        self.tails.append(([d for d, _ in tail], [m for _, m in tail]))
+        # the new leading term wins wherever it divides and is smaller
+        terms, guard, mark = self.terms, self.codec.guard, self.codec.mark
+        for r in [
+            r
+            for r, hit in self.reducers.items()
+            if (hit is None or hit[2] > low) and (terms[r] - low) & guard == mark
+        ]:
+            del self.reducers[r]
+
+    def fit(self, r: int) -> None:
+        """Size the fields for a reduction whose terms lie at ranks <= r."""
+        if r > self.top:
+            self.top = r
+            p = self.p
+            self.bound = (p - 1) + (r + 1) * (p - 1) ** 2
+            bits = 8 * field_codec(1, self.bound)[0]
+            if bits != self.bits:
+                self.bits = bits
+                self.products.clear()
+                self.reducers.clear()
+
+    def product(self, k: int, r: int) -> tuple[int, int]:
+        key = k, r
+        P = self.products.get(key)
+        if P is None:
+            deltas, mults = self.tails[k]
+            # the space already holds every term up to t's degree
+            t, rank = self.terms[r], self.ranks
+            ranks = [rank[t + d] for d in deltas]
+            if ranks:
+                low = ranks[-1]
+                fields = [0] * (ranks[0] + 1 - low)
+                for u, m in zip(ranks, mults):
+                    fields[u - low] = m
+                pack = field_codec(len(fields), self.bound)[1]
+                P = int.from_bytes(pack(*fields), "little"), self.bits * low
+            else:
+                P = 0, 0
+            self.products[key] = P
+        return P
+
+    def _reducer(self, r: int) -> tuple[int, int, int] | None:
+        t, guard, mark = self.terms[r], self.codec.guard, self.codec.mark
+        for low, k in self.table:
+            if (t - low) & guard == mark:
+                return *self.product(k, r), low
+        return None
+
+    def reduce(self, work: int, base: int) -> list[tuple[int, int]]:
+        """The normal form of the packed polynomial work << base under the
+        table, as (rank, coefficient) pairs by descending rank.  base, a
+        multiple of the field width, drops to the lowest product added, so
+        that a sparse polynomial far up the space stays a short int."""
+        p, bits, reducers = self.p, self.bits, self.reducers
+        log = bits.bit_length() - 1
+        out = []
+        while work:
+            shift = (work.bit_length() - 1) & -bits
+            v = work >> shift
+            work -= v << shift
+            c = v % p
+            if c:
+                r = shift + base >> log
+                hit = reducers.get(r, _UNSEEN)
+                if hit is _UNSEEN:
+                    hit = reducers[r] = self._reducer(r)
+                if hit is None:
+                    out.append((r, c))
+                else:
+                    P, s, _ = hit
+                    if s >= base:
+                        work += c * P << s - base
+                    else:
+                        work = (work << base - s) + c * P
+                        base = s
+        return out
 
 
 def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> GroebnerBasis:
-    """Reduced Groebner basis via S-polynomials.
+    """Reduced Groebner basis via S-polynomials, in DRL only.
 
     Pairs are pruned with the product criterion (coprime leading terms) and
     the chain criterion; pairs are handled smallest-lcm first.  The working
-    basis is kept as monic packed rows (see `poly`) from the first reduction
-    to the final interreduction; only the result is built as MultiPolys.
+    basis is kept as monic rows (see `poly`), and every reduction runs on
+    polynomials packed over DRL ranks (see `_PackedRows`); only the result
+    is built as MultiPolys.  Ranks number the terms degree by degree, which
+    no ordering but a graded one allows, so any ordering other than "drl"
+    raises ValueError.
     """
+    if ordering != "drl":
+        raise ValueError(f"buchberger runs in the DRL ordering only, not {ordering!r}")
     G = [g for g in polys if not g.is_zero()]
     if not G:
         raise ValueError("empty generating set")
     codec = term_codec(G[0].n, ordering)
+    guard, mark = codec.guard, codec.mark
     p = F.p
-    rows = [reducer_row(g, ordering, F) for g in G]
-    lts = [codec.unpack(lt) for lt, _ in rows]
-    # the reducers by ascending leading term, equal ones in basis order
-    table = sorted(rows, key=itemgetter(0))
+    packed = _PackedRows(codec, p)
+    terms = packed.terms
+    # per row: the leading term's exponents, the set of its variables as a
+    # bit mask (coprime leading terms share none), and lt - lift for the
+    # divisibility test
+    lts: list[Term] = []
+    supports: list[int] = []
+    lows: list[int] = []
     # pending pairs: the set answers the chain criterion's membership test,
     # the heap pops them smallest-lcm first, keyed once when each is made
     pairs: set[tuple[int, int]] = set()
     queue: list[tuple[int, int, int]] = []
+    pack, push = codec.pack, heapq.heappush
 
-    def add_pair(i: int, j: int) -> None:
-        pairs.add((i, j))
-        heapq.heappush(queue, (codec.pack(_lcm(lts[i], lts[j])), i, j))
-
-    for j in range(len(rows)):
-        for i in range(j):
-            add_pair(i, j)
+    def add_row(lt: int, tail: list[tuple[int, int]]) -> None:
+        packed.add(lt, tail)
+        e = codec.unpack(lt)
+        k = len(lts)
+        for i, a in enumerate(lts):
+            pairs.add((i, k))
+            push(queue, (pack(tuple(map(max, a, e))), i, k))
+        lts.append(e)
+        supports.append(sum(1 << v for v, x in enumerate(e) if x))
+        lows.append(lt - codec.lift)
 
     def chain_prunable(i: int, j: int, m: int) -> bool:
-        for k, (lk, _) in enumerate(rows):
-            if k in (i, j):
-                continue
-            if codec.divides(lk, m):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
+        for k, low in enumerate(lows):
+            if (m - low) & guard == mark and k != i and k != j:
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
                 if a not in pairs and b not in pairs:
                     return True
         return False
 
+    for g in G:
+        lt, tail = reducer_row(g, ordering, F)
+        add_row(lt, sorted(tail, reverse=True))
     while queue:
         m, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
-        if _coprime(lts[i], lts[j]):
+        if not supports[i] & supports[j] or chain_prunable(i, j, m):
             continue
-        if chain_prunable(i, j, m):
+        r = packed.rank(m)
+        packed.fit(r)
+        # the S-polynomial: both leading terms cancel at m
+        (Pj, sj), (Pi, si) = packed.product(j, r), packed.product(i, r)
+        base = min(sj, si)
+        out = packed.reduce((Pj << sj - base) + ((p - 1) * Pi << si - base), base)
+        if out:
+            r0, c0 = out[0]
+            lt, scale = terms[r0], p - F.inv(c0)
+            add_row(lt, [(terms[u] - lt, c * scale % p) for u, c in out[1:]])
+    # the reduced basis: one normal form per minimal row's tail under the
+    # final table, whose normal forms are unique; a leading term divisible by
+    # an earlier one in the table, an equal one included, is not minimal
+    basis = []
+    for at, (low, k) in enumerate(packed.table):
+        lt = low + codec.lift
+        if any((lt - low2) & guard == mark for low2, _ in packed.table[:at]):
             continue
-        r = reduce_rows(_spoly(rows[i], rows[j], m, codec, p), table, codec, p)
-        if not r:
-            continue
-        row = make_row(r, F)
-        rows.append(row)
-        lts.append(codec.unpack(row[0]))
-        bisect.insort(table, row, key=itemgetter(0))
-        k = len(rows) - 1
-        for i2 in range(k):
-            add_pair(i2, k)
-    basis = [row_poly(row, codec, F) for row in interreduce_rows(rows, codec, p)]
+        r = packed.rank(lt)
+        packed.fit(r)
+        tail = [(terms[u] - lt, c) for u, c in packed.reduce(*packed.product(k, r))]
+        basis.append(row_poly((lt, tail), codec, F))
     return GroebnerBasis(basis, ordering, reduced=True)
 
 

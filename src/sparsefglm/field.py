@@ -9,6 +9,7 @@ one int of fixed-width fields, for matrix rows and polynomial products.
 from __future__ import annotations
 
 import struct
+from functools import cache
 from operator import mul
 
 
@@ -73,17 +74,20 @@ def field_codec(count: int, bound: int):
     """(w, pack, unpack) for `count` little-endian unsigned fields of w bytes,
     w the smallest power of two with 8w >= bit_length(bound): pack(*values)
     gives the bytes, unpack(bytes) the values back.  A struct format up to
-    w = 8, `int.from_bytes` slices above."""
-    width = 1
-    while 8 * width < bound.bit_length():
-        width *= 2
+    w = 8, `int.from_bytes` slices above; made once per (count, w)."""
+    # bit_length L needs ceil(L / 8) bytes, rounded up to a power of two
+    return _field_codec(count, 1 << ((max(bound.bit_length(), 1) - 1) // 8).bit_length())
+
+
+@cache
+def _field_codec(count: int, width: int):
     if width <= 8:
         fmt = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}")
         return width, fmt.pack, fmt.unpack
-    nbytes = count * width
+    nbytes, zero = count * width, bytes(width)
 
     def pack(*values: int) -> bytes:
-        return b"".join(a.to_bytes(width, "little") for a in values)
+        return b"".join([a.to_bytes(width, "little") if a else zero for a in values])
 
     def unpack(b: bytes) -> list[int]:
         return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]

@@ -10,8 +10,9 @@ Reduction runs on packed terms (`terms.TermCodec`).  A reducer is a *row*
 coefficient a the pair (pack(s) - lt, -a/lc).  Reducing the term x^t with
 coefficient c then adds c * m at the packed term t + delta of each tail
 entry (delta, m), so no exponent tuple is built in the loop.
-`reduce_rows` is that loop, a heap of packed terms; `normal_form`,
-`reduce_basis` and `buchberger` all run on it.
+`reduce_rows` is that loop, a heap of packed terms; `normal_form` and
+`reduce_basis` run on it.  `buchberger` keeps its basis as rows too but
+reduces on DRL ranks (see `buchberger._PackedRows`).
 
 A MultiPoly is immutable once constructed: every operation builds a new
 coefficient dict, and nothing writes to `coeffs` afterwards.  That is what

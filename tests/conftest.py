@@ -6,6 +6,7 @@ the monomial ideal the sweep is expected to decline; and reference oracles
 that tests compare the library against.
 """
 
+import bisect
 import heapq
 import re
 from operator import itemgetter, mul, sub
@@ -14,7 +15,17 @@ import pytest
 
 from sparsefglm.buchberger import buchberger
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, MultiPoly, Row, normal_form, reduce_rows
+from sparsefglm.poly import (
+    GroebnerBasis,
+    MultiPoly,
+    Row,
+    interreduce_rows,
+    make_row,
+    normal_form,
+    reduce_rows,
+    reducer_row,
+    row_poly,
+)
 from sparsefglm.quotient import CoordVector, QuotientStructure
 from sparsefglm.sysio import ParseError, parse_system, poly_str
 from sparsefglm.terms import (
@@ -22,6 +33,7 @@ from sparsefglm.terms import (
     Term,
     TermCodec,
     divides,
+    term_codec,
     term_key,
     term_mul,
     unit_term,
@@ -354,6 +366,94 @@ def reference_interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> lis
         rest = reduce_rows({lt + d: p - m for d, m in tail}, keep[:i] + keep[i + 1 :], codec, p)
         out.append((lt, [(u - lt, p - c) for u, c in rest.items()]))
     return out
+
+
+# Reference oracle for `buchberger`: the version that reduced every
+# S-polynomial with the heap loop `poly.reduce_rows` and interreduced with
+# `poly.interreduce_rows`, verbatim.
+def _lcm(a: Term, b: Term) -> Term:
+    return tuple(map(max, a, b))
+
+
+def _coprime(a: Term, b: Term) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def _spoly(f: Row, g: Row, m: int, codec: TermCodec, p: int) -> dict[int, int]:
+    """The packed S-polynomial of two monic rows whose leading terms have the
+    packed lcm m: the term at m cancels, and a tail entry (delta, c) of a row
+    lands at m + delta."""
+    out = {codec.check(m + d): p - c for d, c in f[1]}
+    for d, c in g[1]:
+        u = codec.check(m + d)
+        v = (out.get(u, 0) + c) % p
+        if v:
+            out[u] = v
+        else:
+            out.pop(u, None)
+    return out
+
+
+def reference_buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> GroebnerBasis:
+    """Reduced Groebner basis via S-polynomials.
+
+    Pairs are pruned with the product criterion (coprime leading terms) and
+    the chain criterion; pairs are handled smallest-lcm first.  The working
+    basis is kept as monic packed rows (see `poly`) from the first reduction
+    to the final interreduction; only the result is built as MultiPolys.
+    """
+    G = [g for g in polys if not g.is_zero()]
+    if not G:
+        raise ValueError("empty generating set")
+    codec = term_codec(G[0].n, ordering)
+    p = F.p
+    rows = [reducer_row(g, ordering, F) for g in G]
+    lts = [codec.unpack(lt) for lt, _ in rows]
+    # the reducers by ascending leading term, equal ones in basis order
+    table = sorted(rows, key=itemgetter(0))
+    # pending pairs: the set answers the chain criterion's membership test,
+    # the heap pops them smallest-lcm first, keyed once when each is made
+    pairs: set[tuple[int, int]] = set()
+    queue: list[tuple[int, int, int]] = []
+
+    def add_pair(i: int, j: int) -> None:
+        pairs.add((i, j))
+        heapq.heappush(queue, (codec.pack(_lcm(lts[i], lts[j])), i, j))
+
+    for j in range(len(rows)):
+        for i in range(j):
+            add_pair(i, j)
+
+    def chain_prunable(i: int, j: int, m: int) -> bool:
+        for k, (lk, _) in enumerate(rows):
+            if k in (i, j):
+                continue
+            if codec.divides(lk, m):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a not in pairs and b not in pairs:
+                    return True
+        return False
+
+    while queue:
+        m, i, j = heapq.heappop(queue)
+        pairs.discard((i, j))
+        if _coprime(lts[i], lts[j]):
+            continue
+        if chain_prunable(i, j, m):
+            continue
+        r = reduce_rows(_spoly(rows[i], rows[j], m, codec, p), table, codec, p)
+        if not r:
+            continue
+        row = make_row(r, F)
+        rows.append(row)
+        lts.append(codec.unpack(row[0]))
+        bisect.insort(table, row, key=itemgetter(0))
+        k = len(rows) - 1
+        for i2 in range(k):
+            add_pair(i2, k)
+    basis = [row_poly(row, codec, F) for row in interreduce_rows(rows, codec, p)]
+    return GroebnerBasis(basis, ordering, reduced=True)
 
 
 # The rank of a matrix over GF(p) by Gauss-Jordan elimination; the

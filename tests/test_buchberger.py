@@ -8,11 +8,17 @@ from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly, mp_mul_term, mp_sub, normal_form
-from sparsefglm.terms import divides
+from sparsefglm.terms import MAX_EXP, divides
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
-from conftest import GF11_TEXT, GF2_TEXT, basis_strs, normal_form_linear_scan
+from conftest import (
+    GF11_TEXT,
+    GF2_TEXT,
+    basis_strs,
+    normal_form_linear_scan,
+    reference_buchberger,
+)
 
 
 def spoly(f, g, ordering, F):
@@ -100,6 +106,73 @@ def test_empty_input_rejected():
     F = PrimeField(11)
     with pytest.raises(ValueError):
         buchberger([MultiPoly.zero(2)], "drl", F)
+
+
+# primes from one bit up to fields wider than 8 bytes ((p-1)^2 needs 122 and
+# 178 bits at the last two)
+DIFF_PRIMES = [2, 3, 5, 7, 65521, 2**61 - 1, 618970019642690137449562111]
+
+
+def assert_matches_reference(F, polys):
+    assert basis_strs(buchberger(polys, "drl", F)) == basis_strs(
+        reference_buchberger(polys, "drl", F)
+    )
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+@pytest.mark.parametrize("n,d", [(1, 4), (2, 8), (3, 3), (4, 2), (4, 3)])
+def test_matches_reference_on_random_systems(n, d, p):
+    F = PrimeField(p)
+    for seed in range(1 if (n, d) == (4, 3) else 3):
+        assert_matches_reference(F, gen_random_system(n, d, p, 41800000 + seed))
+
+
+def test_matches_reference_on_worked_texts():
+    for text in (GF11_TEXT, GF2_TEXT):
+        assert_matches_reference(*parse_system(text))
+
+
+@pytest.mark.parametrize("p", [7, 65521])
+def test_matches_reference_on_sparse_wide_family(p):
+    # x1^k + x2 + 1, x1*x2^2 + 3: few terms spread over a rank span that grows
+    # with k^2
+    for k in range(1, 61):
+        assert_matches_reference(*parse_system(f"p {p}\nvars 2\nx1^{k} + x2 + 1\nx1*x2^2 + 3\n"))
+
+
+def test_input_containing_one():
+    F, polys = parse_system("p 65521\nvars 2\nx1^2 + x2\n5\nx1*x2 + 3*x2^2\n")
+    assert basis_strs(buchberger(polys, "drl", F)) == ["1"]
+    assert_matches_reference(F, polys)
+
+
+@pytest.mark.parametrize("p", [2, 65521, 2**61 - 1])
+def test_fields_hold_the_largest_values(p):
+    # g = 1 + x + ... + x^300 and f = g^2, both with coefficients 1: every
+    # multiplier of g's row is p - 1, and the S-polynomial x^300 g - f reduces
+    # by g over a chain of 300 pivots, each p - 1, so a middle field gathers
+    # 300 (p-1)^2 before it is read, half the (R+1)(p-1)^2 of the field bound
+    # at top rank R = 600 (at p = 2 that is 300 > 255)
+    F = PrimeField(p)
+    g = MultiPoly(1, {(e,): 1 for e in range(301)})
+    f = MultiPoly(1, {(e,): (min(e, 600 - e) + 1) % p for e in range(601)})
+    assert basis_strs(buchberger([g, f], "drl", F)) == basis_strs([g])
+    assert_matches_reference(F, [g, f])
+
+
+def test_rejects_orderings_other_than_drl():
+    F, polys = parse_system(GF11_TEXT)
+    with pytest.raises(ValueError, match="'lex'"):
+        buchberger(polys, "lex", F)
+
+
+def test_exponent_overflow_raises():
+    # the lcm x1^MAX_EXP * x2 of the two leading terms leaves its field
+    F = PrimeField(11)
+    polys = [MultiPoly(2, {(MAX_EXP, 0): 1}), MultiPoly(2, {(1, 1): 1, (0, 0): 1})]
+    for gb in (buchberger, reference_buchberger):
+        with pytest.raises(ValueError, match="MAX_EXP"):
+            gb(polys, "drl", F)
 
 
 def test_gen_random_system_shape():

@@ -1,6 +1,6 @@
 import pytest
 
-from sparsefglm.field import PrimeField, _is_prime
+from sparsefglm.field import PrimeField, _is_prime, field_codec
 
 
 def test_rejects_composite_modulus():
@@ -66,3 +66,14 @@ def test_equality_and_hash():
     assert PrimeField(11) != PrimeField(13)
     assert hash(PrimeField(11)) == hash(PrimeField(11))
     assert PrimeField(11) != 11
+
+
+@pytest.mark.parametrize("bound", [1, 255, 256, 65521**2, 2**64, 2**64 + 1, 2**200])
+def test_field_codec_width_and_round_trip(bound):
+    width, pack, unpack = field_codec(5, bound)
+    # the smallest power of two with 8 * width >= bit_length(bound)
+    assert 8 * width >= bound.bit_length() and (width == 1 or 4 * width < bound.bit_length())
+    values = [bound, 0, 1, bound // 2, bound - 1]
+    assert list(unpack(pack(*values))) == values
+    # made once per (count, width)
+    assert field_codec(5, bound)[1] is pack
