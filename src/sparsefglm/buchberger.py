@@ -7,7 +7,10 @@ The working polynomials are packed over DRL ranks (`terms.rank_space`):
 one int of `field.field_codec` fields, the field at rank r holding the
 coefficient of the r-th term.  A reducer row's tail times the quotient
 term that puts its leading term at t is packed once per (row, t) and kept
-for the run, so a reduction step is one big-int multiply-add.
+for the run, so a reduction step is one big-int multiply-add.  Such an int
+costs a field per rank between its lowest and highest term, however few
+terms it holds, so a reduction at a degree with more than RANK_LIMIT ranks
+up to it runs the heap loop `poly.reduce_rows` over packed terms instead.
 """
 
 from __future__ import annotations
@@ -15,14 +18,32 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
+from functools import cache
 from itertools import combinations_with_replacement
+from math import comb
+from operator import itemgetter
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, MultiPoly, reducer_row, row_poly
+from .poly import GroebnerBasis, MultiPoly, Row, reduce_rows, reducer_row, row_poly
 from .terms import OrderingTag, Term, TermCodec, rank_space, term_codec
 
 
 _UNSEEN = object()
+
+# the most ranks a run packs over: a reduction at a degree d with
+# C(d+n, n) > RANK_LIMIT runs the heap loop instead, so that neither the
+# rank space nor a packed polynomial grows past this many fields
+RANK_LIMIT = 1 << 12
+
+
+@cache
+def _top_degree(n: int, limit: int) -> int:
+    """The highest degree d whose ranks in n variables, C(d+n, n) of them,
+    number at most limit (0 if even degree 1 passes it)."""
+    d = 0
+    while comb(d + 1 + n, n) <= limit:
+        d += 1
+    return d
 
 
 class _PackedRows:
@@ -43,6 +64,10 @@ class _PackedRows:
     c * m <= (p-1)^2 per pivot above it: `fit` sizes the fields for
     (p-1) + (R+1)(p-1)^2 and, when a reduction reaches past the top rank it
     was sized for, widens them and drops every product packed so far.
+
+    `normal_form` packs only up to degree `top_degree`, the last whose ranks
+    stay within RANK_LIMIT; above it, it reduces by `poly.reduce_rows` over
+    the same rows.
     """
 
     def __init__(self, codec: TermCodec, p: int):
@@ -50,6 +75,12 @@ class _PackedRows:
         self.terms, self.ranks, self.rank = space.terms, space.ranks, space.rank
         self.codec = codec
         self.p = p
+        # DRL packs the degree in the field above the n exponent fields
+        self.degree_shift = 16 * codec.n
+        self.top_degree = _top_degree(codec.n, RANK_LIMIT)
+        # the rows by ascending leading term, equal ones in basis order, for
+        # `reduce_rows`
+        self.rows: list[Row] = []
         # (leading term - lift, row index) ascending, equal leading terms in
         # basis order: lt divides t iff (t - low) & guard == mark
         self.table: list[tuple[int, int]] = []
@@ -66,6 +97,7 @@ class _PackedRows:
         """Append the row (lt, tail), its tail by descending term."""
         low = lt - self.codec.lift
         bisect.insort(self.table, (low, len(self.tails)))
+        bisect.insort(self.rows, (lt, tail), key=itemgetter(0))
         self.tails.append(([d for d, _ in tail], [m for _, m in tail]))
         # the new leading term wins wherever it divides and is smaller
         terms, guard, mark = self.terms, self.codec.guard, self.codec.mark
@@ -115,12 +147,40 @@ class _PackedRows:
                 return *self.product(k, r), low
         return None
 
+    def normal_form(self, m: int, parts: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+        """The normal form under the table of the sum of c times product(k)
+        at the term m over the (k, c) in parts, as (packed term, coefficient)
+        pairs by descending term."""
+        codec, p = self.codec, self.p
+        if m >> self.degree_shift > self.top_degree:
+            spread: dict[int, int] = {}
+            for k, c in parts:
+                for d, a in zip(*self.tails[k]):
+                    u = m + d
+                    spread[u] = spread.get(u, 0) + c * a
+            return list(reduce_rows(spread, self.rows, codec, p).items())
+        r = self.rank(m)
+        self.fit(r)
+        work = base = 0
+        for k, c in parts:
+            P, s = self.product(k, r)
+            if not P:
+                continue
+            if not work:
+                work, base = c * P, s
+            elif s >= base:
+                work += c * P << s - base
+            else:
+                work = (work << base - s) + c * P
+                base = s
+        return self.reduce(work, base)
+
     def reduce(self, work: int, base: int) -> list[tuple[int, int]]:
         """The normal form of the packed polynomial work << base under the
-        table, as (rank, coefficient) pairs by descending rank.  base, a
+        table, as (packed term, coefficient) pairs by descending term.  base, a
         multiple of the field width, drops to the lowest product added, so
         that a sparse polynomial far up the space stays a short int."""
-        p, bits, reducers = self.p, self.bits, self.reducers
+        p, bits, reducers, terms = self.p, self.bits, self.reducers, self.terms
         log = bits.bit_length() - 1
         out = []
         while work:
@@ -134,7 +194,7 @@ class _PackedRows:
                 if hit is _UNSEEN:
                     hit = reducers[r] = self._reducer(r)
                 if hit is None:
-                    out.append((r, c))
+                    out.append((terms[r], c))
                 else:
                     P, s, _ = hit
                     if s >= base:
@@ -150,11 +210,12 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
 
     Pairs are pruned with the product criterion (coprime leading terms) and
     the chain criterion; pairs are handled smallest-lcm first.  The working
-    basis is kept as monic rows (see `poly`), and every reduction runs on
-    polynomials packed over DRL ranks (see `_PackedRows`); only the result
-    is built as MultiPolys.  Ranks number the terms degree by degree, which
-    no ordering but a graded one allows, so any ordering other than "drl"
-    raises ValueError.
+    basis is kept as monic rows (see `poly`), and a reduction runs on
+    polynomials packed over DRL ranks (see `_PackedRows`) up to the degree
+    where the ranks pass RANK_LIMIT, on the heap loop `poly.reduce_rows`
+    above it; only the result is built as MultiPolys.  Ranks number the
+    terms degree by degree, which no ordering but a graded one allows, so
+    any ordering other than "drl" raises ValueError.
     """
     if ordering != "drl":
         raise ValueError(f"buchberger runs in the DRL ordering only, not {ordering!r}")
@@ -165,7 +226,6 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     guard, mark = codec.guard, codec.mark
     p = F.p
     packed = _PackedRows(codec, p)
-    terms = packed.terms
     # per row: the leading term's exponents, the set of its variables as a
     # bit mask (coprime leading terms share none), and lt - lift for the
     # divisibility test
@@ -201,32 +261,34 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     for g in G:
         lt, tail = reducer_row(g, ordering, F)
         add_row(lt, sorted(tail, reverse=True))
+    inputs = len(lts)
     while queue:
         m, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
         if not supports[i] & supports[j] or chain_prunable(i, j, m):
             continue
-        r = packed.rank(m)
-        packed.fit(r)
         # the S-polynomial: both leading terms cancel at m
-        (Pj, sj), (Pi, si) = packed.product(j, r), packed.product(i, r)
-        base = min(sj, si)
-        out = packed.reduce((Pj << sj - base) + ((p - 1) * Pi << si - base), base)
+        out = packed.normal_form(m, ((j, 1), (i, p - 1)))
         if out:
-            r0, c0 = out[0]
-            lt, scale = terms[r0], p - F.inv(c0)
-            add_row(lt, [(terms[u] - lt, c * scale % p) for u, c in out[1:]])
+            lt, c0 = out[0]
+            scale = p - F.inv(c0)
+            add_row(lt, [(u - lt, c * scale % p) for u, c in out[1:]])
     # the reduced basis: one normal form per minimal row's tail under the
     # final table, whose normal forms are unique; a leading term divisible by
-    # an earlier one in the table, an equal one included, is not minimal
+    # an earlier one in the table, an equal one included, is not minimal.  A
+    # row made by a reduction is irreducible by the rows before it, so only a
+    # later leading term can divide its tail; a tail none divides is kept
     basis = []
     for at, (low, k) in enumerate(packed.table):
         lt = low + codec.lift
         if any((lt - low2) & guard == mark for low2, _ in packed.table[:at]):
             continue
-        r = packed.rank(lt)
-        packed.fit(r)
-        tail = [(terms[u] - lt, c) for u, c in packed.reduce(*packed.product(k, r))]
+        deltas, mults = packed.tails[k]
+        later = lows if k < inputs else lows[k + 1 :]
+        if any((lt + d - low2) & guard == mark for d in deltas for low2 in later):
+            tail = [(u - lt, c) for u, c in packed.normal_form(lt, ((k, 1),))]
+        else:
+            tail = list(zip(deltas, mults))
         basis.append(row_poly((lt, tail), codec, F))
     return GroebnerBasis(basis, ordering, reduced=True)
 

@@ -161,9 +161,10 @@ class RankSpace:
     C(d-1+n, n) .. C(d+n, n) - 1 in ascending order.  DRL compares degrees
     first, so a term's rank stays fixed as the space grows: it is built one
     degree at a time, when `rank` first meets a term of a higher degree, and
-    holds C(d+n, n) entries each way for top degree d.  `rank_space(n)`
-    shares one per n across the process, as `term_codec` does; growing it
-    from two threads at once is not safe.
+    holds C(d+n, n) entries each way for top degree d (`buchberger` asks
+    for no rank past its RANK_LIMIT).  `rank_space(n)` shares one per n
+    across the process, as `term_codec` does; growing it from two threads
+    at once is not safe.
     """
 
     __slots__ = ("n", "terms", "ranks", "_front")

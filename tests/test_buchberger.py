@@ -1,16 +1,20 @@
+import importlib
 from itertools import combinations
 from operator import sub
 
 import pytest
 
 from sparsefglm.bms import is_gb
-from sparsefglm.buchberger import buchberger, gen_random_system
+from sparsefglm.buchberger import RANK_LIMIT, buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly, mp_mul_term, mp_sub, normal_form
-from sparsefglm.terms import MAX_EXP, divides
+from sparsefglm.terms import MAX_EXP, divides, rank_space
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
+
+# the module, which the package's `buchberger` function shadows as an attribute
+buchberger_module = importlib.import_module("sparsefglm.buchberger")
 
 from conftest import (
     GF11_TEXT,
@@ -158,6 +162,33 @@ def test_fields_hold_the_largest_values(p):
     f = MultiPoly(1, {(e,): (min(e, 600 - e) + 1) % p for e in range(601)})
     assert basis_strs(buchberger([g, f], "drl", F)) == basis_strs([g])
     assert_matches_reference(F, [g, f])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # leading terms pairwise coprime, so no S-pair is reduced; the ranks
+        # up to x1^200 in 4 variables would number C(204, 4), about 70.7M
+        "p 65521\nvars 4\nx1^200 + x4\nx2\nx3\nx4^2\n",
+        "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3^2\nx2^2 + 1\n",
+    ],
+)
+def test_sparse_high_degree_inputs_stay_within_the_rank_limit(text):
+    F, polys = parse_system(text)
+    assert_matches_reference(F, polys)
+    assert len(rank_space(polys[0].n).terms) <= RANK_LIMIT
+
+
+@pytest.mark.parametrize("limit", [1, 30, 200])
+def test_heap_path_past_the_rank_limit_matches_reference(monkeypatch, limit):
+    # a low limit sends the S-pairs and final rows above a small degree to the
+    # heap loop, so one run mixes both paths over the same table
+    monkeypatch.setattr(buchberger_module, "RANK_LIMIT", limit)
+    for n, d in [(1, 4), (2, 6), (3, 3), (4, 2)]:
+        for p in (7, 65521):
+            assert_matches_reference(PrimeField(p), gen_random_system(n, d, p, 41810000 + n))
+    for k in (5, 17, 40):
+        assert_matches_reference(*parse_system(f"p 65521\nvars 2\nx1^{k} + x2 + 1\nx1*x2^2 + 3\n"))
 
 
 def test_rejects_orderings_other_than_drl():
