@@ -1,4 +1,5 @@
 import importlib
+import math
 from itertools import combinations
 from operator import sub
 
@@ -167,16 +168,20 @@ def test_fields_hold_the_largest_values(p):
 @pytest.mark.parametrize(
     "text",
     [
-        # leading terms pairwise coprime, so no S-pair is reduced; the ranks
-        # up to x1^200 in 4 variables would number C(204, 4), about 70.7M
+        # leading terms pairwise coprime, so no S-pair is reduced and no tail
+        # is reducible; the ranks up to x1^200 number C(204, 4), about 70.7M
         "p 65521\nvars 4\nx1^200 + x4\nx2\nx3\nx4^2\n",
-        "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3^2\nx2^2 + 1\n",
+        # S-pairs from degree 301 down, each on a few terms
+        "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3\nx3^2 + 1\n",
     ],
 )
 def test_sparse_high_degree_inputs_stay_within_the_rank_limit(text):
     F, polys = parse_system(text)
     assert_matches_reference(F, polys)
-    assert len(rank_space(polys[0].n).terms) <= RANK_LIMIT
+    n = polys[0].n
+    top = max(sum(t) for g in polys for t in g.coeffs)
+    # the ranks up to the top degree outnumber the limit, and none were built
+    assert len(rank_space(n).terms) <= RANK_LIMIT < math.comb(top + n, n)
 
 
 @pytest.mark.parametrize("limit", [1, 30, 200])
