@@ -3,14 +3,15 @@
 Good enough for the desk-scale inputs the converters are exercised on
 (D up to a few hundred); not a serious GB engine.
 
-The working polynomials are packed over DRL ranks (`terms.rank_space`):
-one int of `field.field_codec` fields, the field at rank r holding the
-coefficient of the r-th term.  A reducer row's tail times the quotient
-term that puts its leading term at t is packed once per (row, t) and kept
-for the run, so a reduction step is one big-int multiply-add.  Such an int
-costs a field per rank between its lowest and highest term, however few
-terms it holds, so a reduction at a degree with more than RANK_LIMIT ranks
-up to it runs the heap loop `poly.reduce_rows` over packed terms instead.
+The working polynomials are packed over DRL ranks (`_rank_table`): one int
+of `field.field_codec` fields, the field at rank r holding the coefficient
+of the r-th term.  A reducer row's tail times the quotient term that puts
+its leading term at t is packed once per (row, t) and kept for the run, so
+a reduction step is one big-int multiply-add.  Such an int costs a field
+per rank between its lowest and highest term, however few terms it holds,
+so the table numbers only the degrees whose ranks stay within RANK_LIMIT,
+and a reduction at a term past it runs the heap loop `poly.reduce_rows`
+over packed terms instead.
 """
 
 from __future__ import annotations
@@ -20,30 +21,38 @@ import heapq
 import random
 from functools import cache
 from itertools import combinations_with_replacement
-from math import comb
 from operator import itemgetter
 
 from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, MultiPoly, Row, reduce_rows, reducer_row, row_poly
-from .terms import OrderingTag, Term, TermCodec, rank_space, term_codec
+from .terms import OrderingTag, Term, TermCodec, term_codec, unit_term, var_term
 
 
 _UNSEEN = object()
 
-# the most ranks a run packs over: a reduction at a degree d with
+# the most ranks a run packs over: a reduction at a term of a degree d with
 # C(d+n, n) > RANK_LIMIT runs the heap loop instead, so that neither the
-# rank space nor a packed polynomial grows past this many fields
+# rank table nor a packed polynomial grows past this many fields
 RANK_LIMIT = 1 << 12
 
 
 @cache
-def _top_degree(n: int, limit: int) -> int:
-    """The highest degree d whose ranks in n variables, C(d+n, n) of them,
-    number at most limit (0 if even degree 1 passes it)."""
-    d = 0
-    while comb(d + 1 + n, n) <= limit:
-        d += 1
-    return d
+def _rank_table(n: int, limit: int) -> tuple[list[int], dict[int, int]]:
+    """The packed DRL terms in n variables of every degree d with
+    C(d+n, n) <= limit, by rank, and the rank of each.
+
+    Rank 0 is the term 1, and the terms of degree d take the ranks
+    C(d-1+n, n) .. C(d+n, n) - 1 in ascending order.
+    """
+    codec = term_codec(n, "drl")
+    # x^a * x_i packs as pack(a) + pack(x_i) - offset
+    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
+    terms: list[int] = []
+    front = [codec.pack(unit_term(n))]
+    while len(terms) + len(front) <= limit:
+        terms += front
+        front = sorted({t + s for t in front for s in steps})
+    return terms, dict(zip(terms, range(len(terms))))
 
 
 class _PackedRows:
@@ -53,31 +62,27 @@ class _PackedRows:
     `product(k, r)` is the tail of row k times the quotient term that puts
     its leading term at rank r: the entries (delta, m) of the tail land at
     rank(t + delta) for the term t of rank r.  It is kept as (P, shift),
-    P packed from its lowest rank up, so that a sparse row far up the space
+    P packed from its lowest rank up, so that a sparse row far up the table
     holds only the span of its own terms.  `reduce` reads the top field of a
     packed polynomial, clears it and reduces it mod p to c; a nonzero c
     either goes to the output or adds c * product for the smallest dividing
     leading term, the fields left unreduced.
 
-    Pivots strictly descend, so a field below the top rank R gets its start
-    value, at most (p-1) + (p-1)^2 for an S-polynomial, and at most one
-    c * m <= (p-1)^2 per pivot above it: `fit` sizes the fields for
-    (p-1) + (R+1)(p-1)^2 and, when a reduction reaches past the top rank it
-    was sized for, widens them and drops every product packed so far.
+    Pivots strictly descend, so a field gets its start value, at most
+    (p-1) + (p-1)^2 for an S-polynomial, and at most one c * m <= (p-1)^2
+    per pivot above it.  No rank reaches RANK_LIMIT, so fields sized for
+    (p-1) + RANK_LIMIT * (p-1)^2 never carry: one width serves the whole run.
 
-    `normal_form` packs only up to degree `top_degree`, the last whose ranks
-    stay within RANK_LIMIT; above it, it reduces by `poly.reduce_rows` over
-    the same rows.
+    `normal_form` packs only at a term the table ranks; past it, it reduces
+    by `poly.reduce_rows` over the same rows.
     """
 
     def __init__(self, codec: TermCodec, p: int):
-        space = rank_space(codec.n)
-        self.terms, self.ranks, self.rank = space.terms, space.ranks, space.rank
+        self.terms, self.ranks = _rank_table(codec.n, RANK_LIMIT)
         self.codec = codec
         self.p = p
-        # DRL packs the degree in the field above the n exponent fields
-        self.degree_shift = 16 * codec.n
-        self.top_degree = _top_degree(codec.n, RANK_LIMIT)
+        self.bound = (p - 1) + RANK_LIMIT * (p - 1) ** 2
+        self.bits = 8 * field_codec(1, self.bound)[0]
         # the rows by ascending leading term, equal ones in basis order, for
         # `reduce_rows`
         self.rows: list[Row] = []
@@ -86,8 +91,6 @@ class _PackedRows:
         self.table: list[tuple[int, int]] = []
         # per row, the tail's deltas and multipliers by descending term
         self.tails: list[tuple[list[int], list[int]]] = []
-        self.top = -1
-        self.bound = self.bits = 0
         self.products: dict[tuple[int, int], tuple[int, int]] = {}
         # rank -> (P, shift, low) of the winning row's product at that rank,
         # or None if no leading term divides; kept up to date by `add`
@@ -108,24 +111,12 @@ class _PackedRows:
         ]:
             del self.reducers[r]
 
-    def fit(self, r: int) -> None:
-        """Size the fields for a reduction whose terms lie at ranks <= r."""
-        if r > self.top:
-            self.top = r
-            p = self.p
-            self.bound = (p - 1) + (r + 1) * (p - 1) ** 2
-            bits = 8 * field_codec(1, self.bound)[0]
-            if bits != self.bits:
-                self.bits = bits
-                self.products.clear()
-                self.reducers.clear()
-
     def product(self, k: int, r: int) -> tuple[int, int]:
         key = k, r
         P = self.products.get(key)
         if P is None:
             deltas, mults = self.tails[k]
-            # the space already holds every term up to t's degree
+            # the table holds every term up to t's degree
             t, rank = self.terms[r], self.ranks
             ranks = [rank[t + d] for d in deltas]
             if ranks:
@@ -151,16 +142,14 @@ class _PackedRows:
         """The normal form under the table of the sum of c times product(k)
         at the term m over the (k, c) in parts, as (packed term, coefficient)
         pairs by descending term."""
-        codec, p = self.codec, self.p
-        if m >> self.degree_shift > self.top_degree:
+        r = self.ranks.get(m)
+        if r is None:
             spread: dict[int, int] = {}
             for k, c in parts:
                 for d, a in zip(*self.tails[k]):
                     u = m + d
                     spread[u] = spread.get(u, 0) + c * a
-            return list(reduce_rows(spread, self.rows, codec, p).items())
-        r = self.rank(m)
-        self.fit(r)
+            return list(reduce_rows(spread, self.rows, self.codec, self.p).items())
         work = base = 0
         for k, c in parts:
             P, s = self.product(k, r)
@@ -179,7 +168,7 @@ class _PackedRows:
         """The normal form of the packed polynomial work << base under the
         table, as (packed term, coefficient) pairs by descending term.  base, a
         multiple of the field width, drops to the lowest product added, so
-        that a sparse polynomial far up the space stays a short int."""
+        that a sparse polynomial far up the table stays a short int."""
         p, bits, reducers, terms = self.p, self.bits, self.reducers, self.terms
         log = bits.bit_length() - 1
         out = []
@@ -226,12 +215,10 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     guard, mark = codec.guard, codec.mark
     p = F.p
     packed = _PackedRows(codec, p)
-    # per row: the leading term's exponents, the set of its variables as a
-    # bit mask (coprime leading terms share none), and lt - lift for the
-    # divisibility test
+    # per row: the leading term's exponents and the set of its variables as
+    # a bit mask (coprime leading terms share none)
     lts: list[Term] = []
     supports: list[int] = []
-    lows: list[int] = []
     # pending pairs: the set answers the chain criterion's membership test,
     # the heap pops them smallest-lcm first, keyed once when each is made
     pairs: set[tuple[int, int]] = set()
@@ -247,10 +234,12 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             push(queue, (pack(tuple(map(max, a, e))), i, k))
         lts.append(e)
         supports.append(sum(1 << v for v, x in enumerate(e) if x))
-        lows.append(lt - codec.lift)
 
     def chain_prunable(i: int, j: int, m: int) -> bool:
-        for k, low in enumerate(lows):
+        # largest leading term first: on sparse inputs such as x1^400 + x2 +
+        # 1, x1*x2^2 + 3 the smallest ones, made last, divide most lcms while
+        # their pairs are pending (42 such rows tested per call, against 1)
+        for low, k in reversed(packed.table):
             if (m - low) & guard == mark and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
@@ -261,7 +250,6 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     for g in G:
         lt, tail = reducer_row(g, ordering, F)
         add_row(lt, sorted(tail, reverse=True))
-    inputs = len(lts)
     while queue:
         m, i, j = heapq.heappop(queue)
         pairs.discard((i, j))
@@ -275,20 +263,13 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             add_row(lt, [(u - lt, c * scale % p) for u, c in out[1:]])
     # the reduced basis: one normal form per minimal row's tail under the
     # final table, whose normal forms are unique; a leading term divisible by
-    # an earlier one in the table, an equal one included, is not minimal.  A
-    # row made by a reduction is irreducible by the rows before it, so only a
-    # later leading term can divide its tail; a tail none divides is kept
+    # an earlier one in the table, an equal one included, is not minimal
     basis = []
     for at, (low, k) in enumerate(packed.table):
         lt = low + codec.lift
         if any((lt - low2) & guard == mark for low2, _ in packed.table[:at]):
             continue
-        deltas, mults = packed.tails[k]
-        later = lows if k < inputs else lows[k + 1 :]
-        if any((lt + d - low2) & guard == mark for d in deltas for low2 in later):
-            tail = [(u - lt, c) for u, c in packed.normal_form(lt, ((k, 1),))]
-        else:
-            tail = list(zip(deltas, mults))
+        tail = [(u - lt, c) for u, c in packed.normal_form(lt, ((k, 1),))]
         basis.append(row_poly((lt, tail), codec, F))
     return GroebnerBasis(basis, ordering, reduced=True)
 

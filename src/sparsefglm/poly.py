@@ -12,7 +12,7 @@ coefficient c then adds c * m at the packed term t + delta of each tail
 entry (delta, m), so no exponent tuple is built in the loop.
 `reduce_rows` is that loop, a heap of packed terms; `normal_form` and
 `reduce_basis` run on it.  `buchberger` keeps its basis as rows too but
-reduces on DRL ranks (see `buchberger._PackedRows`).
+reduces on DRL ranks up to its rank limit, on this loop past it.
 
 A MultiPoly is immutable once constructed: every operation builds a new
 coefficient dict, and nothing writes to `coeffs` afterwards.  That is what

@@ -17,6 +17,7 @@ entry.  Both products take vectors already reduced into [0, p).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product as iter_product, repeat
 from operator import itemgetter, mul
 
@@ -67,10 +68,16 @@ class SparseMat:
         # itemgetter of one index returns the item itself, not a 1-tuple
         self.gather = itemgetter(*picks) if dim > 1 else lambda v, k=picks[0]: (v[k],)
 
-    def column_entries(self) -> list:
-        """Every column's D entries, unpacked (tuples or lists)."""
-        nbytes = self.column_nbytes
-        return [self.column_fields(c.to_bytes(nbytes, "little")) for c in self.columns]
+    def column_entries(self) -> Iterator[list[tuple[int, int]]]:
+        """Each column's nonzero entries as (row, value) pairs by ascending
+        row, one column at a time; a unit column is read off its one bit."""
+        nbytes, unpack = self.column_nbytes, self.column_fields
+        bits = 8 * nbytes // self.dim
+        for c, case in zip(self.columns, self.column_cases):
+            if case == 1:
+                yield [((c.bit_length() - 1) // bits, 1)]
+            else:
+                yield [(row, a) for row, a in enumerate(unpack(c.to_bytes(nbytes, "little"))) if a]
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
@@ -88,7 +95,7 @@ def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
 
 
 def density_stats(T: SparseMat) -> dict:
-    nnz = sum(T.dim - col.count(0) for col in T.column_entries())
+    nnz = sum(map(len, T.column_entries()))
     return {
         "nnz": nnz,
         "percent_nonzero": 100.0 * nnz / (T.dim * T.dim),
@@ -259,7 +266,6 @@ def dump_matrix(Q: QuotientStructure, j: int) -> str:
     lines = [
         f"{row} {col} {a}"
         for col, entries in enumerate(T.column_entries())
-        for row, a in enumerate(entries)
-        if a
+        for row, a in entries
     ]
     return "\n".join([f"{T.dim} {Q.n} {j} {len(lines)}", *lines]) + "\n"

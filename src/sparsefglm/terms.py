@@ -19,7 +19,7 @@ Inside the reduction layers (`poly.normal_form`, `poly.reduce_basis`,
 `buchberger`) a term is one int instead, packed by the `TermCodec` of its
 (n, ordering): the ints compare as the terms do, a product of terms is an
 int addition, and divisibility is one mask test.  `buchberger` also
-numbers the packed DRL terms by their place in the order (`rank_space`),
+numbers the packed DRL terms of low degree by their place in the order,
 so that a polynomial can be one int with a field per rank.  Exponent
 tuples stay the format of every public interface.
 """
@@ -152,49 +152,3 @@ class TermCodec:
 @cache
 def term_codec(n: int, ordering: OrderingTag) -> TermCodec:
     return TermCodec(n, ordering)
-
-
-class RankSpace:
-    """The terms in n variables numbered in DRL order, as packed DRL terms.
-
-    Rank 0 is the term 1, and the terms of degree d take the ranks
-    C(d-1+n, n) .. C(d+n, n) - 1 in ascending order.  DRL compares degrees
-    first, so a term's rank stays fixed as the space grows: it is built one
-    degree at a time, when `rank` first meets a term of a higher degree, and
-    holds C(d+n, n) entries each way for top degree d (`buchberger` asks
-    for no rank past its RANK_LIMIT).  `rank_space(n)` shares one per n
-    across the process, as `term_codec` does; growing it from two threads
-    at once is not safe.
-    """
-
-    __slots__ = ("n", "terms", "ranks", "_front")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.terms: list[int] = []  # rank -> packed term
-        self.ranks: dict[int, int] = {}  # packed term -> rank
-        self._front: list[int] = []  # the terms of the top degree built
-
-    def rank(self, x: int) -> int:
-        """The rank of the packed DRL term x."""
-        r = self.ranks.get(x)
-        if r is None:
-            n, codec = self.n, term_codec(self.n, "drl")
-            # DRL packs the degree in the top field; x^a * x_i packs as
-            # pack(a) + pack(x_i) - offset
-            steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
-            while not self._front or self._front[0] >> 16 * n < x >> 16 * n:
-                if self._front:
-                    front = sorted({t + s for t in self._front for s in steps})
-                else:
-                    front = [codec.pack(unit_term(n))]
-                self.ranks.update(zip(front, range(len(self.terms), len(self.terms) + len(front))))
-                self.terms.extend(front)
-                self._front = front
-            r = self.ranks[x]
-        return r
-
-
-@cache
-def rank_space(n: int) -> RankSpace:
-    return RankSpace(n)

@@ -1,6 +1,6 @@
 import importlib
 import math
-from itertools import combinations
+from itertools import combinations, product
 from operator import sub
 
 import pytest
@@ -9,8 +9,8 @@ from sparsefglm.bms import is_gb
 from sparsefglm.buchberger import RANK_LIMIT, buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import MultiPoly, mp_mul_term, mp_sub, normal_form
-from sparsefglm.terms import MAX_EXP, divides, rank_space
+from sparsefglm.poly import MultiPoly, mp_mul_term, mp_sub, normal_form, reduce_rows
+from sparsefglm.terms import MAX_EXP, divides, drl_key, term_codec
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
@@ -156,8 +156,8 @@ def test_fields_hold_the_largest_values(p):
     # g = 1 + x + ... + x^300 and f = g^2, both with coefficients 1: every
     # multiplier of g's row is p - 1, and the S-polynomial x^300 g - f reduces
     # by g over a chain of 300 pivots, each p - 1, so a middle field gathers
-    # 300 (p-1)^2 before it is read, half the (R+1)(p-1)^2 of the field bound
-    # at top rank R = 600 (at p = 2 that is 300 > 255)
+    # 300 (p-1)^2 before it is read: more than a field one width step below
+    # that of the bound (p-1) + RANK_LIMIT (p-1)^2 holds (at p = 2, 300 > 255)
     F = PrimeField(p)
     g = MultiPoly(1, {(e,): 1 for e in range(301)})
     f = MultiPoly(1, {(e,): (min(e, 600 - e) + 1) % p for e in range(601)})
@@ -175,13 +175,41 @@ def test_fields_hold_the_largest_values(p):
         "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3\nx3^2 + 1\n",
     ],
 )
-def test_sparse_high_degree_inputs_stay_within_the_rank_limit(text):
+def test_sparse_high_degree_inputs_stay_within_the_rank_limit(monkeypatch, text):
     F, polys = parse_system(text)
-    assert_matches_reference(F, polys)
     n = polys[0].n
     top = max(sum(t) for g in polys for t in g.coeffs)
-    # the ranks up to the top degree outnumber the limit, and none were built
-    assert len(rank_space(n).terms) <= RANK_LIMIT < math.comb(top + n, n)
+    assert RANK_LIMIT < math.comb(top + n, n)
+    calls = []
+
+    def counting_reduce_rows(*args):
+        calls.append(args)
+        return reduce_rows(*args)
+
+    monkeypatch.setattr(buchberger_module, "reduce_rows", counting_reduce_rows)
+    assert_matches_reference(F, polys)
+    # the ranks up to the top degree outnumber the limit, so the reductions
+    # up there, the final one of x1^200 + x4 included, ran on the heap loop
+    assert calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_table_numbers_terms_in_drl_order(n):
+    C = term_codec(n, "drl")
+    for limit in (1, 30, RANK_LIMIT):
+        terms, ranks = buchberger_module._rank_table(n, limit)
+        top = max(d for d in range(limit) if math.comb(d + n, n) <= limit)
+        want = sorted(
+            (t for t in product(range(top + 1), repeat=n) if sum(t) <= top),
+            key=drl_key,
+        )
+        assert len(terms) == math.comb(top + n, n)
+        assert terms == [C.pack(t) for t in want]
+        assert ranks == {x: r for r, x in enumerate(terms)}
+    # each limit has its own table in one process
+    assert len(buchberger_module._rank_table(n, 30)[0]) < len(
+        buchberger_module._rank_table(n, RANK_LIMIT)[0]
+    )
 
 
 @pytest.mark.parametrize("limit", [1, 30, 200])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 from operator import mul
 
@@ -118,6 +119,25 @@ def test_dump_matrix_gf11(gf11):
         "1 3 4\n"
         "2 3 9\n"
     )
+
+
+def test_density_stats_unpacks_one_column_at_a_time():
+    # D = 256: unpacking every column at once peaks near 10 D^2 bytes
+    F = PrimeField(65521)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 16, F.p, 0), "drl", F), F)
+    T = Q.matrix(1)
+    assert T.dim == 256
+    tracemalloc.start()
+    try:
+        stats = density_stats(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < T.dim**2
+    M = reference_matrix(Q, 1)
+    want = [f"{row} {col} {a}" for col, column in enumerate(M) for row, a in enumerate(column) if a]
+    assert stats["nnz"] == len(want)
+    assert dump_matrix(Q, 1) == "\n".join([f"256 2 1 {len(want)}", *want]) + "\n"
 
 
 def test_term_vec_and_nf_vector(gf11):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from operator import sub
 
@@ -7,7 +6,6 @@ import pytest
 
 from sparsefglm.terms import (
     MAX_EXP,
-    RankSpace,
     divides,
     drl_key,
     lex_key,
@@ -117,18 +115,3 @@ def test_packed_exponent_overflow_raises(ordering):
         assert C.unpack(C.check(top + x3)) == (MAX_EXP, 0, 1)
     with pytest.raises(ValueError):
         term_codec(3, "grevlex")
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_rank_space_numbers_terms_in_drl_order(n):
-    C = term_codec(n, "drl")
-    space = RankSpace(n)
-    assert space.terms == []  # nothing is built until a rank is asked for
-    terms = sorted((t for t in itertools.product(range(7), repeat=n) if sum(t) <= 6), key=drl_key)
-    # asking for the largest term first builds every degree up to it at once
-    assert [space.rank(C.pack(t)) for t in reversed(terms)] == list(range(len(terms)))[::-1]
-    assert space.terms == [C.pack(t) for t in terms]
-    assert len(space.ranks) == len(space.terms) == math.comb(6 + n, n)
-    # a higher degree extends the space and leaves the ranks below alone
-    assert space.rank(C.pack((7,) + (0,) * (n - 1))) == math.comb(6 + n, n)
-    assert space.terms[: len(terms)] == [C.pack(t) for t in terms]
