@@ -41,8 +41,9 @@ WitnessRec = tuple[MultiPoly, Term, int]
 def _array(Q: QuotientStructure, probe: CoordVector):
     """The memoized u -> E(u) = <r, NF(x^u)>.
 
-    Coordinate vectors are cached on the quotient structure (shared with
-    nf_vector), so each new term costs one sparse matrix application.
+    Coordinate vectors come from `Q.term_vec`, cached on Q: a new term
+    x_l * u whose u is cached costs one packed product over T_l's columns,
+    and no matrix is built.
     """
     values: dict[Term, int] = {}
 

@@ -7,18 +7,21 @@ change-of-ordering algorithms run on.
 Column construction distinguishes three cases for the product term eps_i*x_j:
 (1) it lies in B (unit column), (2) it is a leading term of the input basis
 (read the column off that polynomial), (3) it is a border term and must be
-reduced.  Case (3) rewrites the product through previously computed columns
-(a cascade), never reducing a polynomial; tests check every column against
-direct reduction.  Each matrix is held packed twice, one int per column and
-one int per row of its case-2/3 columns, so a product with it or with its
-transpose is one big-int multiply-add per vector entry, not one per stored
-entry.  Both products take vectors already reduced into [0, p).
+reduced.  `term_vec` computes every such normal form, of a column's term or
+any other: case (3) writes t = x_l * u with u outside B and sums the columns
+NF(b_k x_l) of T_l weighted by NF(u), one packed product over the columns
+it needs (a cascade), never reducing a polynomial or building a matrix;
+tests check its vectors against direct reduction.  Each matrix is held
+packed twice, one int per column and one int per row of its case-2/3
+columns, so a product with it or with its transpose is one big-int
+multiply-add per vector entry, not one per stored entry.  Both products
+take vectors already reduced into [0, p).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product as iter_product, repeat
+from itertools import compress, product as iter_product, repeat
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
@@ -145,11 +148,13 @@ class QuotientStructure:
         self.D = len(basis)
         self.index = {t: i for i, t in enumerate(basis)}
         self.matrices: list[SparseMat | None] = [None] * self.n
-        # NF(x^t) coordinate vectors, filled by both the case-3 cascade and
-        # term_vec; callers must not mutate them
-        self._term_vecs: dict[Term, CoordVector] = {
-            unit_term(self.n): self._unit(0)
-        }
+        # NF(x^t) of the terms outside B that term_vec reached; callers must
+        # not mutate them
+        self._term_vecs: dict[Term, CoordVector] = {}
+        # T_l's columns in SparseMat's column layout, packed as term_vec needs
+        # them; 0 stands for a column not yet packed
+        self._width, self._pack, self._unpack = field_codec(self.D, self.D * (F.p - 1) ** 2)
+        self._columns = [[0] * self.D for _ in range(self.n)]
 
     def _unit(self, i: int) -> CoordVector:
         v = [0] * self.D
@@ -172,43 +177,54 @@ class QuotientStructure:
                 v[self.index[s]] = -c * inv % p
         return v
 
-    def _nf_term_cascade(self, t: Term) -> CoordVector:
-        hit = self._term_vecs.get(t)
-        if hit is not None:
-            return hit
-        if t in self.index:
-            v = self._unit(self.index[t])
-        elif t in self._lt_map:
-            v = self._case2_column(t)
-        else:
-            # Rewrite t = x_l * u with u outside B; every basis term of NF(u)
-            # sits strictly below u in DRL, so the products recurse downward.
+    def _packed_column(self, t: Term) -> int:
+        """NF(x^t) in SparseMat's column layout; t is a column's term b_k x_l."""
+        row = self.index.get(t)
+        if row is not None:
+            return 1 << 8 * self._width * row
+        return int.from_bytes(self._pack(*self.term_vec(t)), "little")
+
+    def term_vec(self, t: Term) -> CoordVector:
+        """Coordinate vector of NF(x^t), the one routine that computes it.
+
+        A term of B gives a unit vector and a leading term its case-2
+        column.  Any other t is x_l * u with u outside B (case 3), so
+        NF(t) = sum_k NF(u)_k NF(b_k x_l): one packed product over the
+        columns of T_l, each packed on first use.  The chain of such u is
+        walked down first, so the recursion depth does not grow with the
+        degree of t.
+        """
+        chain = []
+        while (v := self._term_vecs.get(t)) is None:
+            if t in self.index:
+                v = self._unit(self.index[t])
+                break
+            if t in self._lt_map:
+                v = self._term_vecs[t] = self._case2_column(t)
+                break
+            # every basis term of NF(u) sits strictly below u in DRL, so the
+            # columns NF(b_k x_l) lie below t
             for l in range(self.n):
-                if t[l]:
-                    u = t[:l] + (t[l] - 1,) + t[l + 1 :]
-                    if u not in self.index:
-                        break
+                if t[l] and (u := t[:l] + (t[l] - 1,) + t[l + 1 :]) not in self.index:
+                    break
             else:
                 raise InternalError(f"no reducible divisor for border term {t}")
-            p = self.F.p
-            xl = var_term(self.n, l + 1)
-            v = [0] * self.D
-            for k, c in enumerate(self._nf_term_cascade(u)):
-                if c:
-                    w = self._nf_term_cascade(term_mul(self.basis[k], xl))
-                    for row, a in enumerate(w):
-                        if a:
-                            v[row] = (v[row] + c * a) % p
-        self._term_vecs[t] = v
+            chain.append((t, l))
+            t = u
+        p, nbytes = self.F.p, self.D * self._width
+        for t, l in reversed(chain):
+            cols, xl = self._columns[l], var_term(self.n, l + 1)
+            for k in compress(range(self.D), v):
+                if not cols[k]:
+                    cols[k] = self._packed_column(term_mul(self.basis[k], xl))
+            total = sum(map(mul, cols, v)).to_bytes(nbytes, "little")
+            v = list(map(p.__rmod__, self._unpack(total)))
+            self._term_vecs[t] = v
         return v
 
     def nf_of_var(self, i: int) -> CoordVector:
         """Coordinate vector of NF(x_i), 1-based i.  Never builds a matrix."""
-        t = var_term(self.n, i)
-        if t in self.index:
-            return self._unit(self.index[t])
-        # x_i outside B forces x_i itself to be a leading term
-        return self._case2_column(t)
+        return self.term_vec(var_term(self.n, i))
 
     # --- multiplication matrices ------------------------------------------
 
@@ -231,33 +247,17 @@ class QuotientStructure:
                 columns.append(row)
                 cases.append(1)
             else:
-                columns.append(self._nf_term_cascade(t))
+                columns.append(self.term_vec(t))
                 cases.append(2 if t in self._lt_map else 3)
         return SparseMat(self.D, columns, cases, self.F.p)
 
     # --- vectors of polynomials -------------------------------------------
 
-    def term_vec(self, t: Term) -> CoordVector:
-        """Coordinate vector of NF(x^t), via cached matrix products."""
-        hit = self._term_vecs.get(t)
-        if hit is not None:
-            return hit
-        for l in range(self.n):
-            if t[l]:
-                break
-        u = t[:l] + (t[l] - 1,) + t[l + 1 :]
-        v = apply(self.matrix(l + 1), self.term_vec(u))
-        self._term_vecs[t] = v
-        return v
-
     def nf_vector(self, f: MultiPoly) -> CoordVector:
-        p = self.F.p
-        out = [0] * self.D
-        for t, c in f.coeffs.items():
-            for row, a in enumerate(self.term_vec(t)):
-                if a:
-                    out[row] = (out[row] + c * a) % p
-        return out
+        """Coordinate vector of NF(f)."""
+        coeffs = list(f.coeffs.values())
+        rows = zip(*map(self.term_vec, f.coeffs)) if coeffs else [()] * self.D
+        return [sum(map(mul, row, coeffs)) % self.F.p for row in rows]
 
 
 def dump_matrix(Q: QuotientStructure, j: int) -> str:

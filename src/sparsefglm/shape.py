@@ -31,6 +31,7 @@ from .field import PrimeField
 from .linrec import BMState, HankelSystem, berlekamp_massey, hankel_solve
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_sub
 from .quotient import CoordVector, QuotientStructure, apply, apply_transpose
+from .terms import var_term
 from .unipoly import (
     UniPoly,
     deg,
@@ -67,7 +68,7 @@ class ShapeBasis:
         n = self.n
         out = [MultiPoly.from_uni(n, self.f1)]
         for i, t in enumerate(self.tails, start=2):
-            xi = MultiPoly(n, {tuple(1 if k == i - 1 else 0 for k in range(n)): 1})
+            xi = MultiPoly(n, {var_term(n, i): 1})
             out.append(mp_sub(xi, MultiPoly.from_uni(n, t), F))
         return out
 

@@ -5,9 +5,10 @@ from operator import mul
 
 import pytest
 
+from sparsefglm.bms import bms_change
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
-from sparsefglm.poly import GroebnerBasis, InternalError, MultiPoly, mp_scale
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_scale
 from sparsefglm.quotient import (
     QuotientStructure,
     SparseMat,
@@ -64,7 +65,7 @@ def assert_columns_are_reduced_normal_forms(Q):
 def test_matrix_columns_are_normal_forms(gf11, gf2q):
     assert assert_columns_are_reduced_normal_forms(gf11) == 5
     assert assert_columns_are_reduced_normal_forms(gf2q) > 0
-    # term_vec reaches the terms no column holds through matrix products
+    # term_vec reaches the terms no column holds through the cascade
     for t in product(range(6), repeat=2):
         assert gf2q.term_vec(t) == reference_nf_term(gf2q, t), t
 
@@ -98,7 +99,44 @@ def test_cascade_without_reducible_divisor_is_a_defect():
     Q = QuotientStructure(buchberger(polys, "drl", F), F)
     del Q._lt_map[(2, 0, 0)]
     with pytest.raises(InternalError):
-        Q._nf_term_cascade((2, 0, 0))
+        Q.term_vec((2, 0, 0))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_term_vec_matches_direct_reduction(p):
+    """NF(x^t) of every term t up to two degrees past the largest leading
+    term, on the inputs of test_every_column_matches_direct_reduction: B,
+    the leading terms, the columns of every T_j and the terms above them."""
+    F = PrimeField(p)
+    for n, d in ((2, 6), (3, 3), (4, 2)):
+        for seed in range(3):
+            Q = QuotientStructure(buchberger(gen_random_system(n, d, p, 600 + seed), "drl", F), F)
+            top = max(sum(g.lt("drl")) for g in Q.G1.polys) + 2
+            assert max(map(sum, Q.basis)) + 1 <= top  # every column's term is covered
+            for t in product(range(top + 1), repeat=n):
+                if sum(t) <= top:
+                    assert Q.term_vec(t) == reference_nf_term(Q, t), (n, d, seed, t)
+            assert Q.matrices == [None] * n
+
+
+def test_term_vec_of_a_high_degree_term():
+    """The cascade walks a chain of 5,000 divisors without recursing on it."""
+    F = PrimeField(11)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 3, F.p, 0), "drl", F), F)
+    assert Q.term_vec((5000, 0)) == reference_nf_term(Q, (5000, 0))
+    f = MultiPoly(2, {(3000, 0): 1, (0, 0): 1})
+    want = [(a + b) % F.p for a, b in zip(reference_nf_term(Q, (3000, 0)), Q.e())]
+    assert Q.nf_vector(f) == want
+
+
+def test_normal_forms_build_no_matrix():
+    F = PrimeField(65521)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 2, F.p, 0), "drl", F), F)
+    Q.term_vec((3, 4))
+    Q.nf_of_var(2)
+    Q.nf_vector(MultiPoly(2, {(5, 1): 3, (0, 2): 1}))
+    assert not isinstance(bms_change(Q, seed=0), Fail)
+    assert Q.matrices == [None, None]
 
 
 def test_density_stats_gf11(gf11):
