@@ -18,7 +18,7 @@ from .generic import (
     hilbert_profile,
     verify_moreno_socias,
 )
-from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, reduce_basis
+from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form
 from .quotient import (
     QuotientStructure,
     density_stats,
@@ -36,7 +36,6 @@ __all__ = [
     "Fail",
     "InternalError",
     "normal_form",
-    "reduce_basis",
     "QuotientStructure",
     "density_stats",
     "dump_matrix",

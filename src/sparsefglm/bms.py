@@ -216,7 +216,7 @@ def bms_change(
             raise InternalError("pass budget exceeded (defect)")
         if ok:
             polys = sorted(F, key=lambda f: lex_key(f.lt("lex")))
-            return GroebnerBasis(polys, "lex", reduced=True)
+            return GroebnerBasis(polys, "lex")
         return Fail(
             f"BMS sweep ended without a verified Groebner basis "
             f"({passes} passes, |delta| = {len(delta)}, D = {D})"

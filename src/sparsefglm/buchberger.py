@@ -271,7 +271,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             continue
         tail = [(u - lt, c) for u, c in packed.normal_form(lt, ((k, 1),))]
         basis.append(row_poly((lt, tail), codec, F))
-    return GroebnerBasis(basis, ordering, reduced=True)
+    return GroebnerBasis(basis, ordering)
 
 
 def gen_random_system(n: int, d: int, p: int, seed) -> list[MultiPoly]:

@@ -82,7 +82,7 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
                 seen.add(nt)
                 heapq.heappush(heap, (key(nt), nt, t, jj))
     out.sort(key=lambda f: key(f.lt(target)))
-    return GroebnerBasis(out, target, reduced=True)
+    return GroebnerBasis(out, target)
 
 
 @dataclass

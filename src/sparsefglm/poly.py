@@ -10,9 +10,9 @@ Reduction runs on packed terms (`terms.TermCodec`).  A reducer is a *row*
 coefficient a the pair (pack(s) - lt, -a/lc).  Reducing the term x^t with
 coefficient c then adds c * m at the packed term t + delta of each tail
 entry (delta, m), so no exponent tuple is built in the loop.
-`reduce_rows` is that loop, a heap of packed terms; `normal_form` and
-`reduce_basis` run on it.  `buchberger` keeps its basis as rows too but
-reduces on DRL ranks up to its rank limit, on this loop past it.
+`reduce_rows` is that loop, a heap of packed terms; `normal_form` runs on
+it.  `buchberger` keeps its basis as rows too but reduces on DRL ranks up
+to its rank limit, on this loop past it.
 
 A MultiPoly is immutable once constructed: every operation builds a new
 coefficient dict, and nothing writes to `coeffs` afterwards.  That is what
@@ -212,31 +212,6 @@ def normal_form(
     return MultiPoly(f.n, {codec.unpack(u): c for u, c in out.items()})
 
 
-def interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> list[Row]:
-    """Rows of the minimal, monic, pairwise-reduced basis, by ascending
-    leading term; of several equal leading terms the first row is kept."""
-    lts = [lt for lt, _ in rows]
-    keep = sorted(
-        (
-            row
-            for i, row in enumerate(rows)
-            if not any(
-                j != i and codec.divides(lt, lts[i]) and (lt != lts[i] or j < i)
-                for j, lt in enumerate(lts)
-            )
-        ),
-        key=itemgetter(0),
-    )
-    out: list[Row] = []
-    for lt, tail in keep:
-        # the leading term is divisible by no other; a tail term lies below
-        # lt, so no larger leading term divides it, and the rows below are
-        # already interreduced
-        rest = reduce_rows({lt + d: p - m for d, m in tail}, out, codec, p)
-        out.append((lt, [(u - lt, p - c) for u, c in rest.items()]))
-    return out
-
-
 def row_poly(row: Row, codec: TermCodec, F: PrimeField) -> MultiPoly:
     """The monic MultiPoly of a row, with its caches filled from the row."""
     lt, tail = row
@@ -246,18 +221,6 @@ def row_poly(row: Row, codec: TermCodec, F: PrimeField) -> MultiPoly:
     g._lt = {codec.ordering: codec.unpack(lt)}
     g._rows = {(codec.ordering, F.p): row}
     return g
-
-
-def reduce_basis(
-    polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField
-) -> list[MultiPoly]:
-    """Minimal, monic, pairwise-reduced version of a Groebner basis."""
-    nonzero = [g for g in polys if g.coeffs]
-    if not nonzero:
-        return []
-    codec = term_codec(nonzero[0].n, ordering)
-    rows = interreduce_rows([reducer_row(g, ordering, F) for g in nonzero], codec, F.p)
-    return [row_poly(row, codec, F) for row in rows]
 
 
 class InternalError(AssertionError):
@@ -282,7 +245,6 @@ class Fail:
 class GroebnerBasis:
     polys: list[MultiPoly]
     ordering: OrderingTag
-    reduced: bool = True
     n: int = field(init=False)
 
     def __post_init__(self):

@@ -1,8 +1,12 @@
-"""Quotient-ring structure for a zero-dimensional ideal given by a DRL basis.
+"""Quotient-ring structure for a zero-dimensional ideal given by its reduced
+DRL basis, as `buchberger` returns it.
 
 Builds the canonical basis B (staircase monomials, ascending DRL), the sparse
 multiplication matrices T_1..T_n, and the coordinate-vector utilities the
-change-of-ordering algorithms run on.
+change-of-ordering algorithms run on.  A case-2 column reads a basis
+element's other terms as coordinates in B, so a basis that is not reduced
+(a leading term divisible by another, or another term outside B) is
+rejected with ValueError; `buchberger` reduces it.
 
 Column construction distinguishes three cases for the product term eps_i*x_j:
 (1) it lies in B (unit column), (2) it is a leading term of the input basis
@@ -25,7 +29,7 @@ from itertools import compress, product as iter_product, repeat
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, InternalError, MultiPoly, reduce_basis
+from .poly import GroebnerBasis, InternalError, MultiPoly
 from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 
 CoordVector = list[int]
@@ -132,14 +136,14 @@ class QuotientStructure:
     def __init__(self, G1: GroebnerBasis, F: PrimeField):
         if G1.ordering != "drl":
             raise ValueError("source basis must be DRL")
-        polys = G1.polys if G1.reduced else reduce_basis(G1.polys, "drl", F)
-        self.G1 = GroebnerBasis(polys, "drl", reduced=True)
+        self.G1 = G1
         self.F = F
-        self.n = self.G1.n
-        self._lt_map = {g.lt("drl"): g for g in polys}
+        self.n = G1.n
+        lts = [g.lt("drl") for g in G1.polys]
+        self._lt_map = dict(zip(lts, G1.polys))
         if unit_term(self.n) in self._lt_map:
             raise ValueError("ideal contains 1 (quotient has dimension 0)")
-        basis = staircase(list(self._lt_map), self.n)
+        basis = staircase(lts, self.n)
         if basis is None:
             raise ValueError("ideal not zero-dimensional")
         if not basis or basis[0] != unit_term(self.n):
@@ -147,6 +151,13 @@ class QuotientStructure:
         self.basis = basis
         self.D = len(basis)
         self.index = {t: i for i, t in enumerate(basis)}
+        # the columns read the basis as reduced: no leading term divides
+        # another, so each is distinct with every t / x_l in B, and the
+        # leading term is each element's one term outside B
+        minimal = all(t[:l] + (t[l] - 1,) + t[l + 1 :] in self.index for t in lts for l in range(self.n) if t[l])
+        tails_in_b = all(len(g.coeffs.keys() - self.index.keys()) == 1 for g in G1.polys)
+        if len(self._lt_map) < len(lts) or not (minimal and tails_in_b):
+            raise ValueError("DRL basis is not reduced; buchberger returns a reduced one")
         self.matrices: list[SparseMat | None] = [None] * self.n
         # NF(x^t) of the terms outside B that term_vec reached; callers must
         # not mutate them

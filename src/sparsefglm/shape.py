@@ -15,7 +15,9 @@ Three entry points:
   cheap early estimate of f_1, O(D^2) beside its matrix products.
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
-shape_prob and shape_det share one Krylov loop (`_krylov`), one tail loop
+shape_prob and shape_det share one Krylov loop (`_krylov`), which keeps only
+the current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
+off it as it goes, so a run holds O(nD) residues, not the chain; one tail loop
 (`_tail_solves`: every solve on a sequence reuses its Krylov fit, so each
 sequence gets one Berlekamp-Massey run and no extended Euclid) and one
 Horner evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
@@ -26,6 +28,8 @@ globals at call time, so the benchmark's tracer can wrap them here.
 from __future__ import annotations
 
 import random
+from functools import partial
+from operator import itemgetter
 
 from .field import PrimeField
 from .linrec import BMState, HankelSystem, berlekamp_massey, hankel_solve
@@ -45,8 +49,9 @@ from .unipoly import (
 )
 
 
-# a Krylov chain, its first components s and the Berlekamp-Massey fit of s
-KrylovRun = tuple[list[CoordVector], list[int], tuple[UniPoly, UniPoly]]
+# a probe r, the first components s of its Krylov chain, one row of
+# <(T1^t)^j r, NF(x_i)> per tail variable, and the Berlekamp-Massey fit of s
+KrylovRun = tuple[CoordVector, list[int], list[list[int]], tuple[UniPoly, UniPoly]]
 
 
 class ShapeBasis:
@@ -73,7 +78,7 @@ class ShapeBasis:
         return out
 
     def to_groebner(self, F: PrimeField) -> GroebnerBasis:
-        return GroebnerBasis(self.to_polys(F), "lex", reduced=True)
+        return GroebnerBasis(self.to_polys(F), "lex")
 
     def __eq__(self, other) -> bool:
         return (
@@ -87,8 +92,8 @@ class ShapeBasis:
 
 
 class ProbeFail(Fail):
-    """shape_prob's decline.  `krylov` is its probe's (chain, s, fit), which
-    shape_det can take as its first factor."""
+    """shape_prob's decline.  `krylov` is its probe's (probe, s, rhs rows,
+    fit), which shape_det can take as its first factor."""
 
     def __init__(self, reason: str, krylov: KrylovRun):
         super().__init__(reason)
@@ -96,7 +101,7 @@ class ProbeFail(Fail):
 
 
 class WiedemannTrace:
-    """What the deterministic loop saw, for reporting and tests."""
+    """What the deterministic loop saw; `factors` is filled on success only."""
 
     def __init__(self):
         self.factors: list[tuple[UniPoly, list[UniPoly]]] = []
@@ -116,40 +121,39 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
     return out
 
 
-def _krylov(T1, v: CoordVector, length: int, F: PrimeField) -> KrylovRun:
-    """Chain v, T1^t v, ..., of `length` vectors, its first components s, and
-    the Berlekamp-Massey fit (f, N_s^-1 mod f) of s.  Only the first
-    length // 2 vectors are kept whole (all that `_tail_rhs` reads); past
-    them only component 0 is kept."""
-    chain = [list(v)]
-    for _ in range(length // 2 - 1):
-        chain.append(apply_transpose(T1, chain[-1]))
-    s = [w[0] for w in chain]
-    w = chain[-1]
-    for _ in range(length - len(chain)):
-        w = apply_transpose(T1, w)
+def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeField) -> KrylovRun:
+    """The probe r, the first components s of r, T1^t r, ... (`length` of
+    them), a row <(T1^t)^j r, NF(x_i)> for j < length // 2 per vector in nfs,
+    and the Berlekamp-Massey fit (f, N_s^-1 mod f) of s.  Only the current
+    chain vector is kept; a unit NF(x_i) is read as one component."""
+    reads = []
+    for v_i in nfs:
+        nz = [k for k, c in enumerate(v_i) if c]
+        unit = len(nz) == 1 and v_i[nz[0]] == 1
+        reads.append(itemgetter(nz[0]) if unit else partial(F.dot, v_i))
+    s: list[int] = []
+    rows: list[list[int]] = [[] for _ in nfs]
+    w = r
+    for j in range(length):
+        if j:
+            w = apply_transpose(T1, w)
         s.append(w[0])
-    return chain, s, berlekamp_massey(s, F)
-
-
-def _tail_rhs(chain: list[CoordVector], v_i: CoordVector, count: int, F: PrimeField) -> list[int]:
-    # <(T1^t)^j r, NF(x_i)>: component extraction when NF(x_i) is a unit vector
-    nz = [(k, c) for k, c in enumerate(v_i) if c]
-    if len(nz) == 1 and nz[0][1] == 1:
-        k = nz[0][0]
-        return [chain[j][k] for j in range(count)]
-    return [F.dot(chain[j], v_i) for j in range(count)]
+        if j < length // 2:
+            for row, read in zip(rows, reads):
+                row.append(read(w))
+    return r, s, rows, berlekamp_massey(s, F)
 
 
 def _tail_solves(
     d: int, s: list[int], rhs_rows: list[list[int]], F: PrimeField, fit: tuple[UniPoly, UniPoly]
 ) -> list[UniPoly]:
-    """One Hankel solve per right-hand side on the sequence s, all on the
-    Krylov fit of s: s has linear complexity d, so that fit is also the fit
-    of s[:2d], the prefix that defines H."""
+    """One Hankel solve per right-hand side, on its first d entries, all on
+    the Krylov fit of s: s has linear complexity d, so that fit is also the
+    fit of s[:2d], the prefix that defines H."""
     tails = []
     H = None
-    for b in rhs_rows:
+    for row in rhs_rows:
+        b = row[:d]
         H = HankelSystem(d, s, b, fit) if H is None else H.with_rhs(b)
         tails.append(hankel_solve(H, F))
     return tails
@@ -166,12 +170,13 @@ def shape_prob(
         probe = [rng.randrange(F.p) for _ in range(D)]
     elif len(probe) != D:
         raise ValueError(f"probe length {len(probe)} does not match D = {D}")
+    nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
     # the products take reduced vectors; a given probe is reduced here, once
-    chain, s, fit = _krylov(T1, [x % F.p for x in probe], 2 * D, F)
+    run = _krylov(T1, [x % F.p for x in probe], 2 * D, nfs, F)
+    _, s, rhs_rows, fit = run
     d = deg(fit[0])
     if d < D:
-        return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", (chain, s, fit))
-    rhs_rows = [_tail_rhs(chain, Q.nf_of_var(i), D, F) for i in range(2, Q.n + 1)]
+        return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", run)
     return ShapeBasis(fit[0], _tail_solves(D, s, rhs_rows, F, fit))
 
 
@@ -183,7 +188,7 @@ def shape_det(
     """Peel the minimal polynomial f1 of e under T_1 factor by factor, unit
     probe k viewing b = f(T_1) e for the product f of the factors so far.
 
-    start, a declined shape_prob probe's (chain, s, fit) on e, is
+    start, a declined shape_prob probe's (probe, s, rhs rows, fit) on e, is
     taken as the first factor in place of one from unit probe e_0.  The
     factors then differ, but their product is f1 all the same, and the
     answer (the radical basis, from the squarefree part of f1 and the CRT of
@@ -192,12 +197,12 @@ def shape_det(
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
+    nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
     trace = trace_out if trace_out is not None else WiedemannTrace()
 
     f = [1]
     b = Q.e()
-    # (fit of the factor's sequence, rhs rows per tail var)
-    components: list[tuple[tuple[UniPoly, UniPoly], list[list[int]]]] = []
+    runs: list[KrylovRun] = []  # one per factor of positive degree
     k = 0
     while any(b):
         if start is None:
@@ -211,22 +216,16 @@ def shape_det(
             k += 1
             # view the current b through probe u: same sequence as <u_adj, T1^i e>
             w = matrix_poly_apply(f, apply_transpose, T1, u, F)
-            chain, s, fit = _krylov(T1, w, 2 * (D - d), F)
+            run = _krylov(T1, w, 2 * (D - d), nfs, F)
         else:
-            chain, s, fit = start
-            u = chain[0]  # the chain starts at the probe
-            start = None
-        g = fit[0]
-        dk = deg(g)
-        if dk > 0:
-            rhs_rows = [
-                _tail_rhs(chain, Q.nf_of_var(i), dk, F) for i in range(2, Q.n + 1)
-            ]
-            components.append((fit, rhs_rows))
+            run, start = start, None
+            u = run[0]
+        g = run[3][0]
+        if deg(g) > 0:
+            runs.append(run)
             f = uni_mul(f, g, F)
-            trace.factors.append((g, []))
             trace.probe_vectors.append(u)
-            trace.sequences.append(s)
+            trace.sequences.append(run[1])
         b = matrix_poly_apply(g, apply, T1, b, F)
         trace.b_vectors.append(list(b))
 
@@ -235,22 +234,22 @@ def shape_det(
             f"deterministic univariate degree {deg(f)} < D = {D}: "
             "ideal is not in shape position"
         )
-    f1 = f
 
-    # per-factor tails from the recorded sequences (Hankel of each factor)
-    for idx, (fit, rhs_rows) in enumerate(components):
-        g = fit[0]
-        trace.factors[idx] = (g, _tail_solves(deg(g), trace.sequences[idx], rhs_rows, F, fit))
+    # per-factor tails: one Hankel system per factor, on its own sequence
+    factors = [
+        (fit[0], _tail_solves(deg(fit[0]), s, rhs_rows, F, fit)) for _, s, rhs_rows, fit in runs
+    ]
+    trace.factors.extend(factors)
 
-    fbar1 = squarefree_part(f1, F)
-    is_radical = fbar1 == f1
+    fbar1 = squarefree_part(f, F)
+    is_radical = fbar1 == f
 
     # peel the squarefree part across the recorded factors; the pieces are
     # pairwise coprime, so CRT glues the tails back together
     moduli: list[UniPoly] = []
     residues_per_var: list[list[UniPoly]] = [[] for _ in range(Q.n - 1)]
     remaining = fbar1
-    for g, tails in trace.factors:
+    for g, tails in factors:
         if deg(remaining) == 0:
             break
         piece = uni_gcd(g, remaining, F)

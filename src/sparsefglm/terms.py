@@ -15,13 +15,13 @@ usual way:
 Sort keys are exposed instead of comparator objects; ascending sorts with
 these keys produce ascending term order.
 
-Inside the reduction layers (`poly.normal_form`, `poly.reduce_basis`,
-`buchberger`) a term is one int instead, packed by the `TermCodec` of its
-(n, ordering): the ints compare as the terms do, a product of terms is an
-int addition, and divisibility is one mask test.  `buchberger` also
-numbers the packed DRL terms of low degree by their place in the order,
-so that a polynomial can be one int with a field per rank.  Exponent
-tuples stay the format of every public interface.
+Inside the reduction layers (`poly.normal_form`, `buchberger`) a term is
+one int instead, packed by the `TermCodec` of its (n, ordering): the ints
+compare as the terms do, a product of terms is an int addition, and
+divisibility is one mask test.  `buchberger` also numbers the packed DRL
+terms of low degree by their place in the order, so that a polynomial can
+be one int with a field per rank.  Exponent tuples stay the format of
+every public interface.
 """
 
 from __future__ import annotations
@@ -144,9 +144,6 @@ class TermCodec:
         if x & self.guard:
             raise ValueError(f"exponent past MAX_EXP = {MAX_EXP} in a packed term")
         return x
-
-    def divides(self, a: int, b: int) -> bool:
-        return (b - a + self.lift) & self.guard == self.mark
 
 
 @cache

@@ -19,7 +19,6 @@ from sparsefglm.poly import (
     GroebnerBasis,
     MultiPoly,
     Row,
-    interreduce_rows,
     make_row,
     normal_form,
     reduce_rows,
@@ -208,7 +207,7 @@ def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> Groebne
                 seen.add(nt)
                 heapq.heappush(heap, (key(nt), nt, t, jj))
     out.sort(key=lambda f: key(f.lt(target)))
-    return GroebnerBasis(out, target, reduced=True)
+    return GroebnerBasis(out, target)
 
 
 # Reference oracle for `sysio._parse_poly`: the per-token tokenizer and
@@ -343,8 +342,13 @@ def reference_numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
     return trim([sum(map(mul, f[k + 1 :], s)) % p for k in range(deg(f))])
 
 
-# Reference oracle for `poly.interreduce_rows`: the version that reduces each
-# kept row by every other kept row in its unreduced form, verbatim.
+def _packed_divides(codec: TermCodec, a: int, b: int) -> bool:
+    """Whether packed term a divides packed term b (see `terms.TermCodec`)."""
+    return (b - a + codec.lift) & codec.guard == codec.mark
+
+
+# Interreduction for `reference_buchberger`: each kept row is reduced by
+# every other kept row in its unreduced form.
 def reference_interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> list[Row]:
     """Rows of the minimal, monic, pairwise-reduced basis, by ascending
     leading term; of several equal leading terms the first row is kept."""
@@ -354,7 +358,7 @@ def reference_interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> lis
             row
             for i, row in enumerate(rows)
             if not any(
-                j != i and codec.divides(lt, lts[i]) and (lt != lts[i] or j < i)
+                j != i and _packed_divides(codec, lt, lts[i]) and (lt != lts[i] or j < i)
                 for j, lt in enumerate(lts)
             )
         ),
@@ -369,8 +373,8 @@ def reference_interreduce_rows(rows: list[Row], codec: TermCodec, p: int) -> lis
 
 
 # Reference oracle for `buchberger`: the version that reduced every
-# S-polynomial with the heap loop `poly.reduce_rows` and interreduced with
-# `poly.interreduce_rows`, verbatim.
+# S-polynomial with the heap loop `poly.reduce_rows`, its interreduction
+# replaced by `reference_interreduce_rows`.
 def _lcm(a: Term, b: Term) -> Term:
     return tuple(map(max, a, b))
 
@@ -428,7 +432,7 @@ def reference_buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: Prime
         for k, (lk, _) in enumerate(rows):
             if k in (i, j):
                 continue
-            if codec.divides(lk, m):
+            if _packed_divides(codec, lk, m):
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pairs and b not in pairs:
@@ -452,8 +456,8 @@ def reference_buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: Prime
         k = len(rows) - 1
         for i2 in range(k):
             add_pair(i2, k)
-    basis = [row_poly(row, codec, F) for row in interreduce_rows(rows, codec, p)]
-    return GroebnerBasis(basis, ordering, reduced=True)
+    basis = [row_poly(row, codec, F) for row in reference_interreduce_rows(rows, codec, p)]
+    return GroebnerBasis(basis, ordering)
 
 
 # The rank of a matrix over GF(p) by Gauss-Jordan elimination; the
@@ -521,4 +525,4 @@ def monomial6() -> QuotientStructure:
         MultiPoly(2, {(1, 2): 1}),
         MultiPoly(2, {(0, 3): 1}),
     ]
-    return QuotientStructure(GroebnerBasis(gens, "drl", reduced=True), F)
+    return QuotientStructure(GroebnerBasis(gens, "drl"), F)

@@ -220,7 +220,7 @@ def test_bms_declines_inconsistent_input():
     g_c = P({(4, 0): 1, (2, 0): 15, (1, 0): 19, (0, 0): 3})
     assert basis_strs(buchberger([g_a, g_b, g_c], "drl", F)) == ["1"]
 
-    Q = QuotientStructure(GroebnerBasis([g_c, g_b, g_a], "drl", reduced=True), F)
+    Q = QuotientStructure(GroebnerBasis([g_c, g_b, g_a], "drl"), F)
     assert Q.D == 12
     assert noncommuting_units(Q) == [10, 11]
     res = bms_change(Q, seed=None, probe=list(PROBE12))

@@ -12,17 +12,12 @@ from sparsefglm.poly import (
     mp_scale,
     mp_sub,
     normal_form,
-    reduce_basis,
-    interreduce_rows,
-    reducer_row,
-    row_poly,
 )
 from sparsefglm.buchberger import buchberger, gen_random_system
-from sparsefglm.fglm import classic_fglm
 from sparsefglm.quotient import QuotientStructure
-from sparsefglm.terms import MAX_EXP, term_codec, term_key
+from sparsefglm.terms import MAX_EXP, term_key
 
-from conftest import normal_form_linear_scan, reference_interreduce_rows
+from conftest import normal_form_linear_scan, reference_buchberger
 
 F11 = PrimeField(11)
 
@@ -162,41 +157,42 @@ def test_normal_form_of_member_is_zero():
 
 
 def test_reduce_basis_minimalizes_and_sorts():
+    """buchberger of a redundant Groebner basis (a leading term divisible by
+    another, a zero and a non-monic member) is its reduced basis, sorted."""
     redundant = [
         MultiPoly(2, {(1, 0): 2, (0, 0): 2}),
         MultiPoly(2, {(2, 0): 1, (1, 0): 1}),  # lt divisible by x1
         MultiPoly.zero(2),
         MultiPoly(2, {(0, 2): 3}),
     ]
-    out = reduce_basis(redundant, "drl", F11)
+    out = buchberger(redundant, "drl", F11).polys
     assert [f.coeffs for f in out] == [{(1, 0): 1, (0, 0): 1}, {(0, 2): 1}]
 
 
 @pytest.mark.parametrize("n,d,p", [(2, 8, 65521), (4, 2, 65521), (3, 3, 7), (2, 6, 5)])
 def test_interreduce_rows_matches_reference(n, d, p):
-    """Ascending interreduction gives the rows of the version that reduces
-    each row by every other, unreduced one.  Input: the reduced basis of a
-    random system in DRL and in LEX, each row's tail spoiled by scaled
-    multiples of the basis elements below it, and scaled copies and term
-    multiples of it appended; leading terms stay, so it is a Groebner basis."""
+    """buchberger of a spoiled DRL Groebner basis is the reduced basis, as
+    the reference interreduction gives it.  Input: the reduced basis of a
+    random system, each member's tail spoiled by scaled multiples of the
+    basis elements below it, and scaled copies and term multiples of it
+    appended; leading terms stay, so it is a Groebner basis.  QuotientStructure
+    rejects the spoiled basis."""
     F = PrimeField(p)
     for seed in range(3):
         rng = random.Random(seed)
-        gb = buchberger(gen_random_system(n, d, p, 41600000 + seed), "drl", F)
-        for ordering, polys in (("drl", gb.polys), ("lex", classic_fglm(QuotientStructure(gb, F), "lex").polys)):
-            spoiled = []
-            for i, g in enumerate(polys):
-                for h in polys[:i]:
-                    g = mp_sub(g, mp_scale(h, rng.randrange(p), F), F)
-                spoiled.append(mp_scale(g, rng.randrange(1, p), F))
-            extra = [mp_mul_term(g, (0,) * (n - 1) + (1,), rng.randrange(1, p), F) for g in spoiled]
-            inputs = spoiled + extra + [mp_scale(g, 2 % p or 1, F) for g in spoiled[::2]]
-            rng.shuffle(inputs)
-            rows = [reducer_row(g, ordering, F) for g in inputs]
-            codec = term_codec(n, ordering)
-            got = interreduce_rows(rows, codec, p)
-            assert got == reference_interreduce_rows(rows, codec, p)
-            assert [row_poly(row, codec, F) for row in got] == polys
+        polys = buchberger(gen_random_system(n, d, p, 41600000 + seed), "drl", F).polys
+        spoiled = []
+        for i, g in enumerate(polys):
+            for h in polys[:i]:
+                g = mp_sub(g, mp_scale(h, rng.randrange(p), F), F)
+            spoiled.append(mp_scale(g, rng.randrange(1, p), F))
+        extra = [mp_mul_term(g, (0,) * (n - 1) + (1,), rng.randrange(1, p), F) for g in spoiled]
+        inputs = spoiled + extra + [mp_scale(g, 2 % p or 1, F) for g in spoiled[::2]]
+        rng.shuffle(inputs)
+        assert buchberger(inputs, "drl", F).polys == polys
+        assert reference_buchberger(inputs, "drl", F).polys == polys
+        with pytest.raises(ValueError, match="not reduced"):
+            QuotientStructure(GroebnerBasis(inputs, "drl"), F)
 
 
 def test_equality_and_hash():

@@ -8,6 +8,7 @@ import pytest
 from sparsefglm.bms import bms_change
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
+from sparsefglm.fglm import toplevel
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_scale
 from sparsefglm.quotient import (
     QuotientStructure,
@@ -297,11 +298,29 @@ def test_constructor_validation():
 
 
 def test_unreduced_input_is_reduced(gf11):
+    """QuotientStructure takes the reduced basis only; an unreduced one is
+    bad input, and buchberger reduces it."""
     F, polys = parse_system(GF11_TEXT)
     doubled = polys + [mp_scale(polys[0], 2, F)]
-    Q = QuotientStructure(GroebnerBasis(doubled, "drl", reduced=False), F)
+    with pytest.raises(ValueError, match="not reduced"):
+        QuotientStructure(GroebnerBasis(doubled, "drl"), F)
+    Q = QuotientStructure(buchberger(doubled, "drl", F), F)
     assert Q.basis == gf11.basis
     assert [g.coeffs for g in Q.G1.polys] == [g.coeffs for g in gf11.G1.polys]
+
+
+def test_tail_outside_staircase_is_bad_input():
+    """Over GF(11), [x1^2, x2^3 + x1^2] has the tail term x1^2, which is a
+    leading term, not a staircase term, so the case-2 column of x2^3 in T_2
+    has no row for it.  The basis is rejected up front, by toplevel too;
+    buchberger reduces it to one with D = 6."""
+    x1sq = MultiPoly(2, {(2, 0): 1})
+    G = GroebnerBasis([x1sq, MultiPoly(2, {(0, 3): 1, (2, 0): 1})], "drl")
+    with pytest.raises(ValueError, match="not reduced"):
+        QuotientStructure(G, F11)
+    with pytest.raises(ValueError, match="not reduced"):
+        toplevel(G, F11, seed=0)
+    assert QuotientStructure(buchberger(G.polys, "drl", F11), F11).D == 6
 
 
 def test_helper_constructors(gf11):

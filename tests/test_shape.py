@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -223,6 +224,31 @@ def test_shape_det_fits_each_factor_once(monkeypatch):
         assert calls == {"bm": probes, "xgcd": len(degrees) - 1}
         assert [H.d for H in systems] == degrees
         assert [t for _, tails in tr.factors for t in tails] == _fresh_solves(systems, F)
+
+
+def test_shape_paths_hold_memory_linear_in_d():
+    """With T_1 and NF(x_2) built first, the tracemalloc peak per D of
+    shape_prob and of shape_det stays within 1.5x from D = 64 to D = 256:
+    a run keeps the current chain vector, its sequence and one row of
+    right-hand sides per tail variable, O(nD) residues.  A run that held
+    its first D chain vectors (D^2 residues) would read about 2x here."""
+    F = PrimeField(65521)
+    per_d = {"prob": [], "det": []}
+    for d in (8, 16):
+        Q = QuotientStructure(buchberger(gen_random_system(2, d, 65521, 0), "drl", F), F)
+        Q.matrix(1)
+        Q.nf_of_var(2)
+        for name, run in (("prob", lambda: shape_prob(Q, 0)), ("det", lambda: shape_det(Q))):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not isinstance(out, Fail)
+            per_d[name].append(peak / Q.D)
+    for name, (small, large) in per_d.items():
+        assert large <= 1.5 * small, (name, small, large)
 
 
 def test_shape_det_gf11_reports_nonradical(gf11):
