@@ -3,10 +3,11 @@
 Berlekamp-Massey is one online algorithm, its update written once in
 `BMState`: it takes one term at a time and reports, for the prefix seen so
 far, the minimal polynomial f and the inverse N_s^-1 mod f of the
-numerator, so a Hankel solve needs no extended Euclid.  The solve's
-numerator N_b and its product with N_s^-1 are packed `unipoly` products,
-reduced mod f by one packed division; each field is sized for the largest
-value it can receive, so none carries into the next.
+numerator, so a Hankel solve needs no extended Euclid.  `hankel_solve`
+takes that fit and one right-hand side, not the sequence.
+Its numerator N_b and the product with N_s^-1 are packed `unipoly`
+products, reduced mod f by one packed division; each field is sized for the
+largest value it can receive, so none carries into the next.
 """
 
 from __future__ import annotations
@@ -72,36 +73,6 @@ def berlekamp_massey(s: LinRecSeq, F: PrimeField) -> tuple[UniPoly, UniPoly]:
     return state.fit()
 
 
-class HankelSystem:
-    """H[j][k] = seq[j+k] for a d x d matrix, with right-hand side rhs.
-
-    fit, the pair (f, N_s^-1 mod f) that berlekamp_massey returns for
-    seq[:2d], belongs to the sequence, not to the right-hand side:
-    hankel_solve fits seq when it is missing, and `with_rhs` hands it on to
-    the next system on the same sequence.  A caller that has already fitted
-    seq[:2d], or a longer stretch of seq of the same linear complexity, may
-    pass that fit.
-    """
-
-    __slots__ = ("d", "seq", "rhs", "fit")
-
-    def __init__(
-        self, d: int, seq: list[int], rhs: list[int], fit: tuple[UniPoly, UniPoly] | None = None
-    ):
-        if len(seq) < 2 * d - 1:
-            raise ValueError("sequence too short for Hankel dimension")
-        if len(rhs) != d:
-            raise ValueError("right-hand side length does not match dimension")
-        self.d = d
-        self.seq = seq
-        self.rhs = rhs
-        self.fit = fit
-
-    def with_rhs(self, rhs: list[int]) -> HankelSystem:
-        """The same sequence and whatever fit it has, against another rhs."""
-        return HankelSystem(self.d, self.seq, rhs, self.fit)
-
-
 def _numerator(f: UniPoly, s: list[int], F: PrimeField) -> UniPoly:
     """N with sum_j s_j x^(-j-1) = N / f, from the first d = deg(f) terms of
     s: N_k = sum_j f_(k+1+j) s_j is coefficient d + k of f * rev(s[:d])."""
@@ -109,22 +80,20 @@ def _numerator(f: UniPoly, s: list[int], F: PrimeField) -> UniPoly:
     return uni_mul(f, s[:d][::-1], F)[d:]
 
 
-def hankel_solve(sys: HankelSystem, F: PrimeField) -> list[int]:
-    """Solve H c = b in O(d^2) through the generating series of seq and rhs.
+def hankel_solve(fit: tuple[UniPoly, UniPoly], rhs: list[int], F: PrimeField) -> list[int]:
+    """Solve H c = rhs in O(d^2), d = len(rhs), for the d x d Hankel matrix
+    H[j][k] = s[j+k] of a sequence s, given the Berlekamp-Massey fit
+    (f, N_s^-1 mod f) of s[:2d] (zero-padded) or of a longer stretch of s
+    of the same linear complexity.
 
-    H is invertible iff the minimal polynomial f of seq[:2d] (zero-padded)
-    has degree d.  Then the numerator N_s of seq over f is coprime to f (a
-    common factor would leave seq a recurrence of degree < d), and c, read
-    as a polynomial of degree < d, is N_b * N_s^-1 mod f, where N_b is the
-    numerator of rhs over f (Bostan-Salvy-Schost duality).  f and N_s^-1
-    come from one Berlekamp-Massey run per sequence, kept on sys.
+    H is invertible iff deg f = d.  Then the numerator N_s of s over f is
+    coprime to f (a common factor would leave s a recurrence of degree < d),
+    and c, read as a polynomial of degree < d, is N_b * N_s^-1 mod f, where
+    N_b is the numerator of rhs over f (Bostan-Salvy-Schost duality).
     """
-    d = sys.d
-    if sys.fit is None:
-        s = sys.seq[: 2 * d]
-        sys.fit = berlekamp_massey(s + [0] * (2 * d - len(s)), F)
-    f, ns_inv = sys.fit
+    d = len(rhs)
+    f, ns_inv = fit
     if deg(f) != d:
         raise ValueError("singular Hankel system")
-    c = uni_mod(uni_mul(_numerator(f, sys.rhs, F), ns_inv, F), f, F)
+    c = uni_mod(uni_mul(_numerator(f, rhs, F), ns_inv, F), f, F)
     return c + [0] * (d - len(c))

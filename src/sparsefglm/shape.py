@@ -17,10 +17,11 @@ Three entry points:
 All of them touch T_1 only, apart from the single columns NF(x_i).
 shape_prob and shape_det share one Krylov loop (`_krylov`), which keeps only
 the current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
-off it as it goes, so a run holds O(nD) residues, not the chain; one tail loop
-(`_tail_solves`: every solve on a sequence reuses its Krylov fit, so each
-sequence gets one Berlekamp-Massey run and no extended Euclid) and one
-Horner evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
+off it as it goes, so a run holds O(nD) residues, not the chain, and hands
+back only those rows and the Berlekamp-Massey fit of its sequence; one tail
+step (`_tail_solves`: every Hankel solve takes that fit, so each sequence
+gets one Berlekamp-Massey run and no extended Euclid) and one Horner
+evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
 Berlekamp-Massey fits and the Hankel solves are looked up in this module's
 globals at call time, so the benchmark's tracer can wrap them here.
 """
@@ -32,7 +33,7 @@ from functools import partial
 from operator import itemgetter
 
 from .field import PrimeField
-from .linrec import BMState, HankelSystem, berlekamp_massey, hankel_solve
+from .linrec import BMState, berlekamp_massey, hankel_solve
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_sub
 from .quotient import CoordVector, QuotientStructure, apply, apply_transpose
 from .terms import var_term
@@ -49,9 +50,9 @@ from .unipoly import (
 )
 
 
-# a probe r, the first components s of its Krylov chain, one row of
-# <(T1^t)^j r, NF(x_i)> per tail variable, and the Berlekamp-Massey fit of s
-KrylovRun = tuple[CoordVector, list[int], list[list[int]], tuple[UniPoly, UniPoly]]
+# one row of <(T1^t)^j r, NF(x_i)> per tail variable for a probe r, and the
+# Berlekamp-Massey fit of the first components of r's Krylov chain
+KrylovRun = tuple[list[list[int]], tuple[UniPoly, UniPoly]]
 
 
 class ShapeBasis:
@@ -92,22 +93,12 @@ class ShapeBasis:
 
 
 class ProbeFail(Fail):
-    """shape_prob's decline.  `krylov` is its probe's (probe, s, rhs rows,
-    fit), which shape_det can take as its first factor."""
+    """shape_prob's decline.  `krylov` is its probe's (rhs rows, fit),
+    which shape_det can take as its first factor."""
 
     def __init__(self, reason: str, krylov: KrylovRun):
         super().__init__(reason)
         self.krylov = krylov
-
-
-class WiedemannTrace:
-    """What the deterministic loop saw; `factors` is filled on success only."""
-
-    def __init__(self):
-        self.factors: list[tuple[UniPoly, list[UniPoly]]] = []
-        self.probe_vectors: list[CoordVector] = []
-        self.sequences: list[list[int]] = []
-        self.b_vectors: list[CoordVector] = []
 
 
 def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> CoordVector:
@@ -122,10 +113,10 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
 
 
 def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeField) -> KrylovRun:
-    """The probe r, the first components s of r, T1^t r, ... (`length` of
-    them), a row <(T1^t)^j r, NF(x_i)> for j < length // 2 per vector in nfs,
-    and the Berlekamp-Massey fit (f, N_s^-1 mod f) of s.  Only the current
-    chain vector is kept; a unit NF(x_i) is read as one component."""
+    """A row <(T1^t)^j r, NF(x_i)> for j < length // 2 per vector in nfs,
+    and the Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components
+    s of r, T1^t r, ... (`length` of them).  Only the current chain vector
+    is kept; a unit NF(x_i) is read as one component."""
     reads = []
     for v_i in nfs:
         nz = [k for k, c in enumerate(v_i) if c]
@@ -141,22 +132,17 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
         if j < length // 2:
             for row, read in zip(rows, reads):
                 row.append(read(w))
-    return r, s, rows, berlekamp_massey(s, F)
+    return rows, berlekamp_massey(s, F)
 
 
 def _tail_solves(
-    d: int, s: list[int], rhs_rows: list[list[int]], F: PrimeField, fit: tuple[UniPoly, UniPoly]
+    rhs_rows: list[list[int]], fit: tuple[UniPoly, UniPoly], F: PrimeField
 ) -> list[UniPoly]:
-    """One Hankel solve per right-hand side, on its first d entries, all on
-    the Krylov fit of s: s has linear complexity d, so that fit is also the
-    fit of s[:2d], the prefix that defines H."""
-    tails = []
-    H = None
-    for row in rhs_rows:
-        b = row[:d]
-        H = HankelSystem(d, s, b, fit) if H is None else H.with_rhs(b)
-        tails.append(hankel_solve(H, F))
-    return tails
+    """One Hankel solve per right-hand side, on its first d = deg f entries,
+    all on the Krylov fit (f, N_s^-1 mod f) of s: s has linear complexity d,
+    so that fit is also the fit of s[:2d], the prefix that defines H."""
+    d = deg(fit[0])
+    return [hankel_solve(fit, row[:d], F) for row in rhs_rows]
 
 
 def shape_prob(
@@ -173,32 +159,29 @@ def shape_prob(
     nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
     # the products take reduced vectors; a given probe is reduced here, once
     run = _krylov(T1, [x % F.p for x in probe], 2 * D, nfs, F)
-    _, s, rhs_rows, fit = run
+    rhs_rows, fit = run
     d = deg(fit[0])
     if d < D:
         return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", run)
-    return ShapeBasis(fit[0], _tail_solves(D, s, rhs_rows, F, fit))
+    return ShapeBasis(fit[0], _tail_solves(rhs_rows, fit, F))
 
 
 def shape_det(
-    Q: QuotientStructure,
-    trace_out: WiedemannTrace | None = None,
-    start: KrylovRun | None = None,
+    Q: QuotientStructure, start: KrylovRun | None = None
 ) -> tuple[ShapeBasis, bool] | Fail:
     """Peel the minimal polynomial f1 of e under T_1 factor by factor, unit
     probe k viewing b = f(T_1) e for the product f of the factors so far.
 
-    start, a declined shape_prob probe's (probe, s, rhs rows, fit) on e, is
-    taken as the first factor in place of one from unit probe e_0.  The
-    factors then differ, but their product is f1 all the same, and the
-    answer (the radical basis, from the squarefree part of f1 and the CRT of
-    the tails, and whether that is the basis of I) is unique.
+    start, a declined shape_prob probe's (rhs rows, fit) on e, is taken as
+    the first factor in place of one from unit probe e_0.  The factors then
+    differ, but their product is f1 all the same, and the answer (the
+    radical basis, from the squarefree part of f1 and the CRT of the tails,
+    and whether that is the basis of I) is unique.
     """
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
     nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
-    trace = trace_out if trace_out is not None else WiedemannTrace()
 
     f = [1]
     b = Q.e()
@@ -219,15 +202,11 @@ def shape_det(
             run = _krylov(T1, w, 2 * (D - d), nfs, F)
         else:
             run, start = start, None
-            u = run[0]
-        g = run[3][0]
+        g = run[1][0]
         if deg(g) > 0:
             runs.append(run)
             f = uni_mul(f, g, F)
-            trace.probe_vectors.append(u)
-            trace.sequences.append(run[1])
         b = matrix_poly_apply(g, apply, T1, b, F)
-        trace.b_vectors.append(list(b))
 
     if deg(f) != D:
         return Fail(
@@ -235,11 +214,8 @@ def shape_det(
             "ideal is not in shape position"
         )
 
-    # per-factor tails: one Hankel system per factor, on its own sequence
-    factors = [
-        (fit[0], _tail_solves(deg(fit[0]), s, rhs_rows, F, fit)) for _, s, rhs_rows, fit in runs
-    ]
-    trace.factors.extend(factors)
+    # per-factor tails, each factor's solves on its own Krylov fit
+    factors = [(fit[0], _tail_solves(rhs_rows, fit, F)) for rhs_rows, fit in runs]
 
     fbar1 = squarefree_part(f, F)
     is_radical = fbar1 == f

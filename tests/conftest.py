@@ -13,8 +13,10 @@ from operator import itemgetter, mul, sub
 
 import pytest
 
+from sparsefglm import shape
 from sparsefglm.buchberger import buchberger
 from sparsefglm.field import PrimeField
+from sparsefglm.linrec import berlekamp_massey, hankel_solve
 from sparsefglm.poly import (
     GroebnerBasis,
     MultiPoly,
@@ -340,6 +342,53 @@ def reference_uni_divmod(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly
 def reference_numerator(f: UniPoly, s: list[int], p: int) -> UniPoly:
     """N with sum_j s_j x^(-j-1) = N / f, from the first deg(f) terms of s."""
     return trim([sum(map(mul, f[k + 1 :], s)) % p for k in range(deg(f))])
+
+
+def prefix_fit(s: list[int], d: int, F: PrimeField) -> tuple[UniPoly, UniPoly]:
+    """The Berlekamp-Massey fit of s[:2d], zero-padded to 2d terms: the fit
+    `hankel_solve` takes for the d x d Hankel matrix H[j][k] = s[j+k]."""
+    head = s[: 2 * d]
+    return berlekamp_massey(head + [0] * (2 * d - len(head)), F)
+
+
+def record_shape(monkeypatch) -> dict[str, list]:
+    """Wrap the shape globals the benchmark's tracer wraps and record, in
+    call order, what they see: "bm" gets (s, fit) per Berlekamp-Massey run,
+    "hankel" (fit, rhs, c) per Hankel solve and "poly" (step, v, result)
+    per matrix_poly_apply."""
+    rec = {"bm": [], "hankel": [], "poly": []}
+    bm, solve, poly_apply = shape.berlekamp_massey, shape.hankel_solve, shape.matrix_poly_apply
+
+    def fitted(s, F):
+        fit = bm(s, F)
+        rec["bm"].append((list(s), fit))
+        return fit
+
+    def solved(fit, rhs, F):
+        c = solve(fit, rhs, F)
+        rec["hankel"].append((fit, rhs, c))
+        return c
+
+    def applied(g, step, T, v, F):
+        out = poly_apply(g, step, T, v, F)
+        rec["poly"].append((step, v, out))
+        return out
+
+    monkeypatch.setattr(shape, "berlekamp_massey", fitted)
+    monkeypatch.setattr(shape, "hankel_solve", solved)
+    monkeypatch.setattr(shape, "matrix_poly_apply", applied)
+    return rec
+
+
+def shape_factors(rec: dict[str, list]) -> list[tuple[UniPoly, list[list[int]]]]:
+    """(g, tails) for each recorded Krylov fit (g, N_s^-1) of positive
+    degree, in peeling order, with the tails solved on that fit: on a
+    shape_det call that succeeds, its factors and their tails."""
+    return [
+        (fit[0], [c for h, _, c in rec["hankel"] if h is fit])
+        for _, fit in rec["bm"]
+        if deg(fit[0]) > 0
+    ]
 
 
 def _packed_divides(codec: TermCodec, a: int, b: int) -> bool:

@@ -10,17 +10,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PROBE12, basis_strs, noncommuting_units, rank_mod_p
+from conftest import (
+    PROBE12,
+    basis_strs,
+    noncommuting_units,
+    rank_mod_p,
+    record_shape,
+    shape_factors,
+)
 
 from sparsefglm.bms import bms_change, is_gb
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm, toplevel
 from sparsefglm.field import PrimeField
 from sparsefglm.generic import asymptotic_estimate, dense_column_count, verify_moreno_socias
-from sparsefglm.linrec import HankelSystem, berlekamp_massey, hankel_solve
+from sparsefglm.linrec import berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, MultiPoly, mp_sub, normal_form
-from sparsefglm.quotient import QuotientStructure, apply_transpose
-from sparsefglm.shape import ShapeBasis, WiedemannTrace, shape_det, shape_prob
+from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
+from sparsefglm.shape import ShapeBasis, shape_det, shape_prob
 from sparsefglm.unipoly import (
     squarefree_part,
     uni_crt,
@@ -48,11 +55,12 @@ def test_c01_probabilistic_shape_conversion_worked_example(gf11):
         chain.append(apply_transpose(gf11.matrix(1), chain[-1]))
     s = [v[0] for v in chain]
     assert s == [8, 4, 0, 7, 6, 8, 10, 10]
-    f1 = berlekamp_massey(s, F)[0]
+    fit = berlekamp_massey(s, F)  # s holds exactly the 2D terms H needs
+    f1 = fit[0]
     assert f1 == [9, 8, 0, 0, 1]  # x1^4 + 8*x1 + 9
     b = [F.dot(chain[i], gf11.nf_of_var(2)) for i in range(4)]
     assert b == [8, 6, 8, 3]
-    assert hankel_solve(HankelSystem(4, s, b), F) == [1, 0, 5, 0]
+    assert hankel_solve(fit, b, F) == [1, 0, 5, 0]
 
     res = shape_prob(gf11, seed=None, probe=r)
     assert res == ShapeBasis([9, 8, 0, 0, 1], [[1, 0, 5], [2]])
@@ -68,24 +76,26 @@ def test_c01_probabilistic_shape_conversion_worked_example(gf11):
     assert best < 1e-3
 
 
-def test_c02_deterministic_peeling_with_crt_recombination(gf2q):
+def test_c02_deterministic_peeling_with_crt_recombination(monkeypatch, gf2q):
     """GF(2) system not radical: unit probes peel two factors, the reduced
     pairs glue by CRT, and the direct reduction of the lex basis modulo the
     squarefree part lands on the same answer."""
     F2 = gf2q.F
     assert gf2q.D == 7
-    tr = WiedemannTrace()
-    det = shape_det(gf2q, trace_out=tr)
+    rec = record_shape(monkeypatch)
+    det = shape_det(gf2q)
+    monkeypatch.undo()
     assert not isinstance(det, Fail)
     sb, is_radical = det
 
-    (g1, t1), (g2, t2) = tr.factors
+    (g1, t1), (g2, t2) = shape_factors(rec)
+    b_vectors = [out for step, _, out in rec["poly"] if step is apply]
     assert g1 == [1, 1, 0, 1, 1]  # (x1+1)^2 (x1^2+x1+1)
     assert g2 == [1, 0, 0, 1]  # (x1+1)(x1^2+x1+1)
     assert t1 == [[0, 1, 0, 0]]
     assert t2 == [[0, 1, 0]]
-    assert tr.b_vectors[0] == [0, 1, 1, 0, 0, 0, 0]
-    assert tr.b_vectors[1] == [0] * 7
+    assert b_vectors[0] == [0, 1, 1, 0, 0, 0, 0]
+    assert b_vectors[1] == [0] * 7
     assert basis_strs(ShapeBasis(g1, t1).to_groebner(F2)) == [
         "x1^4 + x1^3 + x1 + 1", "x2 + x1",
     ]

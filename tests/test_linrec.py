@@ -2,16 +2,10 @@ import random
 
 import pytest
 
-from conftest import rank_mod_p, reference_numerator
+from conftest import prefix_fit, rank_mod_p, reference_numerator
 
 from sparsefglm.field import PrimeField
-from sparsefglm.linrec import (
-    BMState,
-    HankelSystem,
-    _numerator,
-    berlekamp_massey,
-    hankel_solve,
-)
+from sparsefglm.linrec import BMState, _numerator, berlekamp_massey, hankel_solve
 from sparsefglm.unipoly import deg, trim, uni_xgcd
 
 F2 = PrimeField(2)
@@ -180,11 +174,12 @@ def test_online_state_matches_fresh_bm_on_every_prefix(p):
         assert berlekamp_massey(s, F) == state.fit()
 
 
-def gauss_jordan_hankel_solve(sys, F):
-    """Oracle: solve H c = b by dense Gauss-Jordan elimination, O(d^3)."""
+def gauss_jordan_hankel_solve(seq, rhs, F):
+    """Oracle: solve H c = rhs, H[j][k] = seq[j+k], d = len(rhs), by dense
+    Gauss-Jordan elimination, O(d^3)."""
     p = F.p
-    d = sys.d
-    M = [sys.seq[j : j + d] + [sys.rhs[j] % p] for j in range(d)]
+    d = len(rhs)
+    M = [seq[j : j + d] + [rhs[j] % p] for j in range(d)]
     for col in range(d):
         piv = next((r for r in range(col, d) if M[r][col] % p), None)
         if piv is None:
@@ -199,9 +194,9 @@ def gauss_jordan_hankel_solve(sys, F):
     return [M[r][d] for r in range(d)]
 
 
-def _solve_or_singular(solve, sys, F):
+def _solve_or_singular(solve, *args):
     try:
-        return solve(sys, F)
+        return solve(*args)
     except ValueError:
         return "singular"
 
@@ -234,9 +229,9 @@ def test_hankel_solve_matches_gauss_jordan_oracle():
                 for length in (2 * d - 1, 2 * d):
                     for _ in range(6):
                         seq, rhs = _hankel_inputs(rng, kind, F, d, length)
-                        sys = HankelSystem(d, seq, rhs)
-                        want = _solve_or_singular(gauss_jordan_hankel_solve, sys, F)
-                        got = _solve_or_singular(hankel_solve, sys, F)
+                        want = _solve_or_singular(gauss_jordan_hankel_solve, seq, rhs, F)
+                        fit = prefix_fit(seq, d, F)
+                        got = _solve_or_singular(hankel_solve, fit, rhs, F)
                         assert got == want, (p, d, kind, seq, rhs)
                         if want == "singular":
                             singular += 1
@@ -246,39 +241,29 @@ def test_hankel_solve_matches_gauss_jordan_oracle():
     assert solved > 500 and singular > 500, (solved, singular)
 
 
-def test_hankel_rows():
-    sys = HankelSystem(3, [1, 2, 3, 4, 5], [0, 0, 0])
-    # row j of H is seq[j : j + d]
-    assert (sys.d, sys.seq, sys.rhs) == (3, [1, 2, 3, 4, 5], [0, 0, 0])
-    with pytest.raises(ValueError):
-        HankelSystem(4, [1, 2, 3], [0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        HankelSystem(2, [1, 2, 3], [0])
-
-
 def test_hankel_solve_known_gf11():
     s = [8, 4, 0, 7, 6, 8, 10, 10]
     b = [8, 6, 8, 3]
-    assert hankel_solve(HankelSystem(4, s, b), F11) == [1, 0, 5, 0]
+    assert hankel_solve(prefix_fit(s, 4, F11), b, F11) == [1, 0, 5, 0]
 
 
 def test_hankel_solve_known_gf2():
     s = [1, 0, 0, 0, 1, 1, 1]
     b = [0, 0, 0, 1]
-    assert hankel_solve(HankelSystem(4, s, b), F2) == [0, 1, 0, 0]
+    assert hankel_solve(prefix_fit(s, 4, F2), b, F2) == [0, 1, 0, 0]
 
 
 def test_hankel_solve_verifies():
     s = [8, 4, 0, 7, 6, 8, 10, 10]
-    sys = HankelSystem(4, s, [1, 2, 3, 4])
-    c = hankel_solve(sys, F11)
+    rhs = [1, 2, 3, 4]
+    c = hankel_solve(prefix_fit(s, 4, F11), rhs, F11)
     for j in range(4):
-        assert F11.dot(s[j : j + 4], c) == sys.rhs[j]
+        assert F11.dot(s[j : j + 4], c) == rhs[j]
 
 
 def test_hankel_solve_singular_raises():
     with pytest.raises(ValueError):
-        hankel_solve(HankelSystem(2, [0, 0, 0], [1, 0]), F11)
+        hankel_solve(prefix_fit([0, 0, 0], 2, F11), [1, 0], F11)
 
 
 def test_rank_helper():

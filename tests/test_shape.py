@@ -7,12 +7,11 @@ from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm import linrec, shape, unipoly
-from sparsefglm.linrec import HankelSystem, berlekamp_massey, hankel_solve
+from sparsefglm.linrec import berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, normal_form
 from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
 from sparsefglm.shape import (
     ShapeBasis,
-    WiedemannTrace,
     incremental_univariate,
     matrix_poly_apply,
     shape_det,
@@ -20,7 +19,7 @@ from sparsefglm.shape import (
 )
 from sparsefglm.unipoly import squarefree_part, trim, uni_crt, uni_mod
 
-from conftest import basis_strs
+from conftest import basis_strs, prefix_fit, record_shape, shape_factors
 
 
 def test_shape_basis_container():
@@ -83,9 +82,10 @@ def test_shape_prob_gf2_probes_see_proper_factors(gf2q):
     assert res.reason == "minimal polynomial degree 4 < ideal degree 7"
 
 
-def test_shape_det_gf2_peels_two_factors(gf2q):
-    tr = WiedemannTrace()
-    out = shape_det(gf2q, trace_out=tr)
+def test_shape_det_gf2_peels_two_factors(monkeypatch, gf2q):
+    rec = record_shape(monkeypatch)
+    out = shape_det(gf2q)
+    monkeypatch.undo()
     assert not isinstance(out, Fail)
     sb, is_radical = out
     assert not is_radical
@@ -93,19 +93,24 @@ def test_shape_det_gf2_peels_two_factors(gf2q):
     assert sb.tails == [[0, 1]]
     assert basis_strs(sb.to_polys(gf2q.F)) == ["x1^3 + 1", "x2 + x1"]
 
-    assert [g for g, _ in tr.factors] == [[1, 1, 0, 1, 1], [1, 0, 0, 1]]
-    assert tr.factors[0][1] == [[0, 1, 0, 0]]
-    assert tr.factors[1][1] == [[0, 1, 0]]
-    assert tr.probe_vectors[0] == [1, 0, 0, 0, 0, 0, 0]
-    assert tr.sequences[0] == [1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0]
-    assert tr.b_vectors[0] == [0, 1, 1, 0, 0, 0, 0]
-    assert tr.b_vectors[-1] == [0] * 7
+    factors = shape_factors(rec)
+    # probes view b through g(T1^t) u; the b vectors are each g(T1) b
+    probe_vectors = [v for step, v, _ in rec["poly"] if step is apply_transpose]
+    b_vectors = [out for step, _, out in rec["poly"] if step is apply]
+    assert [g for g, _ in factors] == [[1, 1, 0, 1, 1], [1, 0, 0, 1]]
+    assert factors[0][1] == [[0, 1, 0, 0]]
+    assert factors[1][1] == [[0, 1, 0]]
+    assert probe_vectors[0] == [1, 0, 0, 0, 0, 0, 0]
+    assert rec["bm"][0][0] == [1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0]
+    assert b_vectors[0] == [0, 1, 1, 0, 0, 0, 0]
+    assert b_vectors[-1] == [0] * 7
 
 
-def test_gf2_intermediate_pairs(gf2q):
-    tr = WiedemannTrace()
-    shape_det(gf2q, trace_out=tr)
-    pairs = [basis_strs(ShapeBasis(g, tails).to_polys(gf2q.F)) for g, tails in tr.factors]
+def test_gf2_intermediate_pairs(monkeypatch, gf2q):
+    rec = record_shape(monkeypatch)
+    shape_det(gf2q)
+    monkeypatch.undo()
+    pairs = [basis_strs(ShapeBasis(g, t).to_polys(gf2q.F)) for g, t in shape_factors(rec)]
     assert pairs[0] == ["x1^4 + x1^3 + x1 + 1", "x2 + x1"]
     assert pairs[1] == ["x1^3 + 1", "x2 + x1"]
 
@@ -117,7 +122,7 @@ def test_crt_glue_matches_direct_route(gf2q):
     assert glued == [0, 1] == sb.tails[0]
 
 
-def test_shape_tails_match_classic_fglm_on_small_primes():
+def test_shape_tails_match_classic_fglm_on_small_primes(monkeypatch):
     """Seeded random systems over small and large primes: every shape-prob
     answer and every shape-det answer flagged radical is the LEX basis that
     classic FGLM computes; every radical(I) answer has a squarefree f1 and
@@ -142,13 +147,14 @@ def test_shape_tails_match_classic_fglm_on_small_primes():
                 if not isinstance(res, Fail):
                     assert basis_strs(res.to_groebner(F)) == basis_strs(lex), (p, n, d, seed)
                     seen["prob"] += 1
-                tr = WiedemannTrace()
-                res = shape_det(Q, trace_out=tr)
-                for g, _ in tr.factors:
-                    if len(g) - 1 in (1, 2):
-                        seen[f"dk{len(g) - 1}"] += 1
+                rec = record_shape(monkeypatch)
+                res = shape_det(Q)
+                monkeypatch.undo()
                 if isinstance(res, Fail):
                     continue
+                for g, _ in shape_factors(rec):
+                    if len(g) - 1 in (1, 2):
+                        seen[f"dk{len(g) - 1}"] += 1
                 sb, is_radical = res
                 if is_radical:
                     assert basis_strs(sb.to_groebner(F)) == basis_strs(lex), (p, n, d, seed)
@@ -162,10 +168,11 @@ def test_shape_tails_match_classic_fglm_on_small_primes():
 
 
 def _count_fits(monkeypatch):
-    """Count Berlekamp-Massey runs as shape and linrec look them up, extended
-    Euclid runs in unipoly, and record every Hankel system shape solves."""
+    """Record what shape's globals see (`record_shape`), and count
+    Berlekamp-Massey runs as shape and linrec look them up and extended
+    Euclid runs in unipoly."""
+    rec = record_shape(monkeypatch)
     calls = {"bm": 0, "xgcd": 0}
-    systems = []
 
     def counted(key, fn):
         def wrapper(*args):
@@ -174,19 +181,20 @@ def _count_fits(monkeypatch):
 
         return wrapper
 
-    def recorded(sys, F):
-        systems.append(sys)
-        return hankel_solve(sys, F)
-
-    monkeypatch.setattr(shape, "berlekamp_massey", counted("bm", berlekamp_massey))
+    monkeypatch.setattr(shape, "berlekamp_massey", counted("bm", shape.berlekamp_massey))
     monkeypatch.setattr(linrec, "berlekamp_massey", counted("bm", berlekamp_massey))
     monkeypatch.setattr(unipoly, "uni_xgcd", counted("xgcd", unipoly.uni_xgcd))
-    monkeypatch.setattr(shape, "hankel_solve", recorded)
-    return calls, systems
+    return calls, rec
 
 
-def _fresh_solves(systems, F):
-    return [hankel_solve(HankelSystem(H.d, H.seq, H.rhs), F) for H in systems]
+def _fresh_solves(rec, F):
+    """Each recorded Hankel solve again, on a fresh fit of the prefix
+    s[:2d] of the sequence s whose Krylov fit it was given."""
+    seqs = {id(fit): s for s, fit in rec["bm"]}
+    return [
+        hankel_solve(prefix_fit(seqs[id(fit)], len(rhs), F), rhs, F)
+        for fit, rhs, _ in rec["hankel"]
+    ]
 
 
 def test_shape_prob_fits_its_sequence_once(monkeypatch):
@@ -196,14 +204,14 @@ def test_shape_prob_fits_its_sequence_once(monkeypatch):
     right-hand side."""
     F = PrimeField(65521)
     Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
-    calls, systems = _count_fits(monkeypatch)
+    calls, rec = _count_fits(monkeypatch)
     sb = shape_prob(Q, seed=0)
     monkeypatch.undo()
     assert not hasattr(linrec, "uni_xgcd")
     assert not isinstance(sb, Fail)
     assert calls == {"bm": 1, "xgcd": 0}
-    assert len(systems) == 3
-    assert sb.tails == [trim(t) for t in _fresh_solves(systems, F)]
+    assert len(rec["hankel"]) == 3
+    assert sb.tails == [trim(t) for t in _fresh_solves(rec, F)]
 
 
 def test_shape_det_fits_each_factor_once(monkeypatch):
@@ -215,15 +223,15 @@ def test_shape_det_fits_each_factor_once(monkeypatch):
     for p, seed, degrees, probes in ((3, 1, [1, 8], 2), (7, 1, [8, 1], 3)):
         F = PrimeField(p)
         Q = QuotientStructure(buchberger(gen_random_system(2, 3, p, seed), "drl", F), F)
-        calls, systems = _count_fits(monkeypatch)
-        tr = WiedemannTrace()
-        out = shape_det(Q, trace_out=tr)
+        calls, rec = _count_fits(monkeypatch)
+        out = shape_det(Q)
         monkeypatch.undo()
         assert out[1] is True
-        assert [len(g) - 1 for g, _ in tr.factors] == degrees
+        factors = shape_factors(rec)
+        assert [len(g) - 1 for g, _ in factors] == degrees
         assert calls == {"bm": probes, "xgcd": len(degrees) - 1}
-        assert [H.d for H in systems] == degrees
-        assert [t for _, tails in tr.factors for t in tails] == _fresh_solves(systems, F)
+        assert [len(rhs) for _, rhs, _ in rec["hankel"]] == degrees
+        assert [t for _, tails in factors for t in tails] == _fresh_solves(rec, F)
 
 
 def test_shape_paths_hold_memory_linear_in_d():
@@ -249,6 +257,33 @@ def test_shape_paths_hold_memory_linear_in_d():
             per_d[name].append(peak / Q.D)
     for name, (small, large) in per_d.items():
         assert large <= 1.5 * small, (name, small, large)
+
+
+def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
+    """Over GF(2), gen_random_system(2, 6, 2, 35) (D = 30) takes shape_det
+    through 20 unit probes.  With T_1 and NF(x_2) built first, its
+    tracemalloc peak stays within 1.2x that of one shape_prob on the same
+    quotient: it keeps, per factor, only the right-hand side rows and the
+    fit, not the probes, sequences or b vectors it has seen (which read
+    about 1.7x here)."""
+    F = PrimeField(2)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 6, 2, 35), "drl", F), F)
+    Q.matrix(1)
+    Q.nf_of_var(2)
+    assert Q.D == 30
+    rec = record_shape(monkeypatch)
+    shape_det(Q)
+    monkeypatch.undo()
+    assert len(rec["bm"]) == 20
+    peaks = {}
+    for name, run in (("prob", lambda: shape_prob(Q, seed=0)), ("det", lambda: shape_det(Q))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["det"] <= 1.2 * peaks["prob"], peaks
 
 
 def test_shape_det_gf11_reports_nonradical(gf11):
