@@ -90,7 +90,6 @@ class ConversionResult:
     basis: GroebnerBasis
     of_what: str  # "I" | "radical(I)"
     method_used: str  # "shape-prob" | "shape-det" | "bms" | "fglm"
-    quotient: QuotientStructure
     bms_passes: int | None = None
 
 
@@ -128,7 +127,7 @@ def toplevel(
 
     res = shape_prob(Q, seed=None, probe=draw())
     if not isinstance(res, Fail):
-        return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
+        return ConversionResult(res.to_groebner(field), "I", "shape-prob")
 
     det = shape_det(Q, start=res.krylov)
     if isinstance(det, Fail):
@@ -136,20 +135,20 @@ def toplevel(
     else:
         sb, is_radical = det
         if is_radical:
-            return ConversionResult(sb.to_groebner(field), "I", "shape-det", Q)
+            return ConversionResult(sb.to_groebner(field), "I", "shape-det")
         for _ in range(2):
             res = shape_prob(Q, seed=None, probe=draw())
             if not isinstance(res, Fail):
-                return ConversionResult(res.to_groebner(field), "I", "shape-prob", Q)
+                return ConversionResult(res.to_groebner(field), "I", "shape-prob")
         if want_radical_ok:
-            return ConversionResult(sb.to_groebner(field), "radical(I)", "shape-det", Q)
+            return ConversionResult(sb.to_groebner(field), "radical(I)", "shape-det")
 
     if field.p <= Q.D:
-        return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", Q)
+        return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm")
     probe = draw()
     trace = bms_trace if bms_trace is not None else []
     res = bms_change(Q, seed=None, probe=probe, trace=trace)
     if not isinstance(res, Fail):
-        return ConversionResult(res, "I", "bms", Q, bms_passes=len(trace))
+        return ConversionResult(res, "I", "bms", bms_passes=len(trace))
 
-    return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", Q, bms_passes=len(trace))
+    return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", bms_passes=len(trace))

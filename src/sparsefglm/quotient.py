@@ -8,18 +8,14 @@ element's other terms as coordinates in B, so a basis that is not reduced
 (a leading term divisible by another, or another term outside B) is
 rejected with ValueError; `buchberger` reduces it.
 
-Column construction distinguishes three cases for the product term eps_i*x_j:
-(1) it lies in B (unit column), (2) it is a leading term of the input basis
-(read the column off that polynomial), (3) it is a border term and must be
-reduced.  `term_vec` computes every such normal form, of a column's term or
-any other: case (3) writes t = x_l * u with u outside B and sums the columns
-NF(b_k x_l) of T_l weighted by NF(u), one packed product over the columns
-it needs (a cascade), never reducing a polynomial or building a matrix;
-tests check its vectors against direct reduction.  Each matrix is held
-packed twice, one int per column and one int per row of its case-2/3
-columns, so a product with it or with its transpose is one big-int
-multiply-add per vector entry, not one per stored entry.  Both products
-take vectors already reduced into [0, p).
+Column construction distinguishes three cases for the product term b_k*x_l:
+(1) it lies in B (unit column, kept as the row of its 1), (2) it is a
+leading term of the input basis (read the column off that polynomial), (3)
+it is a border term.  `term_vec` computes every such normal form: in case
+(3), t = x_l * u with u outside B and NF(t) = T_l NF(u), a product over
+T_l's column store that packs the case-2/3 columns it needs (a cascade).
+T_l itself adds only a row layout for its transpose.  Both products take
+vectors already reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -35,70 +31,80 @@ from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
 CoordVector = list[int]
 
 
-class SparseMat:
-    """D x D matrix over GF(p) in two packed layouts, both in the fields of
-    `field_codec` for the bound D*(p-1)^2: a sum of columns (or rows) scaled
-    by entries in [0, p) holds each dot product in its own field, uncarried.
+def _picker(picks: list[int]):
+    """itemgetter(*picks), giving a tuple for one index too."""
+    return itemgetter(*picks) if len(picks) > 1 else lambda v, k=picks[0]: (v[k],)
 
-    `columns` holds one int per column c with T[r][c] in field r (a unit,
-    case-1, column is a single 1 in its row's field) for `apply`;
-    `column_fields` splits the `column_nbytes` bytes of a sum of them.
-    `packed` holds one int per row r with T[r][c] of every case-2/3 (dense)
-    column c, the k-th dense column in field k, for `apply_transpose`;
-    `fields` splits the `nbytes` bytes of a sum of them, and `gather` picks
-    the entry of v for each unit column and the field of each dense column
-    out of v + [fields] in column order.
+
+class ColumnStore:
+    """T_l's columns as far as they are known, for the forward product:
+    rows[c] is the row of unit (case-1) column c's 1, None for a case-2/3
+    (dense) column; cols[c] is dense column c packed, T[r][c] in field r of
+    `field_codec(D, D*(p-1)^2)`, 0 until packed (and for a unit column).
+    `units` picks out of v + [0] the entry of the unit column with its 1 in
+    row r, else the 0: x_l is injective on B, so no row has two, and a
+    field of T v stays within D(p-1)^2, uncarried.
     """
 
-    __slots__ = ("dim", "column_cases", "p", "columns", "column_nbytes", "column_fields",
-                 "packed", "nbytes", "fields", "gather")
+    __slots__ = ("rows", "cols", "units", "p", "nbytes", "pack", "unpack")
 
-    def __init__(self, dim: int, columns: list[int | CoordVector], column_cases: list[int], p: int):
-        """columns[c] is the row of a unit column's 1, else the whole column."""
-        self.dim = dim
-        self.column_cases = column_cases
-        self.p = p
-        bound = dim * (p - 1) ** 2
-        width, pack_column, self.column_fields = field_codec(dim, bound)
-        self.column_nbytes = dim * width
-        dense = [col for col, case in zip(columns, column_cases) if case != 1]
-        _, pack_row, self.fields = field_codec(len(dense), bound)
-        self.nbytes = len(dense) * width
-        self.columns = [
-            1 << 8 * width * col if case == 1 else int.from_bytes(pack_column(*col), "little")
-            for col, case in zip(columns, column_cases)
-        ]
-        at = iter(range(dim, dim + len(dense)))
-        picks = [col if case == 1 else next(at) for col, case in zip(columns, column_cases)]
+    def __init__(self, rows: list[int | None], p: int):
+        D = len(rows)
+        self.rows, self.p, self.cols = rows, p, [0] * D
+        column_of = {row: c for c, row in enumerate(rows) if row is not None}
+        self.units = _picker([column_of.get(r, D) for r in range(D)])
+        width, self.pack, self.unpack = field_codec(D, D * (p - 1) ** 2)
+        self.nbytes = D * width
+
+    def times(self, v: CoordVector) -> CoordVector:
+        """T v: one gather packs the unit columns' entries of v, then one
+        big-int multiply-add per packed column (the rest meet zeros of v)."""
+        total = int.from_bytes(self.pack(*self.units(v + [0])), "little")
+        total = sum(map(mul, filter(None, self.cols), compress(v, self.cols)), total)
+        return list(map(self.p.__rmod__, self.unpack(total.to_bytes(self.nbytes, "little"))))
+
+
+class SparseMat:
+    """D x D matrix over GF(p): its complete `ColumnStore` for `apply`, and
+    for `apply_transpose` one int per row r with T[r][c] of each dense
+    column c, the k-th in field k; `fields` splits the `nbytes` bytes of a
+    sum of rows, and `gather` picks v's entry for each unit column and the
+    field of each dense one out of v + [fields], in column order.
+    """
+
+    __slots__ = ("dim", "column_cases", "store", "packed", "nbytes", "fields", "gather")
+
+    def __init__(self, store: ColumnStore, dense_columns: list[CoordVector], column_cases: list[int]):
+        self.dim = D = len(store.rows)
+        self.column_cases, self.store = column_cases, store
+        width, pack_row, self.fields = field_codec(len(dense_columns), D * (store.p - 1) ** 2)
+        self.nbytes = len(dense_columns) * width
         # row r packs the r-th entry of every dense column
-        self.packed = list(map(int.from_bytes, map(pack_row, *dense), repeat("little")))
-        # itemgetter of one index returns the item itself, not a 1-tuple
-        self.gather = itemgetter(*picks) if dim > 1 else lambda v, k=picks[0]: (v[k],)
+        self.packed = list(map(int.from_bytes, map(pack_row, *dense_columns), repeat("little")))
+        at = iter(range(D, D + len(dense_columns)))
+        self.gather = _picker([next(at) if row is None else row for row in store.rows])
 
     def column_entries(self) -> Iterator[list[tuple[int, int]]]:
-        """Each column's nonzero entries as (row, value) pairs by ascending
-        row, one column at a time; a unit column is read off its one bit."""
-        nbytes, unpack = self.column_nbytes, self.column_fields
-        bits = 8 * nbytes // self.dim
-        for c, case in zip(self.columns, self.column_cases):
-            if case == 1:
-                yield [((c.bit_length() - 1) // bits, 1)]
+        """Each column's nonzero (row, value) pairs by ascending row, in turn."""
+        store = self.store
+        for row, col in zip(store.rows, store.cols):
+            if row is not None:
+                yield [(row, 1)]
             else:
-                yield [(row, a) for row, a in enumerate(unpack(c.to_bytes(nbytes, "little"))) if a]
+                yield [(r, a) for r, a in enumerate(store.unpack(col.to_bytes(store.nbytes, "little"))) if a]
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    fields = T.column_fields(sum(map(mul, T.columns, v)).to_bytes(T.column_nbytes, "little"))
-    return list(map(T.p.__rmod__, fields))
+    return T.store.times(v)
 
 
 def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
     fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.nbytes, "little"))
-    return list(T.gather(v + list(map(T.p.__rmod__, fields))))
+    return list(T.gather(v + list(map(T.store.p.__rmod__, fields))))
 
 
 def density_stats(T: SparseMat) -> dict:
@@ -136,9 +142,7 @@ class QuotientStructure:
     def __init__(self, G1: GroebnerBasis, F: PrimeField):
         if G1.ordering != "drl":
             raise ValueError("source basis must be DRL")
-        self.G1 = G1
-        self.F = F
-        self.n = G1.n
+        self.G1, self.F, self.n = G1, F, G1.n
         lts = [g.lt("drl") for g in G1.polys]
         self._lt_map = dict(zip(lts, G1.polys))
         if unit_term(self.n) in self._lt_map:
@@ -162,10 +166,7 @@ class QuotientStructure:
         # NF(x^t) of the terms outside B that term_vec reached; callers must
         # not mutate them
         self._term_vecs: dict[Term, CoordVector] = {}
-        # T_l's columns in SparseMat's column layout, packed as term_vec needs
-        # them; 0 stands for a column not yet packed
-        self._width, self._pack, self._unpack = field_codec(self.D, self.D * (F.p - 1) ** 2)
-        self._columns = [[0] * self.D for _ in range(self.n)]
+        self._stores: list[ColumnStore | None] = [None] * self.n
 
     def _unit(self, i: int) -> CoordVector:
         v = [0] * self.D
@@ -188,22 +189,14 @@ class QuotientStructure:
                 v[self.index[s]] = -c * inv % p
         return v
 
-    def _packed_column(self, t: Term) -> int:
-        """NF(x^t) in SparseMat's column layout; t is a column's term b_k x_l."""
-        row = self.index.get(t)
-        if row is not None:
-            return 1 << 8 * self._width * row
-        return int.from_bytes(self._pack(*self.term_vec(t)), "little")
-
     def term_vec(self, t: Term) -> CoordVector:
         """Coordinate vector of NF(x^t), the one routine that computes it.
 
         A term of B gives a unit vector and a leading term its case-2
         column.  Any other t is x_l * u with u outside B (case 3), so
-        NF(t) = sum_k NF(u)_k NF(b_k x_l): one packed product over the
-        columns of T_l, each packed on first use.  The chain of such u is
-        walked down first, so the recursion depth does not grow with the
-        degree of t.
+        NF(t) = T_l NF(u), one product over T_l's column store once the
+        dense columns it needs are packed.  The chain of such u is walked
+        down first, so the recursion depth does not grow with the degree.
         """
         chain = []
         while (v := self._term_vecs.get(t)) is None:
@@ -222,15 +215,26 @@ class QuotientStructure:
                 raise InternalError(f"no reducible divisor for border term {t}")
             chain.append((t, l))
             t = u
-        p, nbytes = self.F.p, self.D * self._width
         for t, l in reversed(chain):
-            cols, xl = self._columns[l], var_term(self.n, l + 1)
+            store = self._store(l)
             for k in compress(range(self.D), v):
-                if not cols[k]:
-                    cols[k] = self._packed_column(term_mul(self.basis[k], xl))
-            total = sum(map(mul, cols, v)).to_bytes(nbytes, "little")
-            v = list(map(p.__rmod__, self._unpack(total)))
-            self._term_vecs[t] = v
+                if store.rows[k] is None and not store.cols[k]:
+                    self._dense_column(l, k)
+            v = self._term_vecs[t] = store.times(v)
+        return v
+
+    def _store(self, l: int) -> ColumnStore:
+        """T_l's column store, 0-based l, made on first use."""
+        if self._stores[l] is None:
+            xl = var_term(self.n, l + 1)
+            self._stores[l] = ColumnStore([self.index.get(term_mul(b, xl)) for b in self.basis], self.F.p)
+        return self._stores[l]
+
+    def _dense_column(self, l: int, k: int) -> CoordVector:
+        """NF(b_k x_l), a dense column of T_l, packed into its store once."""
+        v = self.term_vec(term_mul(self.basis[k], var_term(self.n, l + 1)))
+        if not (store := self._stores[l]).cols[k]:
+            store.cols[k] = int.from_bytes(store.pack(*v), "little")
         return v
 
     def nf_of_var(self, i: int) -> CoordVector:
@@ -248,19 +252,13 @@ class QuotientStructure:
         return self.matrices[j - 1]
 
     def _build(self, j: int) -> SparseMat:
-        xj = var_term(self.n, j)
-        columns = []
-        cases = []
-        for eps in self.basis:
-            t = term_mul(eps, xj)
-            row = self.index.get(t)
-            if row is not None:
-                columns.append(row)
-                cases.append(1)
-            else:
-                columns.append(self.term_vec(t))
-                cases.append(2 if t in self._lt_map else 3)
-        return SparseMat(self.D, columns, cases, self.F.p)
+        store, xj = self._store(j - 1), var_term(self.n, j)
+        dense = [self._dense_column(j - 1, k) for k, row in enumerate(store.rows) if row is None]
+        cases = [
+            1 if row is not None else 2 if term_mul(eps, xj) in self._lt_map else 3
+            for eps, row in zip(self.basis, store.rows)
+        ]
+        return SparseMat(store, dense, cases)
 
     # --- vectors of polynomials -------------------------------------------
 

@@ -18,10 +18,10 @@ All of them touch T_1 only, apart from the single columns NF(x_i).
 shape_prob and shape_det share one Krylov loop (`_krylov`), which keeps only
 the current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
 off it as it goes, so a run holds O(nD) residues, not the chain, and hands
-back only those rows and the Berlekamp-Massey fit of its sequence; one tail
-step (`_tail_solves`: every Hankel solve takes that fit, so each sequence
-gets one Berlekamp-Massey run and no extended Euclid) and one Horner
-evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
+back only the Berlekamp-Massey fit of its sequence and those rows cut to
+its degree; one tail step (every Hankel solve takes that fit, so each
+sequence gets one Berlekamp-Massey run and no extended Euclid) and one
+Horner evaluation of g(T_1) (`matrix_poly_apply`).  The matrix products, the
 Berlekamp-Massey fits and the Hankel solves are looked up in this module's
 globals at call time, so the benchmark's tracer can wrap them here.
 """
@@ -50,8 +50,9 @@ from .unipoly import (
 )
 
 
-# one row of <(T1^t)^j r, NF(x_i)> per tail variable for a probe r, and the
-# Berlekamp-Massey fit of the first components of r's Krylov chain
+# one row of <(T1^t)^j r, NF(x_i)>, j < deg f, per tail variable for a probe
+# r, and the Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components
+# of r's Krylov chain
 KrylovRun = tuple[list[list[int]], tuple[UniPoly, UniPoly]]
 
 
@@ -113,10 +114,12 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
 
 
 def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeField) -> KrylovRun:
-    """A row <(T1^t)^j r, NF(x_i)> for j < length // 2 per vector in nfs,
-    and the Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components
-    s of r, T1^t r, ... (`length` of them).  Only the current chain vector
-    is kept; a unit NF(x_i) is read as one component."""
+    """A row <(T1^t)^j r, NF(x_i)> for j < deg f per vector in nfs, and the
+    Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components s of r,
+    T1^t r, ... (`length` of them).  Only the current chain vector is kept;
+    a unit NF(x_i) is read as one component.  The rows are the right-hand
+    sides of the Hankel solves on that fit: s has linear complexity deg f,
+    so it is also the fit of s[:2 deg f], the prefix that defines H."""
     reads = []
     for v_i in nfs:
         nz = [k for k, c in enumerate(v_i) if c]
@@ -132,17 +135,8 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
         if j < length // 2:
             for row, read in zip(rows, reads):
                 row.append(read(w))
-    return rows, berlekamp_massey(s, F)
-
-
-def _tail_solves(
-    rhs_rows: list[list[int]], fit: tuple[UniPoly, UniPoly], F: PrimeField
-) -> list[UniPoly]:
-    """One Hankel solve per right-hand side, on its first d = deg f entries,
-    all on the Krylov fit (f, N_s^-1 mod f) of s: s has linear complexity d,
-    so that fit is also the fit of s[:2d], the prefix that defines H."""
-    d = deg(fit[0])
-    return [hankel_solve(fit, row[:d], F) for row in rhs_rows]
+    fit = berlekamp_massey(s, F)
+    return [row[: deg(fit[0])] for row in rows], fit
 
 
 def shape_prob(
@@ -163,7 +157,7 @@ def shape_prob(
     d = deg(fit[0])
     if d < D:
         return ProbeFail(f"minimal polynomial degree {d} < ideal degree {D}", run)
-    return ShapeBasis(fit[0], _tail_solves(rhs_rows, fit, F))
+    return ShapeBasis(fit[0], [hankel_solve(fit, row, F) for row in rhs_rows])
 
 
 def shape_det(
@@ -215,7 +209,7 @@ def shape_det(
         )
 
     # per-factor tails, each factor's solves on its own Krylov fit
-    factors = [(fit[0], _tail_solves(rhs_rows, fit, F)) for rhs_rows, fit in runs]
+    factors = [(fit[0], [hankel_solve(fit, row, F) for row in rows]) for rows, fit in runs]
 
     fbar1 = squarefree_part(f, F)
     is_radical = fbar1 == f

@@ -116,13 +116,27 @@ def test_round_trip_drl_lex_drl():
         assert back == gb1
 
 
-def test_toplevel_gf11_takes_probabilistic_path(gf11):
+def _record_quotients(monkeypatch):
+    """List that collects every QuotientStructure `toplevel` builds."""
+    built = []
+
+    class Recorded(QuotientStructure):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(fglm, "QuotientStructure", Recorded)
+    return built
+
+
+def test_toplevel_gf11_takes_probabilistic_path(gf11, monkeypatch):
+    built = _record_quotients(monkeypatch)
     res = toplevel(gf11.G1, gf11.F, seed=0, quotient=gf11)
     assert isinstance(res, ConversionResult)
     assert res.method_used == "shape-prob"
     assert res.of_what == "I"
     assert res.bms_passes is None
-    assert res.quotient is gf11
+    assert built == []  # the given quotient is used, no second one is built
     assert basis_strs(res.basis) == GF11_LEX
 
 
@@ -170,11 +184,12 @@ def test_toplevel_monomial_falls_through_to_fglm(monomial6):
     assert basis_strs(res.basis) == basis_strs(monomial6.G1)
 
 
-def test_toplevel_builds_quotient_when_not_given():
+def test_toplevel_builds_quotient_when_not_given(monkeypatch):
+    built = _record_quotients(monkeypatch)
     F, polys = parse_system("p 11\nvars 2\nx1^2 + 1\nx2 + x1\n")
     gb = buchberger(polys, "drl", F)
     res = toplevel(gb, F, seed=0)
-    assert res.quotient.D == 2
+    assert [Q.D for Q in built] == [2]
     assert basis_strs(res.basis) == ["x1^2 + 1", "x2 + x1"]
 
 

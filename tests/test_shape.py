@@ -286,6 +286,24 @@ def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
     assert peaks["det"] <= 1.2 * peaks["prob"], peaks
 
 
+def test_shape_det_keeps_d_right_hand_side_entries(monkeypatch):
+    """A kept factor's rows are cut to its degree, the entries its Hankel
+    solves read, so a shape_det that succeeds holds exactly D entries per
+    tail variable.  Each system peels two factors: (2, 3, 2, 10) of degree
+    6 and 3 (D = 9, 12 entries kept uncut), (2, 5, 3, 0) of 24 and 1
+    (D = 25, 26 kept) and (3, 3, 3, 10) of 26 and 1 (D = 27, 28 kept)."""
+    krylov = shape._krylov
+    for n, d, p, seed in ((2, 3, 2, 10), (2, 5, 3, 0), (3, 3, 3, 10)):
+        F = PrimeField(p)
+        Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+        runs = []
+        monkeypatch.setattr(shape, "_krylov", lambda *args: runs.append(krylov(*args)) or runs[-1])
+        assert not isinstance(shape_det(Q), Fail)
+        kept = [rows for rows, fit in runs if len(fit[0]) > 1]
+        assert len(kept) == 2
+        assert [sum(len(rows[i]) for rows in kept) for i in range(n - 1)] == [Q.D] * (n - 1)
+
+
 def test_shape_det_gf11_reports_nonradical(gf11):
     out = shape_det(gf11)
     assert not isinstance(out, Fail)
