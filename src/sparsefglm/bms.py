@@ -17,7 +17,6 @@ Restricted to one variable the update degenerates to Berlekamp-Massey.
 
 from __future__ import annotations
 
-import random
 from itertools import product as iter_product
 
 from .field import PrimeField
@@ -188,20 +187,14 @@ def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
 
 
 def bms_change(
-    Q: QuotientStructure,
-    seed,
-    probe: CoordVector | None = None,
-    trace: list | None = None,
+    Q: QuotientStructure, probe: CoordVector, trace: list | None = None
 ) -> GroebnerBasis | Fail:
+    """Sweep the array of the probe r, read through `Q.probe`; each pass
+    appends (u, F, delta) to trace, if given (a pass rebinds, never mutates)."""
     field = Q.F
     n = Q.n
     D = Q.D
-    if probe is None:
-        rng = random.Random(seed)
-        probe = [rng.randrange(field.p) for _ in range(D)]
-    elif len(probe) != D:
-        raise ValueError(f"probe length {len(probe)} does not match D = {D}")
-    E = _array(Q, probe)
+    E = _array(Q, Q.probe(probe))
     F: list[MultiPoly] = [MultiPoly(n, {(0,) * n: 1})]
     G: list[WitnessRec] = []
     delta: set[Term] = set()
@@ -271,7 +264,7 @@ def bms_change(
                     F = reduce_set(F, field)
                 passes += 1
                 if trace is not None:
-                    trace.append((u, list(F), set(delta)))
+                    trace.append((u, F, delta))
                 if len(delta) > D:
                     # lt(F) are the corners of delta, so delta is the staircase
                     # of lt(F), and delta never shrinks: is_gb cannot pass

@@ -104,7 +104,7 @@ def cmd_convert(args):
 def cmd_shape_prob(args):
     """probabilistic shape-position conversion only"""
     field, gb, Q = _load_quotient(args)
-    res = shape_prob(Q, seed=args.seed)
+    res = shape_prob(Q, next(Q.probes(args.seed)))
     if isinstance(res, Fail):
         return res
     return {"D": Q.D, "seed": args.seed, "basis": res.to_groebner(field)}
@@ -128,7 +128,7 @@ def cmd_shape_det(args):
 def cmd_univar(args):
     """incremental estimate of the minimal polynomial of x1"""
     field, gb, Q = _load_quotient(args)
-    m = incremental_univariate(Q, seed=args.seed)
+    m = incremental_univariate(Q, next(Q.probes(args.seed)))
     return poly_str(MultiPoly.from_uni(Q.n, m)) + "\n"
 
 
@@ -136,7 +136,7 @@ def cmd_bms(args):
     """array sweep only"""
     field, gb, Q = _load_quotient(args)
     trace: list = []
-    res = bms_change(Q, seed=args.seed, trace=trace)
+    res = bms_change(Q, next(Q.probes(args.seed)), trace)
     _print_trace(args, trace)
     if isinstance(res, Fail):
         return res

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import random
 from dataclasses import dataclass
 
 from .bms import bms_change
@@ -115,29 +114,26 @@ def toplevel(
        has no Schwartz-Zippel guarantee once p <= D, and classic_fglm gives
        the same (unique) reduced basis.  Last, classic_fglm.
 
-    Probe k is the k-th draw of random.Random(seed), drawn even when its
-    stage is skipped, and the BMS probe is the 4th.  The quotient structure
-    and matrices are built once and shared by every stage.
+    Probe k is the k-th of `Q.probes(seed)`, drawn even when its stage is
+    skipped, and the BMS probe is the 4th.  The quotient structure and
+    matrices are built once and shared by every stage.
     """
     Q = quotient if quotient is not None else QuotientStructure(G1, field)
-    rng = random.Random(seed)
+    probes = Q.probes(seed)
 
-    def draw() -> list[int]:
-        return [rng.randrange(field.p) for _ in range(Q.D)]
-
-    res = shape_prob(Q, seed=None, probe=draw())
+    res = shape_prob(Q, next(probes))
     if not isinstance(res, Fail):
         return ConversionResult(res.to_groebner(field), "I", "shape-prob")
 
     det = shape_det(Q, start=res.krylov)
     if isinstance(det, Fail):
-        draw(), draw()  # probes 2 and 3 cannot succeed; the BMS probe stays 4th
+        next(probes), next(probes)  # probes 2 and 3 cannot succeed; the BMS probe stays 4th
     else:
         sb, is_radical = det
         if is_radical:
             return ConversionResult(sb.to_groebner(field), "I", "shape-det")
         for _ in range(2):
-            res = shape_prob(Q, seed=None, probe=draw())
+            res = shape_prob(Q, next(probes))
             if not isinstance(res, Fail):
                 return ConversionResult(res.to_groebner(field), "I", "shape-prob")
         if want_radical_ok:
@@ -145,9 +141,8 @@ def toplevel(
 
     if field.p <= Q.D:
         return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm")
-    probe = draw()
     trace = bms_trace if bms_trace is not None else []
-    res = bms_change(Q, seed=None, probe=probe, trace=trace)
+    res = bms_change(Q, next(probes), trace)
     if not isinstance(res, Fail):
         return ConversionResult(res, "I", "bms", bms_passes=len(trace))
 

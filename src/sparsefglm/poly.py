@@ -251,10 +251,3 @@ class GroebnerBasis:
         if not self.polys:
             raise ValueError("empty basis")
         self.n = self.polys[0].n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroebnerBasis)
-            and other.ordering == self.ordering
-            and other.polys == self.polys
-        )

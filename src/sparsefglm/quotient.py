@@ -20,6 +20,7 @@ vectors already reduced into [0, p).
 
 from __future__ import annotations
 
+import random
 from collections.abc import Iterator
 from itertools import compress, product as iter_product, repeat
 from operator import itemgetter, mul
@@ -176,6 +177,22 @@ class QuotientStructure:
     def e(self) -> CoordVector:
         """Coordinate vector of 1."""
         return self._unit(0)
+
+    # --- probes -------------------------------------------------------------
+
+    def probes(self, seed) -> Iterator[CoordVector]:
+        """The random probes of a seed: probe k is the k-th block of D
+        uniform draws from one random.Random(seed), drawn when asked for."""
+        rng = random.Random(seed)
+        while True:
+            yield [rng.randrange(self.F.p) for _ in range(self.D)]
+
+    def probe(self, r: CoordVector) -> CoordVector:
+        """r as a stage reads its probe: length D (ValueError otherwise),
+        reduced into [0, p)."""
+        if len(r) != self.D:
+            raise ValueError(f"probe length {len(r)} does not match D = {self.D}")
+        return [x % self.F.p for x in r]
 
     # --- normal forms of single terms -------------------------------------
 

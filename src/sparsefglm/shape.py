@@ -14,6 +14,9 @@ Three entry points:
   online Berlekamp-Massey state and stops as soon as its fit stabilizes;
   cheap early estimate of f_1, O(D^2) beside its matrix products.
 
+shape_prob and incremental_univariate read the probe they are given, a
+draw of `Q.probes(seed)` or any vector, through `Q.probe`.
+
 All of them touch T_1 only, apart from the single columns NF(x_i).
 shape_prob and shape_det share one Krylov loop (`_krylov`), which keeps only
 the current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
@@ -28,7 +31,6 @@ globals at call time, so the benchmark's tracer can wrap them here.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from operator import itemgetter
 
@@ -139,20 +141,12 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
     return [row[: deg(fit[0])] for row in rows], fit
 
 
-def shape_prob(
-    Q: QuotientStructure, seed, probe: CoordVector | None = None
-) -> ShapeBasis | Fail:
+def shape_prob(Q: QuotientStructure, probe: CoordVector) -> ShapeBasis | Fail:
     F = Q.F
     D = Q.D
     T1 = Q.matrix(1)
-    if probe is None:
-        rng = random.Random(seed)
-        probe = [rng.randrange(F.p) for _ in range(D)]
-    elif len(probe) != D:
-        raise ValueError(f"probe length {len(probe)} does not match D = {D}")
     nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
-    # the products take reduced vectors; a given probe is reduced here, once
-    run = _krylov(T1, [x % F.p for x in probe], 2 * D, nfs, F)
+    run = _krylov(T1, Q.probe(probe), 2 * D, nfs, F)
     rhs_rows, fit = run
     d = deg(fit[0])
     if d < D:
@@ -238,14 +232,13 @@ def shape_det(
     return ShapeBasis(fbar1, final_tails), is_radical
 
 
-def incremental_univariate(Q: QuotientStructure, seed) -> UniPoly:
-    """Minimal polynomial estimate from one random probe: the Krylov terms
-    feed one online Berlekamp-Massey state, and its f is returned once it
-    is the same after two consecutive pairs of terms (or after 2D terms).
-    No prefix is refitted and no product is made past the last term."""
+def incremental_univariate(Q: QuotientStructure, probe: CoordVector) -> UniPoly:
+    """Minimal polynomial estimate from one probe: the Krylov terms feed one
+    online Berlekamp-Massey state, and its f is returned once it is the
+    same after two consecutive pairs of terms (or after 2D terms).  No
+    prefix is refitted and no product is made past the last term."""
     T1 = Q.matrix(1)
-    rng = random.Random(seed)
-    v = [rng.randrange(Q.F.p) for _ in range(Q.D)]
+    v = Q.probe(probe)
     state = BMState(Q.F)
     prev = None
     for j in range(2 * Q.D):

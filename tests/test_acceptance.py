@@ -62,7 +62,7 @@ def test_c01_probabilistic_shape_conversion_worked_example(gf11):
     assert b == [8, 6, 8, 3]
     assert hankel_solve(fit, b, F) == [1, 0, 5, 0]
 
-    res = shape_prob(gf11, seed=None, probe=r)
+    res = shape_prob(gf11, r)
     assert res == ShapeBasis([9, 8, 0, 0, 1], [[1, 0, 5], [2]])
     out = basis_strs(res.to_groebner(F))
     assert out == ["x1^4 + 8*x1 + 9", "6*x1^2 + x2 + 10", "x3 + 9"]
@@ -71,7 +71,7 @@ def test_c01_probabilistic_shape_conversion_worked_example(gf11):
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        shape_prob(gf11, seed=None, probe=r)
+        shape_prob(gf11, r)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3
 
@@ -139,7 +139,7 @@ def test_c03_array_sweep_trace_and_termination_on_trusted_input(trusted12):
     assert trusted12.D == 12
     assert noncommuting_units(trusted12) == []
     trace = []
-    res = bms_change(trusted12, seed=None, probe=list(PROBE12), trace=trace)
+    res = bms_change(trusted12, list(PROBE12), trace=trace)
 
     expected = [
         ((0, 0), {(0, 0)}, ["x1", "x2"]),
@@ -174,7 +174,7 @@ def test_c04_sweep_declines_monomial_ideal_and_falls_back(monomial6):
     F = monomial6.F
     assert monomial6.D == 6
     for seed in range(10):
-        res = bms_change(monomial6, seed=seed)
+        res = bms_change(monomial6, next(monomial6.probes(seed)))
         assert isinstance(res, Fail), f"seed {seed} unexpectedly produced a basis"
         assert "without a verified Groebner basis" in res.reason
     conv = toplevel(monomial6.G1, F, seed=0, quotient=monomial6)
@@ -204,11 +204,11 @@ def test_c06_sweep_pass_budget_never_exceeded(trusted12, monomial6):
     the declining monomial ideal, and honest random systems (where the result
     must also equal classic FGLM)."""
     trace = []
-    bms_change(trusted12, seed=None, probe=list(PROBE12), trace=trace)
+    bms_change(trusted12, list(PROBE12), trace=trace)
     assert len(trace) <= 2 * 2 * trusted12.D
     for seed in range(10):
         trace = []
-        bms_change(monomial6, seed=seed, trace=trace)
+        bms_change(monomial6, next(monomial6.probes(seed)), trace=trace)
         assert len(trace) <= 2 * 2 * monomial6.D
     F = PrimeField(P)
     for seed in range(6):
@@ -216,7 +216,7 @@ def test_c06_sweep_pass_budget_never_exceeded(trusted12, monomial6):
         gb = buchberger(gen_random_system(n, 2, P, seed), "drl", F)
         Q = QuotientStructure(gb, F)
         trace = []
-        res = bms_change(Q, seed=seed, trace=trace)
+        res = bms_change(Q, next(Q.probes(seed)), trace=trace)
         assert len(trace) <= 2 * n * Q.D
         assert not isinstance(res, Fail)
         assert res == classic_fglm(Q, "lex")

@@ -14,7 +14,7 @@ from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_monic, normal_form
 from sparsefglm.quotient import QuotientStructure, staircase
-from sparsefglm.shape import shape_prob
+from sparsefglm.shape import incremental_univariate, shape_prob
 from sparsefglm.terms import divides, lex_key
 
 from conftest import PROBE12, basis_strs, noncommuting_units
@@ -125,7 +125,7 @@ def test_bms_univariate_degenerates_to_bm():
     Q = QuotientStructure(
         GroebnerBasis([MultiPoly(1, {(3,): 1, (1,): 5, (0,): 2})], "drl"), F
     )
-    res = bms_change(Q, seed=0)
+    res = bms_change(Q, next(Q.probes(0)))
     assert not isinstance(res, Fail)
     assert basis_strs(res) == ["x1^3 + 5*x1 + 2"]
 
@@ -138,7 +138,7 @@ def test_bms_dimension_one():
         ),
         F,
     )
-    res = bms_change(Q, seed=0)
+    res = bms_change(Q, next(Q.probes(0)))
     assert basis_strs(res) == ["x1 + 1", "x2 + 2"]
 
 
@@ -147,7 +147,7 @@ def test_bms_matches_classic_fglm_on_random_quadrics():
         gb = buchberger(gen_random_system(2, 2, 65521, seed), "drl", F)
         Q = QuotientStructure(gb, F)
         trace = []
-        res = bms_change(Q, seed=seed, trace=trace)
+        res = bms_change(Q, next(Q.probes(seed)), trace=trace)
         assert not isinstance(res, Fail)
         assert res == classic_fglm(Q, "lex")
         assert len(trace) <= 2 * 2 * Q.D
@@ -176,14 +176,14 @@ def test_bms_matches_classic_fglm_on_bivariate_complete_intersections():
         assert Q.D == a * b
         lex = classic_fglm(Q, "lex")
         assert len(lex.polys) > 2
-        assert bms_change(Q, seed=k) == lex
+        assert bms_change(Q, next(Q.probes(k))) == lex
 
 
 def test_bms_trace_delta_growth():
     gb = buchberger(gen_random_system(2, 2, 65521, 0), "drl", F)
     Q = QuotientStructure(gb, F)
     trace = []
-    bms_change(Q, seed=0, trace=trace)
+    bms_change(Q, next(Q.probes(0)), trace=trace)
     sizes = [len(d) for _, _, d in trace]
     assert sizes == sorted(sizes)
     # every recorded delta set is downward closed
@@ -198,7 +198,7 @@ def test_bms_trace_delta_growth():
 def test_bms_declines_monomial_ideal(monomial6):
     for seed in (0, 1):
         trace = []
-        res = bms_change(monomial6, seed=seed, trace=trace)
+        res = bms_change(monomial6, next(monomial6.probes(seed)), trace=trace)
         assert isinstance(res, Fail)
         assert "without a verified Groebner basis" in res.reason
         assert len(trace) <= 2 * 2 * 6
@@ -223,21 +223,21 @@ def test_bms_declines_inconsistent_input():
     Q = QuotientStructure(GroebnerBasis([g_c, g_b, g_a], "drl"), F)
     assert Q.D == 12
     assert noncommuting_units(Q) == [10, 11]
-    res = bms_change(Q, seed=None, probe=list(PROBE12))
+    res = bms_change(Q, list(PROBE12))
     assert isinstance(res, Fail)
     assert "without a verified Groebner basis" in res.reason
 
 
 def test_bms_rejects_probe_of_wrong_length(gf11):
     """A probe that is not D long is bad input (ValueError, the CLI's exit
-    code 3), not a sweep that ends in Fail; shape_prob rejects it too."""
+    code 3), not a sweep that ends in Fail; shape_prob and
+    incremental_univariate reject it too."""
     assert gf11.D == 4
     for probe in ([1], [1, 2, 3, 4, 5], []):
-        with pytest.raises(ValueError, match="probe length"):
-            bms_change(gf11, None, probe=probe)
-        with pytest.raises(ValueError):
-            shape_prob(gf11, None, probe=probe)
-    assert isinstance(bms_change(gf11, None, probe=[1, 2, 3, 4]), (GroebnerBasis, Fail))
+        for stage in (bms_change, shape_prob, incremental_univariate):
+            with pytest.raises(ValueError, match="probe length"):
+                stage(gf11, probe)
+    assert isinstance(bms_change(gf11, [1, 2, 3, 4]), (GroebnerBasis, Fail))
 
 
 def test_bms_declines_as_soon_as_delta_outgrows_D():
@@ -247,7 +247,7 @@ def test_bms_declines_as_soon_as_delta_outgrows_D():
     Q = QuotientStructure(buchberger(gen_random_system(2, 3, 3, 5), "drl", F3), F3)
     assert Q.D == 9
     trace = []
-    res = bms_change(Q, seed=5, trace=trace)
+    res = bms_change(Q, next(Q.probes(5)), trace=trace)
     assert isinstance(res, Fail)
     assert "without a verified Groebner basis" in res.reason
     assert "|delta| = 10 exceeds D = 9 after 24 passes" in res.reason
@@ -264,17 +264,16 @@ def test_bms_declines_as_soon_as_delta_outgrows_D():
 
 
 WITNESS_DEFECT = """
-import random
+from itertools import islice
 from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system
 from sparsefglm.bms import bms_change
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.shape import ShapeBasis
 GF5 = PrimeField(5)
 Q = QuotientStructure(buchberger(gen_random_system(3, 3, 5, 41100005), "drl", GF5), GF5)
-rng = random.Random(41100005)
-probe = [[rng.randrange(5) for _ in range(Q.D)] for _ in range(4)][3]
+probe = next(islice(Q.probes(41100005), 3, None))
 try:
-    bms_change(Q, seed=None, probe=probe)
+    bms_change(Q, probe)
 except InternalError as exc:
     print(type(exc).__name__, exc)
 try:

@@ -169,6 +169,30 @@ def test_composite_modulus_exits_3(capsys):
     assert "not prime" in capsys.readouterr().err
 
 
+def test_shape_prob_takes_the_dispatchers_first_probe(tmp_path, capsys):
+    """`shape-prob --seed s` and `convert --seed s` read the same first probe
+    of `Q.probes(s)`: wherever convert answers by shape-prob, shape-prob
+    prints its basis.  On these small-prime systems some seeds' first probe
+    declines, and convert answers by shape-det instead."""
+    methods = []
+    for n, d, p, gseed in ((2, 3, 7, 2), (2, 3, 7, 3), (2, 2, 3, 1), (2, 2, 3, 2)):
+        path = tmp_path / f"gen-{p}-{gseed}.sys"
+        assert main(["gen", "--n", str(n), "--d", str(d), "--p", str(p),
+                     "--seed", str(gseed), "--out", str(path)]) == 0
+        for seed in map(str, range(4)):
+            assert main(["convert", "--in", str(path), "--seed", seed, "--format", "json"]) == 0
+            converted = json.loads(capsys.readouterr().out)
+            methods.append(converted["method_used"])
+            rc = main(["shape-prob", "--in", str(path), "--seed", seed, "--format", "json"])
+            out = capsys.readouterr().out
+            if converted["method_used"] == "shape-prob":
+                assert rc == 0
+                assert json.loads(out)["basis"] == converted["basis"]
+            else:
+                assert rc == 2 and out.startswith("Fail: minimal polynomial degree")
+    assert methods.count("shape-prob") == 11 and methods.count("shape-det") == 5
+
+
 def test_bms_success_on_generated_system(tmp_path, capsys):
     path = tmp_path / "quadrics.sys"
     assert main(["gen", "--n", "2", "--d", "2", "--p", "65521", "--seed", "0",

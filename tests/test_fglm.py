@@ -1,4 +1,4 @@
-import random
+from itertools import islice
 
 import pytest
 
@@ -90,7 +90,7 @@ def test_shape_det_from_declined_probe_agrees():
                 Q = _quotient(n, d, p, seed)
                 if Q is None:
                     continue
-                res = shape_prob(Q, seed)
+                res = shape_prob(Q, next(Q.probes(seed)))
                 if not isinstance(res, Fail):
                     continue
                 alone, started = shape_det(Q), shape_det(Q, start=res.krylov)
@@ -166,11 +166,10 @@ def test_toplevel_radical_not_ok_keeps_exact_ideal(gf2q):
 
 
 def test_bms_declines_gf2_on_dispatcher_probe(gf2q):
-    # the 4th draw of seed 10, the probe the dispatcher's sweep would get
-    rng = random.Random(10)
-    probe = [[rng.randrange(2) for _ in range(gf2q.D)] for _ in range(4)][3]
+    # the 4th probe of seed 10, the one the dispatcher's sweep would get
+    probe = next(islice(gf2q.probes(10), 3, None))
     trace = []
-    assert isinstance(bms_change(gf2q, seed=None, probe=probe, trace=trace), Fail)
+    assert isinstance(bms_change(gf2q, probe, trace=trace), Fail)
     assert len(trace) == 13
 
 
@@ -218,11 +217,9 @@ def test_toplevel_non_shape_small_prime_goes_straight_to_fglm(monkeypatch):
 def test_toplevel_sweep_probe_is_the_fourth_draw(trusted12):
     # not in shape position and p > D: the two skipped probes are still
     # drawn, so the sweep sees exactly what a direct call on draw 4 sees
-    rng = random.Random(3)
-    probes = [[rng.randrange(trusted12.F.p) for _ in range(trusted12.D)] for _ in range(4)]
     trace, direct = [], []
     res = toplevel(trusted12.G1, trusted12.F, seed=3, quotient=trusted12, bms_trace=trace)
-    bms_change(trusted12, seed=None, probe=probes[3], trace=direct)
+    bms_change(trusted12, next(islice(trusted12.probes(3), 3, None)), trace=direct)
     assert res.method_used == "bms"
     assert trace == direct
 

@@ -113,3 +113,49 @@ def test_no_library_helper_only_tests_use():
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )
     assert unreferenced_defs(sources, library, exported) == []
+
+
+def random_generator_sites(source: str) -> list[str]:
+    """`Class.function` (or `<module>`) around each call of `random.Random`
+    or a bare `Random`, in source order."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "Random":
+                    out.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return out
+
+
+def test_random_site_checker_finds_every_construction():
+    src = (
+        "import random\n"
+        "from random import Random\n"
+        "RNG = random.Random(0)\n"
+        "class Q:\n"
+        "    def probes(self, seed):\n"
+        "        rng = random.Random(seed)\n"
+        "        return [Random(s) for s in range(2)], rng.random()\n"
+        "def gen(seed):\n"
+        "    return random.randrange(seed)\n"
+    )
+    assert random_generator_sites(src) == ["<module>", "Q.probes", "Q.probes"]
+
+
+def test_probes_come_from_one_seeded_stream():
+    """Random probes come only from `QuotientStructure.probes`, and random
+    systems only from `gen_random_system`; a stage takes its probe."""
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in random_generator_sites(path.read_text())
+    ]
+    assert sites == ["buchberger.gen_random_system", "quotient.QuotientStructure.probes"]

@@ -1,11 +1,13 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
 from sparsefglm.bms import bms_change
+from sparsefglm import quotient
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import toplevel
@@ -137,7 +139,7 @@ def test_normal_forms_build_no_matrix():
     Q.term_vec((3, 4))
     Q.nf_of_var(2)
     Q.nf_vector(MultiPoly(2, {(5, 1): 3, (0, 2): 1}))
-    assert not isinstance(bms_change(Q, seed=0), Fail)
+    assert not isinstance(bms_change(Q, next(Q.probes(0))), Fail)
     assert Q.matrices == [None, None]
 
 
@@ -305,6 +307,30 @@ def test_apply_length_check(gf11):
         apply(gf11.matrix(1), [1, 2])
     with pytest.raises(ValueError):
         apply_transpose(gf11.matrix(1), [1])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41100005])
+def test_probes_are_consecutive_blocks_of_one_seeded_stream(gf11, gf2q, seed):
+    """Probe k is the k-th block of D draws of random.Random(seed).randrange(p);
+    every --seed output and the dispatcher's probe order rest on it."""
+    for Q in (gf11, gf2q):
+        rng = random.Random(seed)
+        want = [[rng.randrange(Q.F.p) for _ in range(Q.D)] for _ in range(4)]
+        assert list(islice(Q.probes(seed), 4)) == want
+
+
+def test_probes_seed_one_generator_on_first_use(gf11, monkeypatch):
+    seeded = []
+
+    def Random(seed):
+        seeded.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(quotient, "random", SimpleNamespace(Random=Random))
+    probes = gf11.probes(7)
+    assert seeded == []
+    next(probes), next(probes)
+    assert seeded == [7]
 
 
 def test_matrix_index_bounds(gf11):

@@ -32,7 +32,7 @@ def test_shape_basis_container():
 
 
 def test_shape_prob_gf11_pinned_probe(gf11):
-    sb = shape_prob(gf11, seed=0, probe=[8, 4, 8, 6])
+    sb = shape_prob(gf11, [8, 4, 8, 6])
     assert not isinstance(sb, Fail)
     assert sb.f1 == [9, 8, 0, 0, 1]
     assert sb.tails == [[1, 0, 5], [2]]
@@ -46,8 +46,8 @@ def test_shape_prob_gf11_pinned_probe(gf11):
 
 
 def test_shape_prob_gf11_random_probe_agrees(gf11):
-    pinned = shape_prob(gf11, seed=0, probe=[8, 4, 8, 6])
-    got = shape_prob(gf11, seed=1)
+    pinned = shape_prob(gf11, [8, 4, 8, 6])
+    got = shape_prob(gf11, next(gf11.probes(1)))
     assert got == pinned
 
 
@@ -62,22 +62,22 @@ def test_shape_prob_reduces_its_probe_once(gf11, p):
         F = PrimeField(p)
         Q = QuotientStructure(buchberger(gen_random_system(2, 3, p, 5), "drl", F), F)
         probe = [random.Random(p).randrange(p) for _ in range(Q.D)]
-    want = shape_prob(Q, seed=None, probe=probe)
+    want = shape_prob(Q, probe)
     assert isinstance(want, ShapeBasis)
     for shifted in ([x - p for x in probe], [x + p for x in probe], [x - 5 * p for x in probe]):
-        assert shape_prob(Q, seed=None, probe=shifted) == want
+        assert shape_prob(Q, shifted) == want
     for bad in (probe[:-1], probe + [0]):
         with pytest.raises(ValueError, match="probe length"):
-            shape_prob(Q, seed=None, probe=bad)
+            shape_prob(Q, bad)
 
 
 def test_shape_prob_gf2_probes_see_proper_factors(gf2q):
     # over GF(2) no probe is safe: these two reach degrees 5 and 4, both
     # proper divisors of the degree-7 minimal polynomial
-    res = shape_prob(gf2q, seed=0, probe=[1, 1, 0, 1, 0, 1, 0])
+    res = shape_prob(gf2q, [1, 1, 0, 1, 0, 1, 0])
     assert isinstance(res, Fail)
     assert res.reason == "minimal polynomial degree 5 < ideal degree 7"
-    res = shape_prob(gf2q, seed=0, probe=[1, 0, 0, 0, 0, 0, 0])
+    res = shape_prob(gf2q, [1, 0, 0, 0, 0, 0, 0])
     assert isinstance(res, Fail)
     assert res.reason == "minimal polynomial degree 4 < ideal degree 7"
 
@@ -143,7 +143,7 @@ def test_shape_tails_match_classic_fglm_on_small_primes(monkeypatch):
                     rejected += 1
                     continue
                 lex = classic_fglm(Q, "lex")
-                res = shape_prob(Q, seed)
+                res = shape_prob(Q, next(Q.probes(seed)))
                 if not isinstance(res, Fail):
                     assert basis_strs(res.to_groebner(F)) == basis_strs(lex), (p, n, d, seed)
                     seen["prob"] += 1
@@ -205,7 +205,7 @@ def test_shape_prob_fits_its_sequence_once(monkeypatch):
     F = PrimeField(65521)
     Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
     calls, rec = _count_fits(monkeypatch)
-    sb = shape_prob(Q, seed=0)
+    sb = shape_prob(Q, next(Q.probes(0)))
     monkeypatch.undo()
     assert not hasattr(linrec, "uni_xgcd")
     assert not isinstance(sb, Fail)
@@ -246,7 +246,7 @@ def test_shape_paths_hold_memory_linear_in_d():
         Q = QuotientStructure(buchberger(gen_random_system(2, d, 65521, 0), "drl", F), F)
         Q.matrix(1)
         Q.nf_of_var(2)
-        for name, run in (("prob", lambda: shape_prob(Q, 0)), ("det", lambda: shape_det(Q))):
+        for name, run in (("prob", lambda: shape_prob(Q, next(Q.probes(0)))), ("det", lambda: shape_det(Q))):
             tracemalloc.start()
             try:
                 out = run()
@@ -276,7 +276,7 @@ def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
     monkeypatch.undo()
     assert len(rec["bm"]) == 20
     peaks = {}
-    for name, run in (("prob", lambda: shape_prob(Q, seed=0)), ("det", lambda: shape_det(Q))):
+    for name, run in (("prob", lambda: shape_prob(Q, next(Q.probes(0)))), ("det", lambda: shape_det(Q))):
         tracemalloc.start()
         try:
             run()
@@ -334,10 +334,9 @@ def test_matrix_poly_apply_horner(gf11):
 
 def test_incremental_univariate_gf11_matches_full_bm(gf11):
     for seed in range(5):
-        m = incremental_univariate(gf11, seed)
-        # replicate the probe draw and run BM on the full-length sequence
-        rng = random.Random(seed)
-        r = [rng.randrange(gf11.F.p) for _ in range(gf11.D)]
+        r = next(gf11.probes(seed))
+        m = incremental_univariate(gf11, r)
+        # run BM on the full-length sequence of the same probe
         s = []
         cur = r
         for _ in range(2 * gf11.D):
@@ -359,7 +358,7 @@ def test_incremental_univariate_gf2_early_stops(gf2q):
         4: [1, 1, 0, 0, 0, 0, 1, 1],
     }
     for seed, want in expected.items():
-        assert incremental_univariate(gf2q, seed) == want
+        assert incremental_univariate(gf2q, next(gf2q.probes(seed))) == want
 
 
 def test_incremental_univariate_feeds_one_state(monkeypatch, gf11, gf2q):
@@ -383,7 +382,7 @@ def test_incremental_univariate_feeds_one_state(monkeypatch, gf11, gf2q):
     for name, Q in (("gf11", gf11), ("gf2q", gf2q)):
         for seed in range(5):
             counts.update(matvec=0, bm=0, push=0)
-            incremental_univariate(Q, seed)
+            incremental_univariate(Q, next(Q.probes(seed)))
             assert counts["bm"] == 0
             assert 0 < counts["push"] <= 2 * Q.D and counts["push"] % 2 == 0
             assert counts["matvec"] == counts["push"] - 1
