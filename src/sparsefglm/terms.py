@@ -69,6 +69,7 @@ def var_term(n: int, i: int) -> Term:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
+@cache
 def term_str(t: Term) -> str:
     if not any(t):
         return "1"

@@ -8,6 +8,8 @@ that tests compare the library against.
 
 import bisect
 import heapq
+import importlib
+import math
 import re
 from operator import itemgetter, mul, sub
 
@@ -377,6 +379,31 @@ def record_shape(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(shape, "berlekamp_massey", fitted)
     monkeypatch.setattr(shape, "hankel_solve", solved)
     monkeypatch.setattr(shape, "matrix_poly_apply", applied)
+    return rec
+
+
+def record_buchberger(monkeypatch) -> dict[str, int]:
+    """Wrap `buchberger`'s `_PackedRows.normal_form` and count, over every
+    run until undone: "zero" S-pair reductions to zero, "new" S-pair
+    reductions to a new row, "final" normal forms of the final pass (one
+    per minimal leading term) and "generators" reductions of a generator by
+    the rows before it.  S-pair reductions are the ones bounded by a
+    signature."""
+    rec = dict.fromkeys(("zero", "new", "final", "generators"), 0)
+    rows = importlib.import_module("sparsefglm.buchberger")._PackedRows
+    normal_form = rows.normal_form
+
+    def counted(self, m, parts, sig=math.inf):
+        out = normal_form(self, m, parts, sig)
+        if len(parts) == 1:
+            rec["final"] += 1
+        elif sig == math.inf:
+            rec["generators"] += 1
+        else:
+            rec["new" if out else "zero"] += 1
+        return out
+
+    monkeypatch.setattr(rows, "normal_form", counted)
     return rec
 
 

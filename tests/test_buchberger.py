@@ -22,6 +22,7 @@ from conftest import (
     GF2_TEXT,
     basis_strs,
     normal_form_linear_scan,
+    record_buchberger,
     reference_buchberger,
 )
 
@@ -212,6 +213,68 @@ def test_rank_table_numbers_terms_in_drl_order(n):
     )
 
 
+def mp_product(f, g, F):
+    out = MultiPoly.zero(f.n)
+    for t, c in g.coeffs.items():
+        out = mp_sub(out, mp_mul_term(f, t, F.p - c, F), F)
+    return out
+
+
+def non_koszul_systems(p, seed):
+    """Generating sets, named, with syzygies beyond the Koszul ones of a
+    regular sequence, in 3 variables over GF(p)."""
+    F = PrimeField(p)
+    f = gen_random_system(3, 2, p, seed)
+    h, q, r = gen_random_system(3, 1, p, seed + 1)
+    return {
+        # h f0 and h f1 share the factor h: f1 e0 - f0 e1 is a syzygy of degree 2
+        "common factor": [mp_product(h, f[0], F), mp_product(h, f[1], F), f[2]],
+        "repeated generator": [f[0], f[1], f[0], f[2], f[1]],
+        # q f0 - r f1 is in the ideal of the two before it
+        "combination": [
+            f[0],
+            f[1],
+            mp_sub(mp_product(q, f[0], F), mp_product(r, f[1], F), F),
+            f[2],
+        ],
+        # three random conics in two variables: over a large field they have
+        # no common zero
+        "unit ideal": gen_random_system(2, 2, p, seed) + gen_random_system(2, 2, p, seed + 1)[:1],
+    }
+
+
+@pytest.mark.parametrize("p", [2, 7, 65521])
+def test_matches_reference_on_non_koszul_syzygies(p):
+    # a zero reduction is the only way a syzygy that the criteria do not
+    # know shows up; the output must be the reduced basis all the same
+    for seed in range(3):
+        for polys in non_koszul_systems(p, 41820000 + 10 * seed).values():
+            assert_matches_reference(PrimeField(p), polys)
+
+
+@pytest.mark.parametrize(
+    "n,d,counts",
+    [
+        # (zero, new, final, generators) per system: no S-polynomial reduces to
+        # zero; with the product and chain criteria alone, 18 of 29 and 9 of
+        # 19 S-pairs reduced to zero here
+        (4, 2, (0, 9, 12, 3)),
+        (3, 3, (0, 9, 11, 2)),
+    ],
+)
+def test_no_s_polynomial_of_a_random_system_reduces_to_zero(monkeypatch, n, d, counts):
+    F = PrimeField(65521)
+    for seed in range(5):
+        polys = gen_random_system(n, d, 65521, seed)
+        rec = record_buchberger(monkeypatch)
+        gb = buchberger(polys, "drl", F)
+        monkeypatch.undo()
+        assert tuple(rec[k] for k in ("zero", "new", "final", "generators")) == counts
+        assert rec["zero"] < 0.1 * (rec["zero"] + rec["new"])
+        # one final normal form per element of the reduced basis
+        assert rec["final"] == len(gb.polys)
+
+
 @pytest.mark.parametrize("limit", [1, 30, 200])
 def test_heap_path_past_the_rank_limit_matches_reference(monkeypatch, limit):
     # a low limit sends the S-pairs and final rows above a small degree to the
@@ -222,6 +285,9 @@ def test_heap_path_past_the_rank_limit_matches_reference(monkeypatch, limit):
             assert_matches_reference(PrimeField(p), gen_random_system(n, d, p, 41810000 + n))
     for k in (5, 17, 40):
         assert_matches_reference(*parse_system(f"p 65521\nvars 2\nx1^{k} + x2 + 1\nx1*x2^2 + 3\n"))
+    for p in (2, 65521):
+        for polys in non_koszul_systems(p, 41830000).values():
+            assert_matches_reference(PrimeField(p), polys)
 
 
 def test_rejects_orderings_other_than_drl():

@@ -239,7 +239,9 @@ def test_shape_paths_hold_memory_linear_in_d():
     shape_prob and of shape_det stays within 1.5x from D = 64 to D = 256:
     a run keeps the current chain vector, its sequence and one row of
     right-hand sides per tail variable, O(nD) residues.  A run that held
-    its first D chain vectors (D^2 residues) would read about 2x here."""
+    its first D chain vectors (D^2 residues) would read about 2x here.
+    Each stage runs once before its measured run, so that what a first call
+    caches counts at neither D, whichever tests ran before this one."""
     F = PrimeField(65521)
     per_d = {"prob": [], "det": []}
     for d in (8, 16):
@@ -247,6 +249,7 @@ def test_shape_paths_hold_memory_linear_in_d():
         Q.matrix(1)
         Q.nf_of_var(2)
         for name, run in (("prob", lambda: shape_prob(Q, next(Q.probes(0)))), ("det", lambda: shape_det(Q))):
+            run()
             tracemalloc.start()
             try:
                 out = run()
