@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .field import PrimeField
-from .terms import OrderingTag, Term, TermCodec, term_codec, term_key, term_mul, term_str
+from .terms import OrderingTag, Term, TermCodec, drl_key, term_codec, term_key, term_mul, term_str
 from .unipoly import UniPoly, trim
 
 # (packed leading term, [(packed term - packed leading term, -coeff/lc)])
@@ -94,8 +94,12 @@ class MultiPoly:
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
+        try:  # packed DRL terms compare as the terms do
+            order = sorted(self.coeffs, key=term_codec(self.n, "drl").pack, reverse=True)
+        except ValueError:  # a degree past MAX_EXP, which no packed term holds
+            order = sorted(self.coeffs, key=drl_key, reverse=True)
         parts = []
-        for t in sorted(self.coeffs, key=term_key("drl"), reverse=True):
+        for t in order:
             c = self.coeffs[t]
             if not any(t):
                 parts.append(str(c))

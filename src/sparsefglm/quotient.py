@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from itertools import compress, product as iter_product, repeat
+from itertools import compress, repeat
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, InternalError, MultiPoly
-from .terms import Term, divides, drl_key, term_mul, unit_term, var_term
+from .terms import Term, term_codec, term_mul, unit_term, var_term
 
 CoordVector = list[int]
 
@@ -121,22 +121,39 @@ def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] |
     """Standard monomials under lts in ascending DRL order.
 
     None when the staircase is infinite or, given a limit, holds more than
-    limit terms; the count stops as soon as it passes the limit.
+    limit terms; the walk stops as soon as the count passes the limit.
+    Every divisor of a standard monomial is one, so the standard monomials
+    of degree d + 1 are the products x_i t of those of degree d that no
+    leading term divides.  The walk runs on packed DRL terms, which sort
+    as the terms do and test divisibility by one mask each (`TermCodec`);
+    ValueError when the product of the pure powers' bounds, which every
+    term it visits divides, has a degree past MAX_EXP.
     """
-    bounds = []
+    corner = []
     for i in range(n):
         pure = [t[i] for t in lts if sum(t) == t[i]]
         if not pure:
             return None
-        bounds.append(min(pure))
-    terms = []
-    for t in iter_product(*(range(b) for b in bounds)):
-        if not any(divides(l, t) for l in lts):
-            terms.append(t)
-            if limit is not None and len(terms) > limit:
-                return None
-    terms.sort(key=drl_key)
-    return terms
+        corner.append(min(pure))
+    codec = term_codec(n, "drl")
+    codec.pack(tuple(corner))  # no term the walk visits leaves its fields
+    guard = codec.guard
+    lows = sorted(codec.pack(t) - codec.lift for t in lts)
+    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
+    terms: list[int] = []
+    front = [codec.pack(unit_term(n))]
+    while front:
+        # a leading term past the front's last divides none of it
+        top = front[-1]
+        for low in lows:
+            if low > top:
+                break
+            front = [t for t in front if (t - low) & guard]
+        terms += front
+        if limit is not None and len(terms) > limit:
+            return None
+        front = sorted({t + s for t in front for s in steps})
+    return list(map(codec.unpack, terms))
 
 
 class QuotientStructure:

@@ -20,9 +20,12 @@ digit.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
+from functools import cache
 
 from .field import PrimeField
 from .poly import MultiPoly
+from .terms import Term, remember
 
 
 class ParseError(ValueError):
@@ -39,8 +42,15 @@ _CUT = r"(?:(?:\d+|x\d+(?:\s*\^(?:\s*\d+)?)?)\s*|x)?"
 # one possibly cut short: the match ends at the first character that no
 # completion of the line allows.
 _LINE = re.compile(rf"\s*(?:-\s*)?(?:{_FACTOR}\s*[-+*]\s*)*{_CUT}")
-_TERM = re.compile(r"\s*([-+]?)([^-+]+)")
+_SIGN = re.compile(r"[-+]")
 _FACTORS = re.compile(r"(\d+)|x(\d+)(?:\s*\^\s*(\d+))?")
+
+
+@cache
+def _monomials(n: int) -> OrderedDict[str, Term]:
+    """Monomial text -> exponents in n variables, of the monomials without a
+    coefficient factor parsed so far (a `terms` table)."""
+    return OrderedDict()
 
 
 def _int(m: re.Match, group: int, ln: int) -> int:
@@ -53,6 +63,24 @@ def _int(m: re.Match, group: int, ln: int) -> int:
         raise ParseError(ln, m.start(group) + 1, msg) from None
 
 
+def _factors(text: str, start: int, end: int, ln: int, n: int, p: int) -> tuple[int, Term, int]:
+    """The coefficient and exponents of the term text[start:end], and how
+    many coefficient factors it has; a ParseError at the first bad factor."""
+    coef, found = 1, 0
+    expo = [0] * n
+    for f in _FACTORS.finditer(text, start, end):
+        num, idx, e = f.groups()
+        if num is None and 1 <= (i := _int(f, 2, ln)) <= n:
+            expo[i - 1] += _int(f, 3, ln) if e else 1
+        elif num is None:
+            raise ParseError(ln, f.start() + 1, f"variable x{idx} out of range (vars = {n})")
+        elif (c := _int(f, 1, ln)) < p:
+            coef, found = coef * c % p, found + 1
+        else:
+            raise ParseError(ln, f.start() + 1, f"coefficient {c} not reduced mod {p}")
+    return coef, tuple(expo), found
+
+
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
     end = _LINE.match(text).end()
     if end < len(text):
@@ -60,27 +88,36 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
     body = text.rstrip()
     if not body[-1].isdecimal():  # every factor ends in a digit
         raise ParseError(ln, len(body) + 1, "unexpected end of line")
+    # the line is valid syntax: each piece between signs is one term, but
+    # for the blank before a leading '-'.  A term's monomial is its text
+    # after a leading coefficient, and its exponents are looked up by that
+    # text; a miss, or a coefficient not reduced mod p, runs the factor
+    # loop, which raises any ParseError at its column
     p = F.p
-    coeffs: dict[tuple, int] = {}
-    for term in _TERM.finditer(text):
-        coef = 1
-        expo = [0] * n
-        for f in _FACTORS.finditer(text, term.start(2), term.end(2)):
-            num, idx, e = f.groups()
-            if num is None and 1 <= (i := _int(f, 2, ln)) <= n:
-                expo[i - 1] += _int(f, 3, ln) if e else 1
-            elif num is None:
-                raise ParseError(ln, f.start() + 1, f"variable x{idx} out of range (vars = {n})")
-            elif (c := _int(f, 1, ln)) < p:
-                coef = coef * c % p
+    table = _monomials(n)
+    coeffs: dict[Term, int] = {}
+    start = 0
+    for term in _SIGN.split(text):
+        end = start + len(term)
+        if start or term.strip():
+            head, _, mono = term.partition("*")
+            try:
+                coef, lead = int(head), 1
+            except ValueError:  # no leading coefficient (or one too long)
+                coef, lead, mono = 1, 0, term
+            expo = table.get(mono) if coef < p else None
+            if expo is None:
+                coef, expo, found = _factors(text, start, end, ln, n, p)
+                if found == lead:  # no coefficient inside mono
+                    remember(table, mono, expo)
+            if start and text[start - 1] == "-":
+                coef = -coef
+            v = (coeffs.get(expo, 0) + coef) % p
+            if v:
+                coeffs[expo] = v
             else:
-                raise ParseError(ln, f.start() + 1, f"coefficient {c} not reduced mod {p}")
-        t = tuple(expo)
-        v = (coeffs.get(t, 0) + (-coef if term[1] == "-" else coef)) % p
-        if v:
-            coeffs[t] = v
-        else:
-            coeffs.pop(t, None)
+                coeffs.pop(expo, None)
+        start = end + 1
     return MultiPoly(n, coeffs)
 
 

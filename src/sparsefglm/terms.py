@@ -22,11 +22,18 @@ divisibility is one mask test.  `buchberger` also numbers the packed DRL
 terms of low degree by their place in the order, so that a polynomial can
 be one int with a field per rank.  Exponent tuples stay the format of
 every public interface.
+
+Terms repeat from one system to the next, so the conversions at the
+pipeline's edges are table lookups: each codec keeps its packings and
+unpackings, `term_str` its texts, and `sysio` the exponents of each
+monomial text.  A table starts empty, is filled on each miss, and holds
+at most TABLE_CAP entries, its oldest going first.
 """
 
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from functools import cache
 from operator import add, le
 from typing import Literal
@@ -69,17 +76,29 @@ def var_term(n: int, i: int) -> Term:
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
-@cache
+# the most entries one term table keeps
+TABLE_CAP = 1 << 12
+
+
+def remember(table: OrderedDict, key, value):
+    """Store value at key in a term table, first dropping the oldest entry
+    of a full one, and return value."""
+    if len(table) >= TABLE_CAP:
+        table.popitem(last=False)
+    table[key] = value
+    return value
+
+
+# term -> text, for terms in any number of variables
+_TEXTS: OrderedDict[Term, str] = OrderedDict()
+
+
 def term_str(t: Term) -> str:
-    if not any(t):
-        return "1"
-    parts = []
-    for i, e in enumerate(t):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts)
+    s = _TEXTS.get(t)
+    if s is None:
+        parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(t, 1) if e]
+        s = remember(_TEXTS, t, "*".join(parts) or "1")
+    return s
 
 
 # largest exponent (DRL: total degree) a field holds: fields are unsigned
@@ -106,10 +125,11 @@ class TermCodec:
       sets a guard bit, so `check` catches it instead of letting it wrap.
 
     MAX_EXP is all ones, so MAX_EXP - e = MAX_EXP ^ e and a DRL term is its
-    exponent fields XOR offset: both directions are one struct call.
+    exponent fields XOR offset: both directions are one struct call, made
+    once per term while the codec's tables hold it.
     """
 
-    __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "_fields")
+    __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "_fields", "_packed", "_unpacked")
 
     def __init__(self, n: int, ordering: OrderingTag):
         term_key(ordering)  # validates the tag
@@ -124,21 +144,32 @@ class TermCodec:
         else:
             self.offset = 0
             self.lift = self.mark = self.guard
+        # exponents -> packed term and back, of the terms converted so far
+        self._packed: OrderedDict[Term, int] = OrderedDict()
+        self._unpacked: OrderedDict[int, Term] = OrderedDict()
 
     def pack(self, t: Term) -> int:
-        try:
-            if self.offset:
-                x = int.from_bytes(self._fields.pack(sum(t), *t), "big") ^ self.offset
-            else:
-                x = int.from_bytes(self._fields.pack(*t), "little")
-        except struct.error as exc:  # not n exponents in 0..65535
-            raise ValueError(f"term {t} does not fit {self.n} packed fields") from exc
-        return self.check(x)
+        x = self._packed.get(t)
+        if x is None:
+            try:
+                if self.offset:
+                    x = int.from_bytes(self._fields.pack(sum(t), *t), "big") ^ self.offset
+                else:
+                    x = int.from_bytes(self._fields.pack(*t), "little")
+            except struct.error as exc:  # not n exponents in 0..65535
+                raise ValueError(f"term {t} does not fit {self.n} packed fields") from exc
+            x = remember(self._packed, t, self.check(x))
+        return x
 
     def unpack(self, x: int) -> Term:
-        if self.offset:
-            return self._fields.unpack((x ^ self.offset).to_bytes(self._fields.size, "big"))[1:]
-        return self._fields.unpack(x.to_bytes(self._fields.size, "little"))
+        t = self._unpacked.get(x)
+        if t is None:
+            if self.offset:
+                t = self._fields.unpack((x ^ self.offset).to_bytes(self._fields.size, "big"))[1:]
+            else:
+                t = self._fields.unpack(x.to_bytes(self._fields.size, "little"))
+            remember(self._unpacked, x, t)
+        return t
 
     def check(self, x: int) -> int:
         """x, a packed term or product, unless an exponent overflowed it."""

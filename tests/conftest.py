@@ -11,6 +11,7 @@ import heapq
 import importlib
 import math
 import re
+from itertools import product
 from operator import itemgetter, mul, sub
 
 import pytest
@@ -36,6 +37,7 @@ from sparsefglm.terms import (
     Term,
     TermCodec,
     divides,
+    drl_key,
     term_codec,
     term_key,
     term_mul,
@@ -145,6 +147,26 @@ def reference_apply(M: list[CoordVector], v: CoordVector, p: int) -> CoordVector
                 if a:
                     out[row] = (out[row] + a * vc) % p
     return out
+
+
+def reference_staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] | None:
+    """Reference oracle for `quotient.staircase`, on exponent tuples: scan
+    the box under the pure powers among lts with tuple divisibility, then
+    sort by DRL key; None for an infinite staircase or past the limit."""
+    bounds = []
+    for i in range(n):
+        pure = [t[i] for t in lts if sum(t) == t[i]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    terms = []
+    for t in product(*(range(b) for b in bounds)):
+        if not any(divides(l, t) for l in lts):
+            terms.append(t)
+            if limit is not None and len(terms) > limit:
+                return None
+    terms.sort(key=drl_key)
+    return terms
 
 
 def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:

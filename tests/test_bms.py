@@ -15,7 +15,7 @@ from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_monic, normal_form
 from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.shape import incremental_univariate, shape_prob
-from sparsefglm.terms import divides, lex_key
+from sparsefglm.terms import MAX_EXP, divides, lex_key
 
 from conftest import PROBE12, basis_strs, noncommuting_units
 
@@ -45,6 +45,10 @@ def test_staircase_size():
     assert staircase([(3, 0)], 2, 100) is None  # infinite staircase
     assert staircase([(3, 0)], 2) is None
     assert staircase([(1, 0), (0, 1)], 2, 10) == [(0, 0)]
+    # the walk's terms must pack: a corner of degree past MAX_EXP is refused
+    assert len(staircase([(MAX_EXP - 1, 0), (0, 1)], 2)) == MAX_EXP - 1
+    with pytest.raises(ValueError):
+        staircase([(MAX_EXP, 0), (0, 2)], 2)
 
 
 def test_is_gb_accepts_true_bases(gf11, monomial6):

@@ -29,6 +29,7 @@ from conftest import (
     reference_apply,
     reference_matrix,
     reference_nf_term,
+    reference_staircase,
 )
 
 F11 = PrimeField(11)
@@ -46,6 +47,36 @@ def test_staircase_gf11(gf11):
 def test_staircase_gf2(gf2q):
     assert gf2q.D == 7
     assert gf2q.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_staircase_matches_box_scan(n):
+    """The packed degree-by-degree walk against the box scan it replaced,
+    on random leading-term sets: finite and infinite staircases (None),
+    limits on both sides of the size (None past it, as `is_gb` reads it)
+    and sets holding 1 ([])."""
+    rng = random.Random(n)
+    top = {1: 9, 2: 6, 3: 4, 4: 3}[n]
+    seen = {"finite": 0, "infinite": 0, "past limit": 0, "one": 0}
+    for _ in range(200):
+        lts = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(rng.randint(0, 6))]
+        lts = [t for t in lts if any(t)]
+        if rng.random() < 0.8:
+            lts += [tuple(rng.randint(1, top) if k == i else 0 for k in range(n)) for i in range(n)]
+        if rng.random() < 0.1:
+            lts.append((0,) * n)
+        rng.shuffle(lts)
+        want = reference_staircase(lts, n)
+        assert quotient.staircase(lts, n) == want, lts
+        if want is None:
+            seen["infinite"] += 1
+            continue
+        seen["one" if want == [] else "finite"] += 1
+        for limit in {0, len(want) - 1, len(want), len(want) + 1} - {-1}:
+            got = quotient.staircase(lts, n, limit)
+            assert got == reference_staircase(lts, n, limit), (lts, limit)
+            seen["past limit"] += got is None
+    assert min(seen.values()) > 0, seen
 
 
 def test_nf_of_var(gf11):

@@ -5,7 +5,8 @@ import pytest
 
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly
-from sparsefglm.sysio import ParseError, _parse_poly, parse_system, poly_str, write_system
+from sparsefglm.sysio import ParseError, _monomials, _parse_poly, parse_system, poly_str, write_system
+from sparsefglm.terms import TABLE_CAP
 
 from conftest import GF11_TEXT, _parse_poly as reference_parse_poly
 
@@ -124,16 +125,16 @@ def test_long_malformed_lines_fail_fast():
 RUN = "9" * 5000  # past the 4,300 digits int() converts by default
 
 
-@pytest.mark.parametrize(
-    "text,line,col",
-    [
-        (f"p 11\nvars 2\nx1 + {RUN}*x2\n", 3, 6),  # coefficient
-        (f"p 11\nvars 2\nx2 + x1^{RUN}\n", 3, 9),  # exponent
-        (f"p 11\nvars 2\n  x{RUN}\n", 3, 4),  # variable index
-        (f"p {RUN}\nvars 2\nx1\n", 1, 3),  # header: modulus
-        (f"p 11\n vars  {RUN}\nx1\n", 2, 8),  # header: variable count
-    ],
-)
+OVERLONG_CASES = [
+    (f"p 11\nvars 2\nx1 + {RUN}*x2\n", 3, 6),  # coefficient
+    (f"p 11\nvars 2\nx2 + x1^{RUN}\n", 3, 9),  # exponent
+    (f"p 11\nvars 2\n  x{RUN}\n", 3, 4),  # variable index
+    (f"p {RUN}\nvars 2\nx1\n", 1, 3),  # header: modulus
+    (f"p 11\n vars  {RUN}\nx1\n", 2, 8),  # header: variable count
+]
+
+
+@pytest.mark.parametrize("text,line,col", OVERLONG_CASES)
 def test_overlong_digit_runs_name_their_column(text, line, col):
     with pytest.raises(ParseError) as e:
         parse_system(text)
@@ -181,6 +182,61 @@ def test_parser_agrees_with_reference_parser():
         accepted += got is not None
         rejected += got is None
     assert accepted > 2_000 and rejected > 2_000
+
+
+# lines that the ParseError cases above reuse, valid in 3 or more variables
+# at p = 13: parsed first, they fill the term tables with their monomials
+WARM_LINES = "x3 + 1\n11*x1\n  x1 + x3  \n\t 11*x1\n    x1 + 2\nx2 + x1^2\nx1 + 12*x2\n"
+
+
+def test_warm_term_tables_keep_every_parse_error():
+    """Every ParseError case above again, with the message and column it had,
+    after valid systems in more variables (x3 accepted at n = 3) and at a
+    larger p (11*x1 accepted at p = 13) filled the monomial tables."""
+    for n in (2, 3, 4):
+        lines = WARM_LINES if n > 2 else "x1 + 2\nx2 + x1^2\n11*x1\n"
+        F, polys = parse_system(f"p 13\nvars {n}\n{lines}")
+        assert polys[0].n == n
+    test_parse_errors_carry_position()
+    test_error_columns_count_from_the_raw_line()
+    for args in OVERLONG_CASES:
+        test_overlong_digit_runs_name_their_column(*args)
+    test_parser_agrees_with_reference_parser()
+
+
+def _valid_term(rng: random.Random, n: int, p: int) -> str:
+    """Factors joined by '*' in any order: variables, some repeated, some
+    with an exponent, and coefficient factors, with blanks around '*' and '^'."""
+    def blank():
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    factors = [
+        f"x{rng.randint(1, n)}" + (f"{blank()}^{blank()}{rng.randrange(4)}" if rng.random() < 0.5 else "")
+        for _ in range(rng.randint(0, 4))
+    ]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        factors.insert(rng.randint(0, len(factors)), str(rng.randrange(p)))
+    return f"{blank()}*{blank()}".join(factors or [str(rng.randrange(p))])
+
+
+@pytest.mark.parametrize("n,p", [(1, 2), (2, 11), (3, 65521), (4, 7)])
+def test_table_lookups_agree_with_reference_parser(n, p):
+    """Random valid lines, each parsed twice, the second time with all its
+    monomials without a coefficient factor in the table: both give the
+    reference parser's MultiPoly.  The lines repeat terms, with either
+    sign, so that some cancel."""
+    F = PrimeField(p)
+    rng = random.Random(n)
+    for _ in range(1_500):
+        terms = [_valid_term(rng, n, p) for _ in range(rng.randint(1, 5))]
+        terms += rng.sample(terms, rng.randint(0, len(terms)))
+        line = rng.choice(("", "-", " - ")) + terms[0]
+        for t in terms[1:]:
+            line += rng.choice(("+", "-", " + ", " - ", "  +\t")) + t
+        want = reference_parse_poly(line.strip(), 1, n, F)
+        assert _parse_poly(line, 1, n, F) == want, line
+        assert _parse_poly(line, 1, n, F) == want, line
+    assert 0 < len(_monomials(n)) <= TABLE_CAP
 
 
 def test_parse_rejects_composite_modulus():

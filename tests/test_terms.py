@@ -1,11 +1,20 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from operator import sub
+from pathlib import Path
 
 import pytest
 
+from sparsefglm import terms
+from sparsefglm.poly import MultiPoly
+from sparsefglm.sysio import poly_str
 from sparsefglm.terms import (
     MAX_EXP,
+    TABLE_CAP,
     divides,
     drl_key,
     lex_key,
@@ -115,3 +124,48 @@ def test_packed_exponent_overflow_raises(ordering):
         assert C.unpack(C.check(top + x3)) == (MAX_EXP, 0, 1)
     with pytest.raises(ValueError):
         term_codec(3, "grevlex")
+
+
+def test_printing_distinct_terms_leaves_the_tables_at_their_cap():
+    """10^5 distinct powers of x1, the last ones past MAX_EXP (sorted by
+    drl_key, since they do not pack): the text table and the codec's
+    packing table stop at TABLE_CAP, and the texts stay right."""
+    for k in range(10**5):
+        assert poly_str(MultiPoly(1, {(k,): 3})) == ("3" if k == 0 else f"3*x1^{k}" if k > 1 else "3*x1")
+    assert len(terms._TEXTS) == TABLE_CAP
+    assert len(term_codec(1, "drl")._packed) == TABLE_CAP
+    assert poly_str(MultiPoly(2, {(0, 0): 2, (MAX_EXP, 1): 1, (1, 0): 5})) == f"x1^{MAX_EXP}*x2 + 5*x1 + 2"
+
+
+# import the package, then report the tables' sizes, run `convert` once
+# and report them again, on stderr
+LAZY_TABLES = """
+import json, sys
+from sparsefglm import sysio, terms
+from sparsefglm.cli import main
+
+empty = [terms.term_codec.cache_info().currsize, sysio._monomials.cache_info().currsize, len(terms._TEXTS)]
+status = main(["convert"])
+codec = terms.term_codec(2, "drl")
+used = [len(sysio._monomials(2)), len(terms._TEXTS), len(codec._packed), len(codec._unpacked)]
+print(json.dumps([empty, status, used]), file=sys.stderr)
+"""
+
+
+def test_term_tables_fill_on_first_use():
+    """Importing the package fills no term table; one `convert` fills each
+    table it uses, within TABLE_CAP, and gives the expected basis."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_TABLES],
+        input="p 7\nvars 2\n3 * x1 ^ 2 * 2 + x2*x1 + 1\nx2 ^ 2*5 + x1 + 6\n",
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    empty, status, used = json.loads(proc.stderr.splitlines()[-1])
+    assert empty == [0, 0, 0] and status == 0
+    assert all(0 < size <= TABLE_CAP for size in used), used
+    assert "x1^4 + 3*x1^3 + 2*x1^2 + 1" in proc.stdout
