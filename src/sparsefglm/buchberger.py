@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 
 from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, MultiPoly, Row, reduce_rows, reducer_row, row_poly
-from .terms import MAX_EXP, OrderingTag, Term, TermCodec, term_codec, unit_term, var_term
+from .terms import MAX_EXP, OrderingTag, Term, TermCodec, drl_fronts, term_codec
 
 
 _UNSEEN = object()
@@ -56,14 +56,11 @@ def _rank_table(n: int, limit: int) -> tuple[list[int], dict[int, int]]:
     Rank 0 is the term 1, and the terms of degree d take the ranks
     C(d-1+n, n) .. C(d+n, n) - 1 in ascending order.
     """
-    codec = term_codec(n, "drl")
-    # x^a * x_i packs as pack(a) + pack(x_i) - offset
-    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
     terms: list[int] = []
-    front = [codec.pack(unit_term(n))]
-    while len(terms) + len(front) <= limit:
+    for front in drl_fronts(n):
+        if len(terms) + len(front) > limit:
+            break
         terms += front
-        front = sorted({t + s for t in front for s in steps})
     return terms, dict(zip(terms, range(len(terms))))
 
 

@@ -27,7 +27,7 @@ from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, InternalError, MultiPoly
-from .terms import Term, term_codec, term_mul, unit_term, var_term
+from .terms import Term, drl_fronts, term_codec, term_mul, unit_term, var_term
 
 CoordVector = list[int]
 
@@ -139,20 +139,21 @@ def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] |
     codec.pack(tuple(corner))  # no term the walk visits leaves its fields
     guard = codec.guard
     lows = sorted(codec.pack(t) - codec.lift for t in lts)
-    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
-    terms: list[int] = []
-    front = [codec.pack(unit_term(n))]
-    while front:
+
+    def standard(front: list[int]) -> list[int]:
         # a leading term past the front's last divides none of it
         top = front[-1]
         for low in lows:
             if low > top:
                 break
             front = [t for t in front if (t - low) & guard]
+        return front
+
+    terms: list[int] = []
+    for front in drl_fronts(n, standard):
         terms += front
         if limit is not None and len(terms) > limit:
             return None
-        front = sorted({t + s for t in front for s in steps})
     return list(map(codec.unpack, terms))
 
 

@@ -20,8 +20,6 @@ digit.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
-from functools import cache
 
 from .field import PrimeField
 from .poly import MultiPoly
@@ -46,11 +44,9 @@ _SIGN = re.compile(r"[-+]")
 _FACTORS = re.compile(r"(\d+)|x(\d+)(?:\s*\^\s*(\d+))?")
 
 
-@cache
-def _monomials(n: int) -> OrderedDict[str, Term]:
-    """Monomial text -> exponents in n variables, of the monomials without a
-    coefficient factor parsed so far (a `terms` table)."""
-    return OrderedDict()
+# (n, monomial text) -> exponents, of the monomials without a coefficient
+# factor parsed so far (a `terms` table)
+_MONOMIALS: dict[tuple[int, str], Term] = {}
 
 
 def _int(m: re.Match, group: int, ln: int) -> int:
@@ -94,7 +90,6 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
     # text; a miss, or a coefficient not reduced mod p, runs the factor
     # loop, which raises any ParseError at its column
     p = F.p
-    table = _monomials(n)
     coeffs: dict[Term, int] = {}
     start = 0
     for term in _SIGN.split(text):
@@ -105,11 +100,11 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
                 coef, lead = int(head), 1
             except ValueError:  # no leading coefficient (or one too long)
                 coef, lead, mono = 1, 0, term
-            expo = table.get(mono) if coef < p else None
+            expo = _MONOMIALS.get((n, mono)) if coef < p else None
             if expo is None:
                 coef, expo, found = _factors(text, start, end, ln, n, p)
                 if found == lead:  # no coefficient inside mono
-                    remember(table, mono, expo)
+                    remember(_MONOMIALS, (n, mono), expo)
             if start and text[start - 1] == "-":
                 coef = -coef
             v = (coeffs.get(expo, 0) + coef) % p

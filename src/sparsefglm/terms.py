@@ -26,14 +26,15 @@ every public interface.
 Terms repeat from one system to the next, so the conversions at the
 pipeline's edges are table lookups: each codec keeps its packings and
 unpackings, `term_str` its texts, and `sysio` the exponents of each
-monomial text.  A table starts empty, is filled on each miss, and holds
-at most TABLE_CAP entries, its oldest going first.
+monomial text.  A table starts empty and stores each miss until it holds
+TABLE_CAP entries; a full one keeps what it holds, so past the cap a
+miss costs one failed lookup and nothing is evicted.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict
+from collections.abc import Callable, Iterator
 from functools import cache
 from operator import add, le
 from typing import Literal
@@ -80,17 +81,15 @@ def var_term(n: int, i: int) -> Term:
 TABLE_CAP = 1 << 12
 
 
-def remember(table: OrderedDict, key, value):
-    """Store value at key in a term table, first dropping the oldest entry
-    of a full one, and return value."""
-    if len(table) >= TABLE_CAP:
-        table.popitem(last=False)
-    table[key] = value
+def remember(table: dict, key, value):
+    """Store value at key in a term table unless it is full; return value."""
+    if len(table) < TABLE_CAP:
+        table[key] = value
     return value
 
 
 # term -> text, for terms in any number of variables
-_TEXTS: OrderedDict[Term, str] = OrderedDict()
+_TEXTS: dict[Term, str] = {}
 
 
 def term_str(t: Term) -> str:
@@ -126,7 +125,7 @@ class TermCodec:
 
     MAX_EXP is all ones, so MAX_EXP - e = MAX_EXP ^ e and a DRL term is its
     exponent fields XOR offset: both directions are one struct call, made
-    once per term while the codec's tables hold it.
+    once for each term that the codec's tables hold.
     """
 
     __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "_fields", "_packed", "_unpacked")
@@ -145,8 +144,8 @@ class TermCodec:
             self.offset = 0
             self.lift = self.mark = self.guard
         # exponents -> packed term and back, of the terms converted so far
-        self._packed: OrderedDict[Term, int] = OrderedDict()
-        self._unpacked: OrderedDict[int, Term] = OrderedDict()
+        self._packed: dict[Term, int] = {}
+        self._unpacked: dict[int, Term] = {}
 
     def pack(self, t: Term) -> int:
         x = self._packed.get(t)
@@ -181,3 +180,17 @@ class TermCodec:
 @cache
 def term_codec(n: int, ordering: OrderingTag) -> TermCodec:
     return TermCodec(n, ordering)
+
+
+def drl_fronts(n: int, keep: Callable[[list[int]], list[int]] = list) -> Iterator[list[int]]:
+    """The packed DRL terms in n variables degree by degree from 1 up, each
+    degree's ascending: keep(front) of the products x_i t of the last
+    degree's terms, until one is empty.  The caller stops the default walk
+    before a degree past MAX_EXP."""
+    codec = term_codec(n, "drl")
+    # x^a * x_i packs as pack(a) + pack(x_i) - offset
+    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
+    front = [codec.pack(unit_term(n))]
+    while front := keep(front):
+        yield front
+        front = sorted({t + s for t in front for s in steps})

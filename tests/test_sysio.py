@@ -5,7 +5,7 @@ import pytest
 
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly
-from sparsefglm.sysio import ParseError, _monomials, _parse_poly, parse_system, poly_str, write_system
+from sparsefglm.sysio import _MONOMIALS, ParseError, _parse_poly, parse_system, poly_str, write_system
 from sparsefglm.terms import TABLE_CAP
 
 from conftest import GF11_TEXT, _parse_poly as reference_parse_poly
@@ -192,7 +192,8 @@ WARM_LINES = "x3 + 1\n11*x1\n  x1 + x3  \n\t 11*x1\n    x1 + 2\nx2 + x1^2\nx1 + 
 def test_warm_term_tables_keep_every_parse_error():
     """Every ParseError case above again, with the message and column it had,
     after valid systems in more variables (x3 accepted at n = 3) and at a
-    larger p (11*x1 accepted at p = 13) filled the monomial tables."""
+    larger p (11*x1 accepted at p = 13) filled the monomial table."""
+    _MONOMIALS.clear()  # a full table stores no more
     for n in (2, 3, 4):
         lines = WARM_LINES if n > 2 else "x1 + 2\nx2 + x1^2\n11*x1\n"
         F, polys = parse_system(f"p 13\nvars {n}\n{lines}")
@@ -225,6 +226,7 @@ def test_table_lookups_agree_with_reference_parser(n, p):
     monomials without a coefficient factor in the table: both give the
     reference parser's MultiPoly.  The lines repeat terms, with either
     sign, so that some cancel."""
+    _MONOMIALS.clear()  # a full table stores no more
     F = PrimeField(p)
     rng = random.Random(n)
     for _ in range(1_500):
@@ -236,7 +238,7 @@ def test_table_lookups_agree_with_reference_parser(n, p):
         want = reference_parse_poly(line.strip(), 1, n, F)
         assert _parse_poly(line, 1, n, F) == want, line
         assert _parse_poly(line, 1, n, F) == want, line
-    assert 0 < len(_monomials(n)) <= TABLE_CAP
+    assert 0 < sum(k == n for k, _ in _MONOMIALS) and len(_MONOMIALS) <= TABLE_CAP
 
 
 def test_parse_rejects_composite_modulus():

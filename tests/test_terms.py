@@ -144,10 +144,10 @@ import json, sys
 from sparsefglm import sysio, terms
 from sparsefglm.cli import main
 
-empty = [terms.term_codec.cache_info().currsize, sysio._monomials.cache_info().currsize, len(terms._TEXTS)]
+empty = [terms.term_codec.cache_info().currsize, len(sysio._MONOMIALS), len(terms._TEXTS)]
 status = main(["convert"])
 codec = terms.term_codec(2, "drl")
-used = [len(sysio._monomials(2)), len(terms._TEXTS), len(codec._packed), len(codec._unpacked)]
+used = [len(sysio._MONOMIALS), len(terms._TEXTS), len(codec._packed), len(codec._unpacked)]
 print(json.dumps([empty, status, used]), file=sys.stderr)
 """
 
