@@ -98,10 +98,8 @@ class _PackedRows:
         self.spread = spread
         self.bound = (p - 1) + RANK_LIMIT * (p - 1) ** 2
         self.bits = 8 * field_codec(1, self.bound)[0]
-        # per row: (leading term, tail) for `reduce_rows`, and the tail's
-        # deltas and multipliers by descending term
+        # per row: (leading term, tail), the tail's (delta, m) by descending term
         self.rows: list[Row] = []
-        self.tails: list[tuple[list[int], list[int]]] = []
         # (E, leading term - lift, row index) ascending: lt divides t iff
         # (t - low) & guard == mark
         self.table: list[tuple[int, int, int]] = []
@@ -118,7 +116,6 @@ class _PackedRows:
         k = len(self.rows)
         bisect.insort(self.table, (E, low, k))
         self.rows.append((lt, tail))
-        self.tails.append(([d for d, _ in tail], [m for _, m in tail]))
         # the new row wins wherever its leading term divides and its
         # signature is smaller
         terms, guard, mark, spread = self.terms, self.codec.guard, self.codec.mark, self.spread
@@ -134,15 +131,14 @@ class _PackedRows:
         key = k, r
         P = self.products.get(key)
         if P is None:
-            deltas, mults = self.tails[k]
+            tail = self.rows[k][1]
             # the table holds every term up to t's degree
             t, rank = self.terms[r], self.ranks
-            ranks = [rank[t + d] for d in deltas]
-            if ranks:
-                low = ranks[-1]
-                fields = [0] * (ranks[0] + 1 - low)
-                for u, m in zip(ranks, mults):
-                    fields[u - low] = m
+            if tail:
+                low = rank[t + tail[-1][0]]
+                fields = [0] * (rank[t + tail[0][0]] + 1 - low)
+                for d, m in tail:
+                    fields[rank[t + d] - low] = m
                 pack = field_codec(len(fields), self.bound)[1]
                 P = int.from_bytes(pack(*fields), "little"), self.bits * low
             else:
@@ -167,7 +163,7 @@ class _PackedRows:
         if r is None:
             work: dict[int, int] = {}
             for k, c in parts:
-                for d, a in zip(*self.tails[k]):
+                for d, a in self.rows[k][1]:
                     u = m + d
                     work[u] = work.get(u, 0) + c * a
             # a row regular at the top term is regular below it: reduce by

@@ -75,7 +75,6 @@ def _print_trace(args, trace: list):
 def cmd_convert(args):
     """full pipeline (toplevel dispatcher)"""
     field, gb, Q = _load_quotient(args)
-    trace: list = []
     t0 = time.perf_counter()
     res = toplevel(
         gb,
@@ -83,10 +82,9 @@ def cmd_convert(args):
         seed=args.seed,
         want_radical_ok=args.radical_ok,
         quotient=Q,
-        bms_trace=trace,
     )
     wall = time.perf_counter() - t0
-    _print_trace(args, trace)
+    _print_trace(args, res.bms_trace or [])
     stats = density_stats(Q.matrix(1))
     return {
         "method_used": res.method_used,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from itertools import islice
 
 from .bms import bms_change
 from .field import PrimeField, field_codec
@@ -89,7 +90,11 @@ class ConversionResult:
     basis: GroebnerBasis
     of_what: str  # "I" | "radical(I)"
     method_used: str  # "shape-prob" | "shape-det" | "bms" | "fglm"
-    bms_passes: int | None = None
+    bms_trace: list | None = None  # the sweep's passes (see bms_change); None when none ran
+
+    @property
+    def bms_passes(self) -> int | None:
+        return None if self.bms_trace is None else len(self.bms_trace)
 
 
 def toplevel(
@@ -98,7 +103,6 @@ def toplevel(
     seed,
     want_radical_ok: bool = True,
     quotient: QuotientStructure | None = None,
-    bms_trace: list | None = None,
 ) -> ConversionResult:
     """Decide the method in a fixed order and convert G1 to LEX.
 
@@ -114,9 +118,9 @@ def toplevel(
        has no Schwartz-Zippel guarantee once p <= D, and classic_fglm gives
        the same (unique) reduced basis.  Last, classic_fglm.
 
-    Probe k is the k-th of `Q.probes(seed)`, drawn even when its stage is
-    skipped, and the BMS probe is the 4th.  The quotient structure and
-    matrices are built once and shared by every stage.
+    Probe k is the k-th of `Q.probes(seed)`, drawn when its stage runs; the
+    sweep's is the 4th of a fresh one, and its passes are `bms_trace`.  The
+    quotient structure and matrices are built once and shared by every stage.
     """
     Q = quotient if quotient is not None else QuotientStructure(G1, field)
     probes = Q.probes(seed)
@@ -126,9 +130,7 @@ def toplevel(
         return ConversionResult(res.to_groebner(field), "I", "shape-prob")
 
     det = shape_det(Q, start=res.krylov)
-    if isinstance(det, Fail):
-        next(probes), next(probes)  # probes 2 and 3 cannot succeed; the BMS probe stays 4th
-    else:
+    if not isinstance(det, Fail):
         sb, is_radical = det
         if is_radical:
             return ConversionResult(sb.to_groebner(field), "I", "shape-det")
@@ -141,9 +143,9 @@ def toplevel(
 
     if field.p <= Q.D:
         return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm")
-    trace = bms_trace if bms_trace is not None else []
-    res = bms_change(Q, next(probes), trace)
+    trace: list = []
+    res = bms_change(Q, next(islice(Q.probes(seed), 3, None)), trace)
     if not isinstance(res, Fail):
-        return ConversionResult(res, "I", "bms", bms_passes=len(trace))
+        return ConversionResult(res, "I", "bms", trace)
 
-    return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", bms_passes=len(trace))
+    return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", trace)

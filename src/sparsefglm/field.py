@@ -9,10 +9,11 @@ one int of fixed-width fields, for matrix rows and polynomial products.
 from __future__ import annotations
 
 import struct
-from functools import cache
+from functools import cache, lru_cache
 from operator import mul
 
 
+@lru_cache(maxsize=64, typed=True)
 def _is_prime(n: int) -> bool:
     # deterministic Miller-Rabin, valid far beyond 64 bits with this base set
     if n < 2:

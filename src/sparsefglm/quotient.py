@@ -12,10 +12,10 @@ Column construction distinguishes three cases for the product term b_k*x_l:
 (1) it lies in B (unit column, kept as the row of its 1), (2) it is a
 leading term of the input basis (read the column off that polynomial), (3)
 it is a border term.  `term_vec` computes every such normal form: in case
-(3), t = x_l * u with u outside B and NF(t) = T_l NF(u), a product over
-T_l's column store that packs the case-2/3 columns it needs (a cascade).
-T_l itself adds only a row layout for its transpose.  Both products take
-vectors already reduced into [0, p).
+(3), t = x_l * u with u outside B and NF(t) = T_l NF(u), a forward product
+over the columns of T_l known so far, packing the case-2/3 columns it needs
+(a cascade).  `matrix(l)` completes that same T_l with a row layout for its
+transpose.  Both products take vectors already reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -37,20 +37,26 @@ def _picker(picks: list[int]):
     return itemgetter(*picks) if len(picks) > 1 else lambda v, k=picks[0]: (v[k],)
 
 
-class ColumnStore:
-    """T_l's columns as far as they are known, for the forward product:
-    rows[c] is the row of unit (case-1) column c's 1, None for a case-2/3
-    (dense) column; cols[c] is dense column c packed, T[r][c] in field r of
-    `field_codec(D, D*(p-1)^2)`, 0 until packed (and for a unit column).
-    `units` picks out of v + [0] the entry of the unit column with its 1 in
-    row r, else the 0: x_l is injective on B, so no row has two, and a
-    field of T v stays within D(p-1)^2, uncarried.
+class SparseMat:
+    """T_l, the D x D matrix of x_l on B over GF(p), made on first use and
+    completed once by `complete`.  For `times`: rows[c] is the row of unit
+    (case-1) column c's 1, None for a case-2/3 (dense) column; cols[c] is
+    dense column c packed, T[r][c] in field r of `field_codec(D, D*(p-1)^2)`,
+    0 until packed (and for a unit column).  `units` picks out of v + [0]
+    the entry of the unit column with its 1 in row r, else the 0: x_l is
+    injective on B, so no row has two, and a field of T v stays within
+    D(p-1)^2, uncarried.  For `apply_transpose`, `complete` adds one int per
+    row r with T[r][c] of each dense column c, the k-th in field k; `fields`
+    splits the `row_bytes` bytes of a sum of rows, and `gather` picks v's
+    entry for each unit column and the field of each dense one out of
+    v + [fields], in column order.
     """
 
-    __slots__ = ("rows", "cols", "units", "p", "nbytes", "pack", "unpack")
+    __slots__ = ("dim", "p", "rows", "cols", "units", "nbytes", "pack", "unpack",
+                 "column_cases", "packed", "row_bytes", "fields", "gather")
 
     def __init__(self, rows: list[int | None], p: int):
-        D = len(rows)
+        self.dim = D = len(rows)
         self.rows, self.p, self.cols = rows, p, [0] * D
         column_of = {row: c for c, row in enumerate(rows) if row is not None}
         self.units = _picker([column_of.get(r, D) for r in range(D)])
@@ -64,48 +70,37 @@ class ColumnStore:
         total = sum(map(mul, filter(None, self.cols), compress(v, self.cols)), total)
         return list(map(self.p.__rmod__, self.unpack(total.to_bytes(self.nbytes, "little"))))
 
-
-class SparseMat:
-    """D x D matrix over GF(p): its complete `ColumnStore` for `apply`, and
-    for `apply_transpose` one int per row r with T[r][c] of each dense
-    column c, the k-th in field k; `fields` splits the `nbytes` bytes of a
-    sum of rows, and `gather` picks v's entry for each unit column and the
-    field of each dense one out of v + [fields], in column order.
-    """
-
-    __slots__ = ("dim", "column_cases", "store", "packed", "nbytes", "fields", "gather")
-
-    def __init__(self, store: ColumnStore, dense_columns: list[CoordVector], column_cases: list[int]):
-        self.dim = D = len(store.rows)
-        self.column_cases, self.store = column_cases, store
-        width, pack_row, self.fields = field_codec(len(dense_columns), D * (store.p - 1) ** 2)
-        self.nbytes = len(dense_columns) * width
+    def complete(self, dense_columns: list[CoordVector], column_cases: list[int]) -> SparseMat:
+        """Add the row layout of the dense columns, in column order."""
+        self.column_cases = column_cases
+        width, pack_row, self.fields = field_codec(len(dense_columns), self.dim * (self.p - 1) ** 2)
+        self.row_bytes = len(dense_columns) * width
         # row r packs the r-th entry of every dense column
         self.packed = list(map(int.from_bytes, map(pack_row, *dense_columns), repeat("little")))
-        at = iter(range(D, D + len(dense_columns)))
-        self.gather = _picker([next(at) if row is None else row for row in store.rows])
+        at = iter(range(self.dim, self.dim + len(dense_columns)))
+        self.gather = _picker([next(at) if row is None else row for row in self.rows])
+        return self
 
     def column_entries(self) -> Iterator[list[tuple[int, int]]]:
         """Each column's nonzero (row, value) pairs by ascending row, in turn."""
-        store = self.store
-        for row, col in zip(store.rows, store.cols):
+        for row, col in zip(self.rows, self.cols):
             if row is not None:
                 yield [(row, 1)]
             else:
-                yield [(r, a) for r, a in enumerate(store.unpack(col.to_bytes(store.nbytes, "little"))) if a]
+                yield [(r, a) for r, a in enumerate(self.unpack(col.to_bytes(self.nbytes, "little"))) if a]
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    return T.store.times(v)
+    return T.times(v)
 
 
 def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.nbytes, "little"))
-    return list(T.gather(v + list(map(T.store.p.__rmod__, fields))))
+    fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.row_bytes, "little"))
+    return list(T.gather(v + list(map(T.p.__rmod__, fields))))
 
 
 def density_stats(T: SparseMat) -> dict:
@@ -185,7 +180,7 @@ class QuotientStructure:
         # NF(x^t) of the terms outside B that term_vec reached; callers must
         # not mutate them
         self._term_vecs: dict[Term, CoordVector] = {}
-        self._stores: list[ColumnStore | None] = [None] * self.n
+        self._stores: list[SparseMat | None] = [None] * self.n
 
     def _unit(self, i: int) -> CoordVector:
         v = [0] * self.D
@@ -229,7 +224,7 @@ class QuotientStructure:
 
         A term of B gives a unit vector and a leading term its case-2
         column.  Any other t is x_l * u with u outside B (case 3), so
-        NF(t) = T_l NF(u), one product over T_l's column store once the
+        NF(t) = T_l NF(u), one forward product over T_l once the
         dense columns it needs are packed.  The chain of such u is walked
         down first, so the recursion depth does not grow with the degree.
         """
@@ -251,25 +246,25 @@ class QuotientStructure:
             chain.append((t, l))
             t = u
         for t, l in reversed(chain):
-            store = self._store(l)
+            T = self._store(l)
             for k in compress(range(self.D), v):
-                if store.rows[k] is None and not store.cols[k]:
+                if T.rows[k] is None and not T.cols[k]:
                     self._dense_column(l, k)
-            v = self._term_vecs[t] = store.times(v)
+            v = self._term_vecs[t] = T.times(v)
         return v
 
-    def _store(self, l: int) -> ColumnStore:
-        """T_l's column store, 0-based l, made on first use."""
+    def _store(self, l: int) -> SparseMat:
+        """T_l, 0-based l, made on first use; matrix(l + 1) completes it."""
         if self._stores[l] is None:
             xl = var_term(self.n, l + 1)
-            self._stores[l] = ColumnStore([self.index.get(term_mul(b, xl)) for b in self.basis], self.F.p)
+            self._stores[l] = SparseMat([self.index.get(term_mul(b, xl)) for b in self.basis], self.F.p)
         return self._stores[l]
 
     def _dense_column(self, l: int, k: int) -> CoordVector:
-        """NF(b_k x_l), a dense column of T_l, packed into its store once."""
+        """NF(b_k x_l), a dense column of T_l, packed into it once."""
         v = self.term_vec(term_mul(self.basis[k], var_term(self.n, l + 1)))
-        if not (store := self._stores[l]).cols[k]:
-            store.cols[k] = int.from_bytes(store.pack(*v), "little")
+        if not (T := self._stores[l]).cols[k]:
+            T.cols[k] = int.from_bytes(T.pack(*v), "little")
         return v
 
     def nf_of_var(self, i: int) -> CoordVector:
@@ -287,13 +282,13 @@ class QuotientStructure:
         return self.matrices[j - 1]
 
     def _build(self, j: int) -> SparseMat:
-        store, xj = self._store(j - 1), var_term(self.n, j)
-        dense = [self._dense_column(j - 1, k) for k, row in enumerate(store.rows) if row is None]
+        T, xj = self._store(j - 1), var_term(self.n, j)
+        dense = [self._dense_column(j - 1, k) for k, row in enumerate(T.rows) if row is None]
         cases = [
             1 if row is not None else 2 if term_mul(eps, xj) in self._lt_map else 3
-            for eps, row in zip(self.basis, store.rows)
+            for eps, row in zip(self.basis, T.rows)
         ]
-        return SparseMat(store, dense, cases)
+        return T.complete(dense, cases)
 
     # --- vectors of polynomials -------------------------------------------
 

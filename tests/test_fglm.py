@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -7,10 +8,11 @@ from sparsefglm.bms import bms_change
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import ConversionResult, classic_fglm, toplevel
-from sparsefglm.poly import Fail
+from sparsefglm.poly import Fail, normal_form
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.shape import shape_det, shape_prob
 from sparsefglm.sysio import parse_system
+from sparsefglm.unipoly import squarefree_part
 
 from conftest import basis_strs, reference_classic_fglm
 
@@ -174,12 +176,13 @@ def test_bms_declines_gf2_on_dispatcher_probe(gf2q):
 
 
 def test_toplevel_monomial_falls_through_to_fglm(monomial6):
-    trace = []
-    res = toplevel(monomial6.G1, monomial6.F, seed=0, quotient=monomial6, bms_trace=trace)
+    res = toplevel(monomial6.G1, monomial6.F, seed=0, quotient=monomial6)
+    direct = []
+    bms_change(monomial6, next(islice(monomial6.probes(0), 3, None)), trace=direct)
     assert res.method_used == "fglm"
     assert res.of_what == "I"
     assert res.bms_passes == 14
-    assert len(trace) == 14
+    assert res.bms_trace == direct
     assert basis_strs(res.basis) == basis_strs(monomial6.G1)
 
 
@@ -208,20 +211,31 @@ def test_toplevel_non_shape_small_prime_goes_straight_to_fglm(monkeypatch):
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(fglm, name, counted)
+    draws = []
+
+    def probes(seed, _probes=Q.probes):
+        for r in _probes(seed):
+            draws.append(r)
+            yield r
+
+    monkeypatch.setattr(Q, "probes", probes)
     res = toplevel(Q.G1, Q.F, seed=41100005, quotient=Q)
     assert calls == {"shape_prob": 1, "shape_det": 1, "classic_fglm": 1}
+    assert len(draws) == 1  # neither probes 2 and 3 nor the sweep's is drawn
     assert res.method_used == "fglm"
     assert res.bms_passes is None
+    assert res.bms_trace is None
 
 
 def test_toplevel_sweep_probe_is_the_fourth_draw(trusted12):
-    # not in shape position and p > D: the two skipped probes are still
-    # drawn, so the sweep sees exactly what a direct call on draw 4 sees
-    trace, direct = [], []
-    res = toplevel(trusted12.G1, trusted12.F, seed=3, quotient=trusted12, bms_trace=trace)
+    # not in shape position and p > D: probes 2 and 3 are never drawn, and
+    # the sweep sees exactly what a direct call on draw 4 sees
+    direct = []
+    res = toplevel(trusted12.G1, trusted12.F, seed=3, quotient=trusted12)
     bms_change(trusted12, next(islice(trusted12.probes(3), 3, None)), trace=direct)
     assert res.method_used == "bms"
-    assert trace == direct
+    assert res.bms_trace == direct
+    assert res.bms_passes == len(direct)
 
 
 @pytest.mark.parametrize("seed", [40100125, 40100213, 41100005, 41100061])
@@ -233,3 +247,29 @@ def test_toplevel_answers_where_the_sweep_raised(seed):
     assert res.method_used == "fglm"
     assert res.of_what == "I"
     assert basis_strs(res.basis) == basis_strs(classic_fglm(Q, "lex"))
+
+
+def test_toplevel_answers_match_classic_fglm_on_small_primes():
+    """The whole dispatcher on seeded random systems at small primes, each
+    answer checked as the benchmark's oracle checks it: a basis of I is
+    classic FGLM's, and a radical(I) basis has a squarefree f1 and reduces
+    every element of classic FGLM's basis to 0.  Each path answers at
+    least once: shape-prob, shape-det radical and not, and the fallback."""
+    seen = Counter()
+    for p in (2, 3, 5, 7, 11):
+        F = PrimeField(p)
+        for n, d in ((2, 3), (2, 4), (3, 2), (3, 3)):
+            for seed in range(6):
+                Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", F), F)
+                lex = classic_fglm(Q, "lex")
+                res = toplevel(Q.G1, F, seed, quotient=Q)
+                if res.of_what == "I":
+                    assert basis_strs(res.basis) == basis_strs(lex), (p, n, d, seed, res.method_used)
+                    seen[res.method_used] += 1
+                else:
+                    assert res.method_used == "shape-det"
+                    f1 = res.basis.polys[0].to_uni()
+                    assert squarefree_part(f1, F) == f1, (p, n, d, seed)
+                    assert all(normal_form(g, res.basis.polys, "lex", F).is_zero() for g in lex.polys)
+                    seen["radical(I)"] += 1
+    assert all(seen[path] for path in ("shape-prob", "shape-det", "radical(I)", "fglm")), seen

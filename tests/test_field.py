@@ -21,6 +21,17 @@ def test_is_prime_agrees_with_trial_division():
     assert all(_is_prime(n) == slow(n) for n in range(2000))
 
 
+def test_each_modulus_is_proved_prime_once():
+    # parse_system and gen_random_system build a field per call; the
+    # Miller-Rabin rounds run on the first construction of a modulus only
+    PrimeField(2**61 - 1)
+    before = _is_prime.cache_info()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    after = _is_prime.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert after.maxsize is not None  # bounded: one entry per distinct modulus at most
+
+
 def test_norm_maps_into_range():
     F = PrimeField(11)
     assert F.norm(-1) == 10

@@ -10,10 +10,9 @@ from sparsefglm.bms import bms_change
 from sparsefglm import quotient
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
-from sparsefglm.fglm import toplevel
+from sparsefglm.fglm import classic_fglm, toplevel
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_scale
 from sparsefglm.quotient import (
-    ColumnStore,
     QuotientStructure,
     SparseMat,
     apply,
@@ -174,6 +173,47 @@ def test_normal_forms_build_no_matrix():
     assert Q.matrices == [None, None]
 
 
+class _Packs(list):
+    """T_l's packed columns, noting each nonzero write (a packed column)."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.packed = []
+
+    def __setitem__(self, k, value):
+        if value:
+            self.packed.append(k)
+        super().__setitem__(k, value)
+
+
+@pytest.mark.parametrize("p", [2, 65521])
+@pytest.mark.parametrize("first", ["classic_fglm", "cascade"])
+def test_matrix_completes_the_cascades_object_and_packs_each_column_once(first, p):
+    """T_j is one object: the one term_vec's cascade made and matrix(j)
+    completed.  Whether classic FGLM or a cascade reaches the columns
+    first, each dense column is packed once, and every one is packed."""
+    F = PrimeField(p)
+    for n, d in ((2, 4), (3, 3)):
+        Q = QuotientStructure(buchberger(gen_random_system(n, d, p, 0), "drl", F), F)
+        for l in range(n):
+            T = Q._store(l)
+            T.cols = _Packs(T.cols)
+        if first == "classic_fglm":
+            classic_fglm(Q, "lex")
+        else:
+            top = max(sum(g.lt("drl")) for g in Q.G1.polys) + 2
+            for t in product(range(top + 1), repeat=n):
+                if sum(t) <= top:
+                    Q.term_vec(t)
+            assert Q.matrices == [None] * n
+        for j in range(1, n + 1):
+            T = Q._stores[j - 1]
+            assert Q.matrix(j) is T
+            dense = [k for k, row in enumerate(T.rows) if row is None]
+            assert sorted(T.cols.packed) == dense, (n, j)
+    assert_columns_are_reduced_normal_forms(Q)
+
+
 def test_density_stats_gf11(gf11):
     stats = density_stats(gf11.matrix(1))
     assert stats["nnz"] == 7
@@ -309,9 +349,9 @@ def test_apply_matches_reference_apply(p):
 
 def all_p_minus_one(D, p):
     """T with every entry p - 1, every column dense, in both packed layouts."""
-    store = ColumnStore([None] * D, p)
-    store.cols[:] = [int.from_bytes(store.pack(*[p - 1] * D), "little")] * D
-    return SparseMat(store, [[p - 1] * D] * D, [3] * D)
+    T = SparseMat([None] * D, p)
+    T.cols[:] = [int.from_bytes(T.pack(*[p - 1] * D), "little")] * D
+    return T.complete([[p - 1] * D] * D, [3] * D)
 
 
 @pytest.mark.parametrize("p", TRANSPOSE_PRIMES)
