@@ -17,6 +17,7 @@ Restricted to one variable the update degenerates to Berlekamp-Massey.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iter_product
 
 from .field import PrimeField
@@ -44,22 +45,11 @@ def _array(Q: QuotientStructure, probe: CoordVector):
     x_l * u whose u is cached costs one packed product over T_l's columns,
     and no matrix is built.
     """
-    values: dict[Term, int] = {}
-
-    def E(u: Term) -> int:
-        if u not in values:
-            values[u] = Q.F.dot(probe, Q.term_vec(u))
-        return values[u]
-
-    return E
+    return cache(lambda u: Q.F.dot(probe, Q.term_vec(u)))
 
 
 def _sub(a: Term, b: Term) -> Term:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _downset(t: Term):
-    return iter_product(*(range(a + 1) for a in t))
 
 
 def _corners(delta: set[Term], n: int) -> list[Term]:
@@ -74,10 +64,6 @@ def _corners(delta: set[Term], n: int) -> list[Term]:
         if all(t[i] == 0 or t[:i] + (t[i] - 1,) + t[i + 1 :] in delta for i in range(n))
     ]
     return sorted(out, key=lex_key)
-
-
-def _discrepancy(f: MultiPoly, m: Term, E, p: int) -> int:
-    return sum(coef * E(term_mul(c, m)) for c, coef in f.coeffs.items()) % p
 
 
 def sakata_update(
@@ -109,7 +95,7 @@ def sakata_update(
         s = f.lt("lex")
         if divides(s, u):
             span = _sub(u, s)
-            d = _discrepancy(f, span, E, field.p)
+            d = sum(coef * E(term_mul(c, span)) for c, coef in f.coeffs.items()) % field.p
             if d and (span in delta or (grow_tail is not None and span[1:] == grow_tail)):
                 fails.append((f, span, d))
     if not fails:
@@ -117,7 +103,7 @@ def sakata_update(
 
     new_delta = set(delta)
     for _, span, _ in fails:
-        new_delta.update(_downset(span))
+        new_delta.update(iter_product(*(range(a + 1) for a in span)))
 
     fail_disc = {id(f): d for f, _, d in fails}
     new_F: list[MultiPoly] = []
@@ -204,10 +190,10 @@ def bms_change(
     def row_x1(j: Term) -> list[int]:
         return [t[0] for t in delta if t[1:] == j]
 
-    def finish(ok: bool):
+    def finish():
         if passes > cap:
             raise InternalError("pass budget exceeded (defect)")
-        if ok:
+        if is_gb(F, Q):
             polys = sorted(F, key=lambda f: lex_key(f.lt("lex")))
             return GroebnerBasis(polys, "lex")
         return Fail(
@@ -225,15 +211,12 @@ def bms_change(
     while True:
         j = tuple(u // 2 for u in ridge)
         even = not any(u % 2 for u in ridge)
-        if not any(ridge):
-            justified = True
-        elif even:
-            prev = list(j)
-            for a in range(n - 1):
-                if prev[a] > 0:
-                    prev[a] -= 1
-                    break
-            justified = bool(row_x1(tuple(prev))) and len(delta) < D
+        if even:
+            # a discovery level needs room in delta and the level one down in
+            # its first nonzero coordinate; the first level, j = 0, needs neither
+            a = next((a for a, e in enumerate(j) if e), None)
+            prev = None if a is None else j[:a] + (j[a] - 1,) + j[a + 1 :]
+            justified = prev is None or (bool(row_x1(prev)) and len(delta) < D)
         else:
             justified = bool(row_x1(j))
         if justified:
@@ -241,19 +224,12 @@ def bms_change(
             # it re-verifies; a discovery level runs Berlekamp-Massey style,
             # through twice the largest x1-exponent found so far plus a
             # clean confirming pass (the c_max + c_max criterion)
-            width = len(row_x1(j))
-            i = 0
             clean = False
-            while True:
-                if even:
-                    cmax = max(row_x1(j), default=-1)
-                    if i >= 2 * D or (clean and i >= 2 * cmax + 1):
-                        break
-                else:
-                    if i >= width:
-                        break
+            for i in range(2 * D if even else len(row_x1(j))):
+                if even and clean and i >= 2 * max(row_x1(j), default=-1) + 1:
+                    break
                 if passes >= cap:
-                    return finish(is_gb(F, Q))
+                    return finish()
                 u = (i,) + ridge
                 step = sakata_update(F, G, delta, u, E, field, grow_tail=j if even else None)
                 clean = step is None
@@ -272,18 +248,15 @@ def bms_change(
                         f"BMS sweep ended without a verified Groebner basis: "
                         f"|delta| = {len(delta)} exceeds D = {D} after {passes} passes"
                     )
-                i += 1
         # advance; the +2 head-room admits one more discovery level, which
         # the justification test above vets against the current delta set
         nxt = list(ridge)
-        k = 0
-        while True:
-            if k == n - 1:
-                return finish(is_gb(F, Q))
+        for k in range(n - 1):
             jmax = max((t[k + 1] for t in delta), default=-1)
             nxt[k] += 1
             if nxt[k] <= 2 * jmax + 2:
                 break
             nxt[k] = 0
-            k += 1
+        else:
+            return finish()
         ridge = tuple(nxt)

@@ -108,6 +108,10 @@ class _PackedRows:
         # at that rank, or None if no leading term divides; kept up to date
         # by `add`
         self.reducers: dict[int, tuple[int, int, int] | None] = {}
+        # the least rank of a leading term in the table: a term ranked below
+        # it is a multiple of no leading term, since DRL ranks a multiple of
+        # t at or above t
+        self.floor = len(self.terms)
 
     def add(self, lt: int, tail: list[tuple[int, int]], E: int) -> int:
         """Append the row (lt, tail), its tail by descending term, and
@@ -116,6 +120,7 @@ class _PackedRows:
         k = len(self.rows)
         bisect.insort(self.table, (E, low, k))
         self.rows.append((lt, tail))
+        self.floor = min(self.floor, self.ranks.get(lt, self.floor))
         # the new row wins wherever its leading term divides and its
         # signature is smaller
         terms, guard, mark, spread = self.terms, self.codec.guard, self.codec.mark, self.spread
@@ -196,17 +201,27 @@ class _PackedRows:
         table's multiples of signature below sig, as (packed term,
         coefficient) pairs by descending term.  base, a multiple of the
         field width, drops to the lowest product added, so that a sparse
-        polynomial far up the table stays a short int."""
-        p, bits, reducers, terms = self.p, self.bits, self.reducers, self.terms
+        polynomial far up the table stays a short int.  Once the top term
+        ranks below `floor` nothing is left to reduce, and the remaining
+        fields are unpacked at once."""
+        p, bits, reducers, terms, floor = self.p, self.bits, self.reducers, self.terms, self.floor
         log = bits.bit_length() - 1
         out = []
         while work:
             shift = (work.bit_length() - 1) & -bits
+            r = shift + base >> log
+            if r < floor:
+                count, low = (shift >> log) + 1, base >> log
+                width, _, unpack = field_codec(count, self.bound)
+                fields = unpack(work.to_bytes(count * width, "little"))
+                for i in range(count - 1, -1, -1):
+                    if c := fields[i] % p:
+                        out.append((terms[low + i], c))
+                break
             v = work >> shift
             work -= v << shift
             c = v % p
             if c:
-                r = shift + base >> log
                 hit = reducers.get(r, _UNSEEN)
                 if hit is _UNSEEN:
                     hit = reducers[r] = self._reducer(r)

@@ -42,7 +42,8 @@ class SparseMat:
     completed once by `complete`.  For `times`: rows[c] is the row of unit
     (case-1) column c's 1, None for a case-2/3 (dense) column; cols[c] is
     dense column c packed, T[r][c] in field r of `field_codec(D, D*(p-1)^2)`,
-    0 until packed (and for a unit column).  `units` picks out of v + [0]
+    None until packed (and for a unit column), so a zero column is packed
+    once too; `times` skips None as it skips 0.  `units` picks out of v + [0]
     the entry of the unit column with its 1 in row r, else the 0: x_l is
     injective on B, so no row has two, and a field of T v stays within
     D(p-1)^2, uncarried.  For `apply_transpose`, `complete` adds one int per
@@ -57,7 +58,7 @@ class SparseMat:
 
     def __init__(self, rows: list[int | None], p: int):
         self.dim = D = len(rows)
-        self.rows, self.p, self.cols = rows, p, [0] * D
+        self.rows, self.p, self.cols = rows, p, [None] * D
         column_of = {row: c for c, row in enumerate(rows) if row is not None}
         self.units = _picker([column_of.get(r, D) for r in range(D)])
         width, self.pack, self.unpack = field_codec(D, D * (p - 1) ** 2)
@@ -248,7 +249,7 @@ class QuotientStructure:
         for t, l in reversed(chain):
             T = self._store(l)
             for k in compress(range(self.D), v):
-                if T.rows[k] is None and not T.cols[k]:
+                if T.rows[k] is None and T.cols[k] is None:
                     self._dense_column(l, k)
             v = self._term_vecs[t] = T.times(v)
         return v
@@ -263,7 +264,7 @@ class QuotientStructure:
     def _dense_column(self, l: int, k: int) -> CoordVector:
         """NF(b_k x_l), a dense column of T_l, packed into it once."""
         v = self.term_vec(term_mul(self.basis[k], var_term(self.n, l + 1)))
-        if not (T := self._stores[l]).cols[k]:
+        if (T := self._stores[l]).cols[k] is None:
             T.cols[k] = int.from_bytes(T.pack(*v), "little")
         return v
 

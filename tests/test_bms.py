@@ -17,7 +17,7 @@ from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.shape import incremental_univariate, shape_prob
 from sparsefglm.terms import MAX_EXP, divides, lex_key
 
-from conftest import PROBE12, basis_strs, noncommuting_units
+from conftest import PROBE12, basis_strs, noncommuting_units, quotient_from_text
 
 F = PrimeField(65521)
 
@@ -197,6 +197,42 @@ def test_bms_trace_delta_growth():
                 if t[i]:
                     assert t[:i] + (t[i] - 1,) + t[i + 1 :] in d
     assert sizes[-1] == Q.D
+
+
+def _pin_quotient(system):
+    if isinstance(system, str):
+        return quotient_from_text(system)
+    n, d, p = system
+    field = PrimeField(p)
+    return QuotientStructure(buchberger(gen_random_system(n, d, p, 0), "drl", field), field)
+
+
+@pytest.mark.parametrize(
+    "system, passes, delta_size, verified",
+    [
+        ((2, 3, 7), 27, 10, False),  # declined when delta outgrows D = 9
+        ((2, 3, 101), 27, 9, True),
+        ((2, 3, 65521), 27, 9, True),
+        ((3, 2, 7), 40, 8, True),
+        ((3, 2, 101), 41, 8, False),  # every level walked, then is_gb fails
+        ((3, 2, 65521), 40, 8, True),
+        ("p 65521\nvars 2\nx1^3 + 2*x1*x2 + 5\nx2^2 + 3*x1 + 1\n", 18, 6, True),
+        ("p 65521\nvars 2\nx1^2 - x2\nx2^2\n", 12, 4, True),
+    ],
+)
+def test_bms_sweep_lengths_are_pinned(system, passes, delta_size, verified):
+    """The number of passes, the final delta set's size and the outcome of
+    the sweep under the first probe of Q.probes(0), so that a rewrite of the
+    level schedule cannot change a sweep unseen."""
+    Q = _pin_quotient(system)
+    trace = []
+    res = bms_change(Q, next(Q.probes(0)), trace=trace)
+    assert (len(trace), len(trace[-1][2])) == (passes, delta_size)
+    assert isinstance(res, GroebnerBasis) == verified
+    if verified:
+        assert res == classic_fglm(Q, "lex")
+    else:
+        assert f"{passes} passes" in res.reason
 
 
 def test_bms_declines_monomial_ideal(monomial6):

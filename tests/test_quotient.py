@@ -174,15 +174,14 @@ def test_normal_forms_build_no_matrix():
 
 
 class _Packs(list):
-    """T_l's packed columns, noting each nonzero write (a packed column)."""
+    """T_l's packed columns, noting every write, an all-zero column's too."""
 
     def __init__(self, cols):
         super().__init__(cols)
         self.packed = []
 
     def __setitem__(self, k, value):
-        if value:
-            self.packed.append(k)
+        self.packed.append(k)
         super().__setitem__(k, value)
 
 
@@ -212,6 +211,25 @@ def test_matrix_completes_the_cascades_object_and_packs_each_column_once(first, 
             dense = [k for k, row in enumerate(T.rows) if row is None]
             assert sorted(T.cols.packed) == dense, (n, j)
     assert_columns_are_reduced_normal_forms(Q)
+
+
+def test_zero_dense_columns_are_packed_once():
+    """x1^2 x2, x2^2 and x1 x2^2 reduce to 0: three of the four dense
+    columns are all zero, yet each is written once, however many cascades
+    meet it before matrix(j) completes T_j."""
+    Q = quotient_from_text("p 65521\nvars 2\nx1^2 - x2\nx2^2\n")
+    for l in range(2):
+        T = Q._store(l)
+        T.cols = _Packs(T.cols)
+    for t in product(range(12), repeat=2):
+        Q.term_vec(t)
+    zeros = 0
+    for j in (1, 2):
+        T = Q.matrix(j)
+        dense = [k for k, row in enumerate(T.rows) if row is None]
+        assert sorted(T.cols.packed) == dense, j
+        zeros += [T.cols[k] for k in dense].count(0)
+    assert zeros == 3
 
 
 def test_density_stats_gf11(gf11):
