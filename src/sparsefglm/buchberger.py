@@ -12,7 +12,8 @@ S-pair is dropped when its signature is a multiple of a known syzygy's, or
 when another row's multiple of that signature has a smaller leading term
 (rewriting).  A regular sequence has only the Koszul syzygies, and no
 S-polynomial of a `gen_random_system` input reduces to zero.  The final
-pass, one normal form per minimal row, is unsigned, so the output is the
+pass is unsigned: it keeps a minimal row whose tail terms no leading term
+divides, and replaces any other by its normal form, so the output is the
 reduced basis, whatever the signatures were.
 
 The working polynomials are packed over DRL ranks (`_rank_table`): one int
@@ -112,6 +113,7 @@ class _PackedRows:
         # it is a multiple of no leading term, since DRL ranks a multiple of
         # t at or above t
         self.floor = len(self.terms)
+        self.divisible: dict[int, bool] = {}  # packed term past the ranks -> reducible
 
     def add(self, lt: int, tail: list[tuple[int, int]], E: int) -> int:
         """Append the row (lt, tail), its tail by descending term, and
@@ -121,6 +123,7 @@ class _PackedRows:
         bisect.insort(self.table, (E, low, k))
         self.rows.append((lt, tail))
         self.floor = min(self.floor, self.ranks.get(lt, self.floor))
+        self.divisible.clear()
         # the new row wins wherever its leading term divides and its
         # signature is smaller
         terms, guard, mark, spread = self.terms, self.codec.guard, self.codec.mark, self.spread
@@ -157,6 +160,25 @@ class _PackedRows:
             if (t - low) & guard == mark:
                 return *self.product(k, r), self.spread(t) + E
         return None
+
+    def is_reduced(self, k: int) -> bool:
+        """Whether no term of row k's tail is a multiple of a leading term
+        in the table, so that the row is its own normal form."""
+        lt, tail = self.rows[k]
+        guard, mark, divisible = self.codec.guard, self.codec.mark, self.divisible
+        for d, _ in tail:
+            r = self.ranks.get(t := lt + d)
+            if r is None:
+                hit = divisible.get(t)
+                if hit is None:
+                    hit = divisible[t] = any((t - low) & guard == mark for _, low, _ in self.table)
+            elif r < self.floor:
+                return True  # the tail descends, so the rest ranks lower still
+            elif (hit := self.reducers.get(r, _UNSEEN)) is _UNSEEN:
+                hit = self.reducers[r] = self._reducer(r)
+            if hit:
+                return False
+        return True
 
     def normal_form(
         self, m: int, parts: tuple[tuple[int, int], ...], sig: float = math.inf
@@ -397,8 +419,8 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             add_row(lt, [(u - lt, c * scale % p) for u, c in out[1:]], T)
         else:
             note_syzygy(T)
-    # the reduced basis: one normal form per minimal leading term under the
-    # final table, whose normal forms are unique
+    # the reduced basis: per minimal leading term, its row itself when no
+    # tail term is reducible, else its normal form under the final table
     rows = {}
     for _, low, k in packed.table:
         rows.setdefault(low, k)
@@ -408,8 +430,11 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
         lt = low + codec.lift
         if any((lt - low2) & guard == mark for low2 in lows[:at]):
             continue
-        tail = [(u - lt, c) for u, c in packed.normal_form(lt, ((rows[low], 1),))]
-        basis.append(row_poly((lt, tail), codec, F))
+        k = rows[low]
+        row = packed.rows[k]
+        if not packed.is_reduced(k):
+            row = lt, [(u - lt, c) for u, c in packed.normal_form(lt, ((k, 1),))]
+        basis.append(row_poly(row, codec, F))
     return GroebnerBasis(basis, ordering)
 
 

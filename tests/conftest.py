@@ -408,9 +408,10 @@ def record_buchberger(monkeypatch) -> dict[str, int]:
     """Wrap `buchberger`'s `_PackedRows.normal_form` and count, over every
     run until undone: "zero" S-pair reductions to zero, "new" S-pair
     reductions to a new row, "final" normal forms of the final pass (one
-    per minimal leading term) and "generators" reductions of a generator by
-    the rows before it.  S-pair reductions are the ones bounded by a
-    signature."""
+    per minimal leading term whose row has a tail term that a leading term
+    divides; any other row is kept as it is) and "generators" reductions of
+    a generator by the rows before it.  S-pair reductions are the ones
+    bounded by a signature."""
     rec = dict.fromkeys(("zero", "new", "final", "generators"), 0)
     rows = importlib.import_module("sparsefglm.buchberger")._PackedRows
     normal_form = rows.normal_form

@@ -166,17 +166,22 @@ def test_fields_hold_the_largest_values(p):
     assert_matches_reference(F, [g, f])
 
 
+X1_200 = "p 65521\nvars 4\nx1^200 + x4\nx2\nx3\nx4^2\n"
+X1_300 = "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3\nx3^2 + 1\n"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text,final,heap",
     [
         # leading terms pairwise coprime, so no S-pair is reduced and no tail
         # is reducible; the ranks up to x1^200 number C(204, 4), about 70.7M
-        "p 65521\nvars 4\nx1^200 + x4\nx2\nx3\nx4^2\n",
-        # S-pairs from degree 301 down, each on a few terms
-        "p 65521\nvars 3\nx1^300 + x2 + x3\nx1*x2 + x3\nx3^2 + 1\n",
+        pytest.param(X1_200, 0, False, id=X1_200),
+        # S-pairs from degree 301 down, each on a few terms; of the 6 rows, all
+        # but x3^2 + 1 and x1*x2 + x3 past the ranks, one has a reducible tail
+        pytest.param(X1_300, 1, True, id=X1_300),
     ],
 )
-def test_sparse_high_degree_inputs_stay_within_the_rank_limit(monkeypatch, text):
+def test_sparse_high_degree_inputs_stay_within_the_rank_limit(monkeypatch, text, final, heap):
     F, polys = parse_system(text)
     n = polys[0].n
     top = max(sum(t) for g in polys for t in g.coeffs)
@@ -188,10 +193,12 @@ def test_sparse_high_degree_inputs_stay_within_the_rank_limit(monkeypatch, text)
         return reduce_rows(*args)
 
     monkeypatch.setattr(buchberger_module, "reduce_rows", counting_reduce_rows)
+    rec = record_buchberger(monkeypatch)
     assert_matches_reference(F, polys)
+    assert rec["final"] == final
     # the ranks up to the top degree outnumber the limit, so the reductions
-    # up there, the final one of x1^200 + x4 included, ran on the heap loop
-    assert calls
+    # up there ran on the heap loop; x1^200 + x4 makes none at all
+    assert bool(calls) == heap
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -258,8 +265,8 @@ def test_matches_reference_on_non_koszul_syzygies(p):
         # (zero, new, final, generators) per system: no S-polynomial reduces to
         # zero; with the product and chain criteria alone, 18 of 29 and 9 of
         # 19 S-pairs reduced to zero here
-        (4, 2, (0, 9, 12, 3)),
-        (3, 3, (0, 9, 11, 2)),
+        (4, 2, (0, 9, 8, 3)),
+        (3, 3, (0, 9, 6, 2)),
     ],
 )
 def test_no_s_polynomial_of_a_random_system_reduces_to_zero(monkeypatch, n, d, counts):
@@ -271,8 +278,39 @@ def test_no_s_polynomial_of_a_random_system_reduces_to_zero(monkeypatch, n, d, c
         monkeypatch.undo()
         assert tuple(rec[k] for k in ("zero", "new", "final", "generators")) == counts
         assert rec["zero"] < 0.1 * (rec["zero"] + rec["new"])
-        # one final normal form per element of the reduced basis
-        assert rec["final"] == len(gb.polys)
+        # fewer final normal forms than elements of the reduced basis (12 and
+        # 11): a row with no reducible tail term is kept as it is
+        assert rec["final"] < len(gb.polys) == {4: 12, 3: 11}[n]
+
+
+@pytest.mark.parametrize(
+    "systems,limit,final,elements",
+    [
+        # shape position: of the rows x1*x2^7, x2^8, x1^3*x2^6, ..., x1^15 only
+        # one has a tail term that a leading term divides
+        ([gen_random_system(2, 8, 65521, s) for s in range(5)], RANK_LIMIT, 1, 9),
+        ([gen_random_system(2, 16, 65521, 0)], RANK_LIMIT, 1, 17),
+        ([gen_random_system(2, 24, 65521, 0)], RANK_LIMIT, 1, 25),
+        # its S-pairs run past the rank table (degree 89 at n = 2), and none
+        # of its 3 rows keeps a reducible tail term
+        ([parse_system("p 65521\nvars 2\nx1^100 + x2 + 1\nx1*x2^2 + 3\n")[1]], RANK_LIMIT, 0, 3),
+        # the ranks stop at degree 6, so every leading term lies past them
+        # and each tail term is decided by a scan of the table
+        ([gen_random_system(2, 12, 65521, s) for s in range(2)], 30, 1, 13),
+    ],
+    ids=["2-8", "2-16", "2-24", "x1^100", "2-12-limit-30"],
+)
+def test_final_pass_normal_forms_only_rows_with_a_reducible_tail(
+    monkeypatch, systems, limit, final, elements
+):
+    F = PrimeField(65521)
+    monkeypatch.setattr(buchberger_module, "RANK_LIMIT", limit)
+    for polys in systems:
+        with monkeypatch.context() as m:
+            rec = record_buchberger(m)
+            gb = buchberger(polys, "drl", F)
+        assert (rec["final"], len(gb.polys)) == (final, elements)
+        assert basis_strs(gb) == basis_strs(reference_buchberger(polys, "drl", F))
 
 
 @pytest.mark.parametrize("limit", [1, 30, 200])
