@@ -6,15 +6,17 @@ Good enough for the desk-scale inputs the converters are exercised on
 
 Every row carries a signature, the leading term s e_i of a module element
 sum_i h_i e_i whose image sum_i h_i g_i is the row (Faugere's F5;
-Gao-Volny-Wang; Eder-Faugere's survey for the criteria).  Rows are reduced
-only by multiples of smaller signature, so a row keeps its signature, and an
-S-pair is dropped when its signature is a multiple of a known syzygy's, or
-when another row's multiple of that signature has a smaller leading term
-(rewriting).  A regular sequence has only the Koszul syzygies, and no
-S-polynomial of a `gen_random_system` input reduces to zero.  The final
-pass is unsigned: it keeps a minimal row whose tail terms no leading term
-divides, and replaces any other by its normal form, so the output is the
-reduced basis, whatever the signatures were.
+Gao-Volny-Wang; Eder-Faugere's survey for the criteria), save the own row
+of a generator that an earlier row reduces, kept only for that product and
+never in the reducer table.  Rows are reduced only by multiples of smaller
+signature, so a row keeps its signature, and an S-pair is dropped when its
+signature is a multiple of a known syzygy's, or when another row's multiple
+of that signature has a smaller leading term (rewriting).  A regular
+sequence has only the Koszul syzygies, and no S-polynomial of a
+`gen_random_system` input reduces to zero.  The final pass is unsigned: it
+keeps a minimal row whose tail terms no leading term divides, and replaces
+any other by its normal form, so the output is the reduced basis, whatever
+the signatures were.
 
 The working polynomials are packed over DRL ranks (`_rank_table`): one int
 of `field.field_codec` fields, the field at rank r holding the coefficient
@@ -99,7 +101,8 @@ class _PackedRows:
         self.spread = spread
         self.bound = (p - 1) + RANK_LIMIT * (p - 1) ** 2
         self.bits = 8 * field_codec(1, self.bound)[0]
-        # per row: (leading term, tail), the tail's (delta, m) by descending term
+        # per row: (leading term, tail), the tail's (delta, m) by descending
+        # term; a generator that `buchberger` reduces first has no `table` entry
         self.rows: list[Row] = []
         # (E, leading term - lift, row index) ascending: lt divides t iff
         # (t - low) & guard == mark
@@ -262,14 +265,15 @@ class _PackedRows:
 def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> GroebnerBasis:
     """Reduced Groebner basis via signature-safe S-polynomials, in DRL only.
 
-    The generators are first reduced each by those before it; of m nonzero
-    inputs, the i-th kept gets the position m - 1 - i.  A signature s e_i
-    is ordered by its degree deg(s) + deg(g_i) first, then by position,
-    then by s (a degree-over-position-over-term order), and kept as one int,
-    spread(s g_i's leading term) plus the position in a gap above the
-    variable fields; a row with leading term t and signature sig has the
-    key E = sig - spread(t).  So the S-pair of rows a and b with lcm m has
-    the signature spread(m) + max(E_a, E_b), and none if E_a = E_b.
+    The generators are first reduced each by those before it (a
+    generator's own row is kept only for that product, never in the reducer
+    table); of m nonzero inputs, the i-th kept gets the position m - 1 - i.
+    A signature s e_i is ordered by its degree deg(s) + deg(g_i) first, then
+    by position, then by s (a degree-over-position-over-term order), and
+    kept as one int, spread(s g_i's leading term) plus the position in a gap
+    above the variable fields; a row with leading term t and signature sig
+    has the key E = sig - spread(t).  So the S-pair of rows a and b with lcm
+    m has the signature spread(m) + max(E_a, E_b), and none if E_a = E_b.
 
     The known syzygies are the principal ones of each row with each
     generator and one per reduction to zero.  No pair is made whose
@@ -313,19 +317,13 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
 
     # x divides y, both signatures, iff (y - x + offset) & divides == 0
     divides = spread(guard) | (1 << L + w) - (1 << L)
-    # a key above every signature: such a row only reduces in the final pass
-    inert = 1 << 16 * (codec.n + 1) + w
     packed = _PackedRows(codec, p, spread)
     pack, push = codec.pack, heapq.heappush
-    # per row: the leading term's exponents, the set of its variables as a
-    # bit mask (coprime leading terms share none), E and the signature; and
-    # the rows of the generators and of every signature
-    lts: list[Term] = []
-    supports: list[int] = []
-    ratios: list[int] = []
-    sigs: list[int] = []
+    # per signed row, in row order: the leading term's exponents, the set of
+    # its variables as a bit mask (coprime leading terms share none), E and
+    # the signature; and the rows of the generators
+    signed: dict[int, tuple[Term, int, int, int]] = {}
     gens: list[int] = []
-    signed: list[int] = []
     # per position, the rows and the minimal signatures of the syzygies
     # known so far, with the exponents of their terms
     rows_at: list[list[int]] = [[] for _ in G]
@@ -347,8 +345,8 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
         E = sig - spread(lt)
         k = packed.add(lt, tail, E)
         for j in gens:
-            if ratios[j] != E:
-                note_syzygy(spread(packed.rows[j][0]) + spread(lt) - offset + max(ratios[j], E))
+            if (Ej := signed[j][2]) != E:
+                note_syzygy(spread(packed.rows[j][0]) + spread(lt) - offset + max(Ej, E))
         e = codec.unpack(lt)
         support = sum(1 << v for v, x in enumerate(e) if x)
         # a syzygy z at this row's position divides u sig, u = lcm(lt_a,
@@ -361,43 +359,32 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             r = [x + y - v if y > v else 0 for x, y, v in zip(e, z, s)]
             if sum(r) <= MAX_EXP:
                 cover.append(pack(tuple(r)) - lift)
-        for a in signed:
-            Ea = ratios[a]
-            if Ea == E or not supports[a] & support:
+        for a, (ea, support_a, Ea, _) in signed.items():
+            if Ea == E or not support_a & support:
                 continue
             if Ea < E and any((packed.rows[a][0] - r) & guard == mark for r in cover):
                 continue
-            m = pack(tuple(map(max, lts[a], e)))
+            m = pack(tuple(map(max, ea, e)))
             push(queue, (spread(m) + max(Ea, E), m, *((a, k) if Ea > E else (k, a))))
-        lts.append(e)
-        supports.append(support)
-        ratios.append(E)
-        sigs.append(sig)
-        signed.append(k)
+        signed[k] = e, support, E, sig
         rows_at[position(sig)].append(k)
         return k
-
-    def add_generator(lt: int, tail: list[tuple[int, int]]) -> None:
-        gens.append(add_row(lt, tail, spread(lt) + (len(G) - 1 - len(gens) << L)))
 
     for g in G:
         lt, tail = reducer_row(g, ordering, F)
         tail = sorted(tail, reverse=True)
         k = next((k for _, low, k in packed.table if (lt - low) & guard == mark), None)
-        if k is None:
-            add_generator(lt, tail)
-            continue
-        # g less a multiple of an earlier row, reduced by every row
-        f = packed.add(lt, tail, inert)
-        lts.append(())
-        supports.append(0)
-        ratios.append(inert)
-        sigs.append(inert)
-        out = packed.normal_form(lt, ((k, 1), (f, p - 1)))
-        if out:
+        if k is not None:
+            # g less a multiple of an earlier row, reduced by every row; g's
+            # own row serves this product only and stays out of the table
+            packed.rows.append((lt, tail))
+            out = packed.normal_form(lt, ((k, 1), (len(packed.rows) - 1, p - 1)))
+            if not out:
+                continue
             lt, c0 = out[0]
             scale = p - F.inv(c0)
-            add_generator(lt, [(u - lt, c * scale % p) for u, c in out[1:]])
+            tail = [(u - lt, c * scale % p) for u, c in out[1:]]
+        gens.append(add_row(lt, tail, spread(lt) + (len(G) - 1 - len(gens) << L)))
     last = None
     while queue:
         T, m, c, o = heapq.heappop(queue)
@@ -405,7 +392,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             T == last
             or is_syzygy(T)
             or any(
-                (T - sigs[k] + offset) & divides == 0 and (ratios[k], k) > (ratios[c], c)
+                (T - signed[k][3] + offset) & divides == 0 and (signed[k][2], k) > (signed[c][2], c)
                 for k in rows_at[position(T)]
             )
         ):

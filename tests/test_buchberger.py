@@ -284,6 +284,42 @@ def test_no_s_polynomial_of_a_random_system_reduces_to_zero(monkeypatch, n, d, c
 
 
 @pytest.mark.parametrize(
+    "p,systems,kept,first",
+    [
+        (65521, [gen_random_system(2, 8, 65521, s) for s in range(5)], 2, 9),
+        (65521, [gen_random_system(3, 3, 65521, s) for s in range(5)], 3, 12),
+        (65521, [gen_random_system(4, 2, 65521, s) for s in range(5)], 4, 13),
+        # f0, f1, f0, f2, f1: each repeat reduces to zero by the rows before it
+        (7, [non_koszul_systems(7, 41820000 + 10 * s)["repeated generator"] for s in range(3)], 3, 7),
+    ],
+    ids=["2-8", "3-3", "4-2", "repeated-generator"],
+)
+def test_only_signed_rows_enter_the_reducer_table(monkeypatch, p, systems, kept, first):
+    # a generator that an earlier row's leading term divides is reduced first,
+    # and its own row serves that one product only: the table gets one row
+    # per generator kept and one per S-pair that reduces to a new row
+    F = PrimeField(p)
+    add = buchberger_module._PackedRows.add
+    adds = []
+
+    def counted(self, lt, tail, E):
+        adds.append(E)
+        return add(self, lt, tail, E)
+
+    made = []
+    for polys in systems:
+        adds.clear()
+        with monkeypatch.context() as m:
+            m.setattr(buchberger_module._PackedRows, "add", counted)
+            rec = record_buchberger(m)
+            gb = buchberger(polys, "drl", F)
+        made.append(len(adds))
+        assert len(adds) == kept + rec["new"]
+        assert basis_strs(gb) == basis_strs(reference_buchberger(polys, "drl", F))
+    assert made[0] == first
+
+
+@pytest.mark.parametrize(
     "systems,limit,final,elements",
     [
         # shape position: of the rows x1*x2^7, x2^8, x1^3*x2^6, ..., x1^15 only

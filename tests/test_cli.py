@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sparsefglm import InternalError
 from sparsefglm.cli import build_parser, main
 
 from conftest import GF11_TEXT, GF2_TEXT
@@ -85,6 +86,39 @@ def test_shape_det_reports_radical(sysfile, capsys):
     assert payload["is_radical"] is False
     assert payload["D"] == 7
     assert payload["basis"] == ["x1^3 + 1", "x2 + x1"]
+
+
+def test_shape_det_declines_with_exit_2(sysfile, capsys):
+    rc = main(["shape-det", "--in", sysfile(MONO_TEXT)])
+    assert rc == 2
+    assert capsys.readouterr().out == (
+        "Fail: deterministic univariate degree 3 < D = 6: ideal is not in shape position\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["false", "no", "0", "true", "yes", "1", None])
+def test_convert_radical_ok(value, sysfile, capsys):
+    # GF2_TEXT is not radical: shape-det answers for radical(I) unless
+    # --radical-ok is false, and then the FGLM fallback answers for I
+    flag = [] if value is None else ["--radical-ok", value]
+    rc = main(["convert", "--in", sysfile(GF2_TEXT), "--seed", "10", *flag, "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    got = payload["method_used"], payload["of_what"], payload["basis"]
+    if value in ("false", "no", "0"):
+        assert got == ("fglm", "I", ["x1^7 + x1^6 + x1 + 1", "x1^4 + x1^3 + x2 + 1"])
+    else:
+        assert got == ("shape-det", "radical(I)", ["x1^3 + 1", "x2 + x1"])
+
+
+def test_internal_error_exits_4(sysfile, capsys, monkeypatch):
+    def defect(*args, **kwargs):
+        raise InternalError("boom")
+
+    monkeypatch.setattr("sparsefglm.cli.toplevel", defect)
+    assert main(["convert", "--in", sysfile(GF11_TEXT)]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: boom\n")
 
 
 def test_univar(sysfile, capsys):
