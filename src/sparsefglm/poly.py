@@ -162,8 +162,8 @@ def reducer_row(g: MultiPoly, ordering: OrderingTag, F: PrimeField) -> Row:
 
 
 def reduce_rows(work: dict[int, int], rows: list[Row], codec: TermCodec, p: int) -> dict[int, int]:
-    """Fully reduce the packed polynomial `work` (consumed) by rows sorted by
-    leading term; the first row whose leading term divides wins.
+    """Fully reduce the packed polynomial `work` (consumed) by rows in the
+    caller's order; the first row whose leading term divides wins.
 
     Returns the normal form with its terms in descending order.
     """

@@ -105,10 +105,12 @@ class ProbeFail(Fail):
 
 
 def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> CoordVector:
-    """g(T)·v by Horner, or g(T^t)·v when step is apply_transpose."""
+    """g(T)·v by Horner, or g(T^t)·v when step is apply_transpose, in deg g
+    products.  g is nonzero: every caller passes a Berlekamp-Massey fit or a
+    product of fits."""
     p = F.p
-    out = [0] * len(v)
-    for c in reversed(g):
+    out = [g[-1] * x % p for x in v]
+    for c in reversed(g[:-1]):
         out = step(T, out)
         if c:
             out = [(o + c * x) % p for o, x in zip(out, v)]
@@ -202,34 +204,22 @@ def shape_det(
             "ideal is not in shape position"
         )
 
-    # per-factor tails, each factor's solves on its own Krylov fit
-    factors = [(fit[0], [hankel_solve(fit, row, F) for row in rows]) for rows, fit in runs]
-
+    # each factor's tails are solved on its own fit, its piece of the squarefree
+    # part keeps their residues, and CRT glues the coprime pieces together
     fbar1 = squarefree_part(f, F)
-    is_radical = fbar1 == f
-
-    # peel the squarefree part across the recorded factors; the pieces are
-    # pairwise coprime, so CRT glues the tails back together
     moduli: list[UniPoly] = []
-    residues_per_var: list[list[UniPoly]] = [[] for _ in range(Q.n - 1)]
+    residues: list[list[UniPoly]] = []  # one list of tail residues per piece
     remaining = fbar1
-    for g, tails in factors:
-        if deg(remaining) == 0:
-            break
-        piece = uni_gcd(g, remaining, F)
-        if deg(piece) == 0:
-            continue
-        moduli.append(piece)
-        for i, t in enumerate(tails):
-            residues_per_var[i].append(uni_mod(t, piece, F))
-        remaining = uni_divmod(remaining, piece, F)[0]
+    for rows, fit in runs:
+        tails = [hankel_solve(fit, row, F) for row in rows]
+        piece = uni_gcd(fit[0], remaining, F)
+        if deg(piece) > 0:
+            moduli.append(piece)
+            residues.append([uni_mod(t, piece, F) for t in tails])
+            remaining = uni_divmod(remaining, piece, F)[0]
     if deg(remaining) != 0:
         raise InternalError("squarefree part not covered by the peeled factors")
-
-    final_tails = [
-        uni_crt(residues_per_var[i], moduli, F) for i in range(Q.n - 1)
-    ]
-    return ShapeBasis(fbar1, final_tails), is_radical
+    return ShapeBasis(fbar1, [uni_crt(list(r), moduli, F) for r in zip(*residues)]), fbar1 == f
 
 
 def incremental_univariate(Q: QuotientStructure, probe: CoordVector) -> UniPoly:

@@ -78,12 +78,13 @@ def _factors(text: str, start: int, end: int, ln: int, n: int, p: int) -> tuple[
 
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
-    end = _LINE.match(text).end()
-    if end < len(text):
-        raise ParseError(ln, end + 1, f"unexpected {text[end]!r}")
-    body = text.rstrip()
-    if not body[-1].isdecimal():  # every factor ends in a digit
-        raise ParseError(ln, len(body) + 1, "unexpected end of line")
+    end, body = _LINE.match(text).end(), text.rstrip()
+    if end < len(text) or not body[-1].isdecimal():  # every factor ends in a digit
+        # a bad factor before the character the grammar rejects comes first
+        stop = min(end, len(body))
+        _factors(text, 0, stop, ln, n, F.p)
+        msg = f"unexpected {text[end]!r}" if end < len(text) else "unexpected end of line"
+        raise ParseError(ln, stop + 1, msg)
     # the line is valid syntax: each piece between signs is one term, but
     # for the blank before a leading '-'.  A term's monomial is its text
     # after a leading coefficient, and its exponents are looked up by that

@@ -29,10 +29,6 @@ def deg(f: UniPoly) -> int:
     return len(f) - 1
 
 
-def is_zero(f: UniPoly) -> bool:
-    return not f
-
-
 def uni_add(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
     return trim([(a + b) % F.p for a, b in zip_longest(f, g, fillvalue=0)])
 
@@ -144,26 +140,19 @@ def uni_pth_root(f: UniPoly, F: PrimeField) -> UniPoly:
 
 
 def squarefree_part(f: UniPoly, F: PrimeField) -> UniPoly:
-    """Product of the distinct monic irreducible factors of f."""
+    """Product of the distinct monic irreducible factors of f.
+
+    w = f / gcd(f, f') carries each factor whose multiplicity p does not
+    divide; once every factor of w is divided out, the rest of f is a p-th
+    power, so rad(f) = w · rad(p-th root of the rest).
+    """
     if deg(f) <= 0:
         return [1]
     f = uni_monic(f, F)
-    out = [1]
-    while deg(f) > 0:
-        df = uni_derivative(f, F)
-        if is_zero(df):
-            f = uni_pth_root(f, F)
-            continue
-        # w carries each factor of f whose multiplicity p does not divide
-        w = uni_divmod(f, uni_gcd(f, df, F), F)[0]
-        out = uni_mul(out, uni_divmod(w, uni_gcd(out, w, F), F)[0], F)
-        # strip all w-divisible content, leaving a p-th power for the next round
-        while True:
-            g = uni_gcd(f, w, F)
-            if deg(g) <= 0:
-                break
-            f = uni_divmod(f, g, F)[0]
-    return out
+    w = uni_divmod(f, uni_gcd(f, uni_derivative(f, F), F), F)[0]
+    while deg(g := uni_gcd(f, w, F)) > 0:
+        f = uni_divmod(f, g, F)[0]
+    return uni_mul(w, squarefree_part(uni_pth_root(f, F), F), F)
 
 
 def uni_crt(residues: list[UniPoly], moduli: list[UniPoly], F: PrimeField) -> UniPoly:

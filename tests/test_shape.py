@@ -335,6 +335,29 @@ def test_matrix_poly_apply_horner(gf11):
     )
 
 
+def test_matrix_poly_apply_makes_deg_g_products(gf11):
+    """Horner from the leading coefficient: g of degree k costs k products,
+    a constant none, and the value is sum_i g_i T^i v."""
+    T, F = gf11.matrix(1), gf11.F
+    v = [3, 1, 4, 1]
+    rng = random.Random(7)
+    for step in (apply, apply_transpose):
+        powers = [v]
+        for _ in range(5):
+            powers.append(step(T, powers[-1]))
+        for k in (0, 1, 2, 5):
+            g = [rng.randrange(11) for _ in range(k)] + [rng.randrange(1, 11)]
+            calls = []
+
+            def counted(T, w):
+                calls.append(w)
+                return step(T, w)
+
+            want = [sum(c * t[i] for c, t in zip(g, powers)) % 11 for i in range(len(v))]
+            assert matrix_poly_apply(g, counted, T, v, F) == want
+            assert len(calls) == k
+
+
 def test_incremental_univariate_gf11_matches_full_bm(gf11):
     for seed in range(5):
         r = next(gf11.probes(seed))

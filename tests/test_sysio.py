@@ -83,6 +83,11 @@ def test_parse_errors_carry_position():
         ("+x1", 1, "unexpected '+'"),
         ("x1^2^3", 5, "unexpected '^'"),
         ("x 1", 2, "unexpected ' '"),
+        # a bad factor before the grammar's stop is the first offence
+        ("12*x1 + x1 ? 2", 1, "coefficient 12 not reduced mod 11"),
+        ("x5 + x1 x2", 1, "variable x5 out of range (vars = 2)"),
+        ("x5 +", 1, "variable x5 out of range (vars = 2)"),
+        ("x1 ? 12", 4, "unexpected '?'"),
     ):
         with pytest.raises(ParseError) as e:
             parse_system(f"p 11\nvars 2\n{bad}\n")

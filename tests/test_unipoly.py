@@ -7,7 +7,6 @@ from conftest import reference_uni_divmod, reference_uni_mul
 from sparsefglm.field import PrimeField
 from sparsefglm.unipoly import (
     deg,
-    is_zero,
     squarefree_part,
     trim,
     uni_add,
@@ -33,7 +32,6 @@ def test_zero_conventions():
     assert trim([1, 0]) == [1]
     assert deg([]) == -1
     assert deg([7]) == 0
-    assert is_zero([]) and not is_zero([1])
 
 
 def test_add_sub_scale():
@@ -186,6 +184,36 @@ def test_squarefree_part_is_squarefree_and_divides():
     sf = squarefree_part(f, F11)
     assert uni_mod(f, sf, F11) == []
     assert deg(uni_gcd(sf, uni_derivative(sf, F11), F11)) == 0
+
+
+def _radical_corpus(p: int, count: int, seed: int):
+    """Seeded products of random monic factors of degree 1 to 3, times a unit,
+    each factor to a power in {1, 2, 3, p, 2p, p + 1, p^2}, the powers that
+    keep it at degree 32 or less."""
+    F = PrimeField(p)
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = [rng.randrange(1, p)]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+            m = rng.choice([m for m in (1, 2, 3, p, 2 * p, p + 1, p * p) if m * deg(g) <= 32])
+            for _ in range(m):
+                f = uni_mul(f, g, F)
+        yield F, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 101, 65521])
+def test_squarefree_part_is_the_radical_on_seeded_products(p):
+    """r = squarefree_part(f) is monic, divides f and is squarefree, and
+    every prime of f divides r: dividing f by gcd(f, r) over and over
+    reaches a constant."""
+    for F, f in _radical_corpus(p, 60, seed=p):
+        r = squarefree_part(f, F)
+        assert r[-1] == 1 and uni_mod(f, r, F) == [], f
+        assert deg(uni_gcd(r, uni_derivative(r, F), F)) == 0, f
+        while deg(g := uni_gcd(f, r, F)) > 0:
+            f = uni_divmod(f, g, F)[0]
+        assert deg(f) == 0
 
 
 def test_crt_two_pieces_gf2():
