@@ -39,7 +39,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, MultiPoly, Row, reduce_rows, reducer_row, row_poly
+from .poly import GroebnerBasis, MultiPoly, Row, make_row, reduce_rows, reducer_row, row_poly
 from .terms import MAX_EXP, OrderingTag, Term, TermCodec, drl_fronts, term_codec
 
 
@@ -372,7 +372,6 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
 
     for g in G:
         lt, tail = reducer_row(g, ordering, F)
-        tail = sorted(tail, reverse=True)
         k = next((k for _, low, k in packed.table if (lt - low) & guard == mark), None)
         if k is not None:
             # g less a multiple of an earlier row, reduced by every row; g's
@@ -381,9 +380,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
             out = packed.normal_form(lt, ((k, 1), (len(packed.rows) - 1, p - 1)))
             if not out:
                 continue
-            lt, c0 = out[0]
-            scale = p - F.inv(c0)
-            tail = [(u - lt, c * scale % p) for u, c in out[1:]]
+            lt, tail = make_row(out, F)
         gens.append(add_row(lt, tail, spread(lt) + (len(G) - 1 - len(gens) << L)))
     last = None
     while queue:
@@ -401,9 +398,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
         # the S-polynomial: both leading terms cancel at m
         out = packed.normal_form(m, ((c, 1), (o, p - 1)), T)
         if out:
-            lt, c0 = out[0]
-            scale = p - F.inv(c0)
-            add_row(lt, [(u - lt, c * scale % p) for u, c in out[1:]], T)
+            add_row(*make_row(out, F), T)
         else:
             note_syzygy(T)
     # the reduced basis: per minimal leading term, its row itself when no

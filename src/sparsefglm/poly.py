@@ -15,13 +15,14 @@ it.  `buchberger` keeps its basis as rows too but reduces on DRL ranks up
 to its rank limit, on this loop past it.
 
 A MultiPoly is immutable once constructed: every operation builds a new
-coefficient dict, and nothing writes to `coeffs` afterwards.  That is what
-lets `lt` and `reducer_row` cache their answers on the instance.
+coefficient dict, and nothing writes to `coeffs` afterwards, so `lt` caches
+its answer on the instance.  Rows are built by `make_row` and not cached.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -35,16 +36,14 @@ Row = tuple[int, list[tuple[int, int]]]
 
 class MultiPoly:
     """A polynomial in n variables; `coeffs` must not be mutated after
-    construction, since leading terms are cached per ordering in `_lt` and
-    reducer rows per ordering and field in `_rows`."""
+    construction, since leading terms are cached per ordering in `_lt`."""
 
-    __slots__ = ("n", "coeffs", "_lt", "_rows")
+    __slots__ = ("n", "coeffs", "_lt")
 
     def __init__(self, n: int, coeffs: dict[Term, int] | None = None):
         self.n = n
         self.coeffs = {t: c for t, c in (coeffs or {}).items() if c}
         self._lt: dict[str, Term] | None = None
-        self._rows: dict[tuple[str, int], Row] | None = None
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":
@@ -121,13 +120,6 @@ def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
     return MultiPoly(f.n, out)
 
 
-def mp_scale(f: MultiPoly, c: int, F: PrimeField) -> MultiPoly:
-    c = F.norm(c)
-    if c == 0:
-        return MultiPoly.zero(f.n)
-    return MultiPoly(f.n, {t: c * a % F.p for t, a in f.coeffs.items()})
-
-
 def mp_mul_term(f: MultiPoly, t: Term, c: int, F: PrimeField) -> MultiPoly:
     """f * c*x^t."""
     c = F.norm(c)
@@ -139,26 +131,23 @@ def mp_mul_term(f: MultiPoly, t: Term, c: int, F: PrimeField) -> MultiPoly:
 def mp_monic(f: MultiPoly, ordering: OrderingTag, F: PrimeField) -> MultiPoly:
     if f.is_zero():
         return f
-    return mp_scale(f, F.inv(f.lc(ordering)), F)
+    c = F.inv(f.lc(ordering))
+    return MultiPoly(f.n, {t: c * a % F.p for t, a in f.coeffs.items()})
 
 
-def make_row(packed: dict[int, int], F: PrimeField) -> Row:
-    """The row of a nonzero packed polynomial (consumed)."""
-    lt = max(packed)
-    m = F.p - F.inv(packed.pop(lt))
-    return lt, [(u - lt, a * m % F.p) for u, a in packed.items()]
+def make_row(terms: Iterable[tuple[int, int]], F: PrimeField) -> Row:
+    """The row of a nonzero packed polynomial given as its (packed term,
+    nonzero coefficient) pairs by descending term; the tail keeps that order."""
+    p, it = F.p, iter(terms)
+    lt, c = next(it)
+    m = p - F.inv(c)
+    return lt, [(u - lt, a * m % p) for u, a in it]
 
 
 def reducer_row(g: MultiPoly, ordering: OrderingTag, F: PrimeField) -> Row:
-    """The row of a nonzero g: what `reduce_rows` reduces by, cached on g."""
-    cache = g._rows
-    if cache is None:
-        cache = g._rows = {}
-    row = cache.get((ordering, F.p))
-    if row is None:
-        pack = term_codec(g.n, ordering).pack
-        row = cache[(ordering, F.p)] = make_row({pack(t): c for t, c in g.coeffs.items()}, F)
-    return row
+    """The row of a nonzero g, its tail by descending term (`make_row`)."""
+    pack = term_codec(g.n, ordering).pack
+    return make_row(sorted(zip(map(pack, g.coeffs), g.coeffs.values()), reverse=True), F)
 
 
 def reduce_rows(work: dict[int, int], rows: list[Row], codec: TermCodec, p: int) -> dict[int, int]:
@@ -217,13 +206,12 @@ def normal_form(
 
 
 def row_poly(row: Row, codec: TermCodec, F: PrimeField) -> MultiPoly:
-    """The monic MultiPoly of a row, with its caches filled from the row."""
+    """The monic MultiPoly of a row, with its leading term cached."""
     lt, tail = row
     coeffs = {codec.unpack(lt): 1}
     coeffs.update((codec.unpack(lt + d), F.p - m) for d, m in tail)
     g = MultiPoly(codec.n, coeffs)
     g._lt = {codec.ordering: codec.unpack(lt)}
-    g._rows = {(codec.ordering, F.p): row}
     return g
 
 

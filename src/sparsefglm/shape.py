@@ -105,13 +105,14 @@ class ProbeFail(Fail):
 
 
 def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> CoordVector:
-    """g(T)·v by Horner, or g(T^t)·v when step is apply_transpose, in deg g
-    products.  g is nonzero: every caller passes a Berlekamp-Massey fit or a
-    product of fits."""
+    """g(T)·v by Horner, or g(T^t)·v when step is apply_transpose, in at
+    most deg g products: a zero accumulator is not multiplied.  g is nonzero:
+    every caller passes a Berlekamp-Massey fit or a product of fits."""
     p = F.p
     out = [g[-1] * x % p for x in v]
     for c in reversed(g[:-1]):
-        out = step(T, out)
+        if any(out):
+            out = step(T, out)
         if c:
             out = [(o + c * x) % p for o, x in zip(out, v)]
     return out
@@ -120,10 +121,11 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
 def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeField) -> KrylovRun:
     """A row <(T1^t)^j r, NF(x_i)> for j < deg f per vector in nfs, and the
     Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components s of r,
-    T1^t r, ... (`length` of them).  Only the current chain vector is kept;
-    a unit NF(x_i) is read as one component.  The rows are the right-hand
-    sides of the Hankel solves on that fit: s has linear complexity deg f,
-    so it is also the fit of s[:2 deg f], the prefix that defines H."""
+    T1^t r, ... (`length` of them).  Only the current chain vector is kept,
+    and once zero it is not multiplied; a unit NF(x_i) is read as one
+    component.  The rows are the right-hand sides of the Hankel solves on
+    that fit: s has linear complexity deg f, so it is also the fit of
+    s[:2 deg f], the prefix that defines H."""
     reads = []
     for v_i in nfs:
         nz = [k for k, c in enumerate(v_i) if c]
@@ -133,7 +135,7 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
     rows: list[list[int]] = [[] for _ in nfs]
     w = r
     for j in range(length):
-        if j:
+        if j and any(w):
             w = apply_transpose(T1, w)
         s.append(w[0])
         if j < length // 2:

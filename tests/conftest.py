@@ -548,7 +548,7 @@ def reference_buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: Prime
         r = reduce_rows(_spoly(rows[i], rows[j], m, codec, p), table, codec, p)
         if not r:
             continue
-        row = make_row(r, F)
+        row = make_row(r.items(), F)
         rows.append(row)
         lts.append(codec.unpack(row[0]))
         bisect.insort(table, row, key=itemgetter(0))

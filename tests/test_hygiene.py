@@ -51,33 +51,48 @@ def test_library_modules_use_every_import():
     assert unused == {}
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names a module reads, imports by name, or spells as a string (the
-    benchmark's tracer wraps library functions given by name)."""
-    out = set()
-    for node in ast.walk(ast.parse(source)):
+def referenced_names(source: str) -> tuple[set[str], set[str]]:
+    """The names a module reads, and the names it reaches from outside: what
+    it imports by name, spells as a string (the benchmark's tracer wraps
+    library functions given by name), or reads as an attribute of a module
+    object, a name bound by `import` or a subscript such as
+    `sys.modules[...]`.  Any other attribute, `x.is_zero()` say, may be a
+    method, so it names no top-level definition."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    read, outside = set(), set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            read.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            owner = node.value
+            if isinstance(owner, ast.Subscript) or (isinstance(owner, ast.Name) and owner.id in modules):
+                outside.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
+            outside.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            outside.add(node.value)
+    return read, outside
 
 
 def unreferenced_defs(sources: dict[str, str], library: set[str], exported: set[str]) -> list[str]:
     """`module.name` of every top-level def or class of a library module
-    that no other module references, its own module does not use, and the
-    package does not export; sources and library are keyed by file path."""
+    that its own module does not read, no module reaches from outside (see
+    `referenced_names`), and the package does not export; sources and
+    library are keyed by file path."""
     refs = {path: referenced_names(src) for path, src in sources.items()}
+    outside = set().union(*(names for _, names in refs.values()))
     out = []
     for path in sorted(library):
         for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
                 continue
-            if not any(node.name in names for names in refs.values()):
+            if node.name not in refs[path][0] and node.name not in outside:
                 out.append(f"{Path(path).stem}.{node.name}")
     return out
 
@@ -91,15 +106,22 @@ def test_unreferenced_checker_flags_orphans_and_accepts_references():
             "def exported(): pass\n"
             "def _only_tests(): pass\n"
             "class Orphan: pass\n"
+            "def is_zero(f): return not f\n"
+            "def helper(): pass\n"
+            "def looked_up(): pass\n"
             "x = used_here()\n"
         ),
-        "b": "from a import imported\n",
+        "b": "from a import imported\nx.is_zero()\n",
+        "c": "import a\na.helper()\n",
+        "d": "import sys\nsys.modules['a'].looked_up()\n",
         "tracer": "WRAPPED = [('a', 'traced')]\n",
     }
-    assert unreferenced_defs(sources, {"a"}, {"exported"}) == ["a._only_tests", "a.Orphan"]
+    assert unreferenced_defs(sources, {"a"}, {"exported"}) == ["a._only_tests", "a.Orphan", "a.is_zero"]
 
 
-def test_no_library_helper_only_tests_use():
+def tree_sources() -> tuple[dict[str, str], set[str], set[str]]:
+    """The sources of the package and the benchmark, less their tests, keyed
+    by file path; the package's modules; and the names it exports."""
     sources = {
         str(path): path.read_text()
         for path in [*PACKAGE.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
@@ -112,7 +134,19 @@ def test_no_library_helper_only_tests_use():
         for node in init.body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
     )
-    assert unreferenced_defs(sources, library, exported) == []
+    return sources, library, exported
+
+
+def test_no_library_helper_only_tests_use():
+    assert unreferenced_defs(*tree_sources()) == []
+
+
+def test_tree_check_flags_a_helper_named_like_a_method():
+    """A top-level `is_zero` only tests would call is named, although
+    `MultiPoly.is_zero()` is read all over the tree."""
+    sources, library, exported = tree_sources()
+    sources[str(PACKAGE / "unipoly.py")] += "\n\ndef is_zero(f):\n    return not f\n"
+    assert unreferenced_defs(sources, library, exported) == ["unipoly.is_zero"]
 
 
 def random_generator_sites(source: str) -> list[str]:

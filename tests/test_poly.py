@@ -9,7 +9,6 @@ from sparsefglm.poly import (
     MultiPoly,
     mp_monic,
     mp_mul_term,
-    mp_scale,
     mp_sub,
     normal_form,
 )
@@ -51,10 +50,10 @@ def test_leading_term_depends_on_ordering():
 def test_add_sub_scale_cancellation():
     f = MultiPoly(2, {(1, 0): 4, (0, 1): 2})
     g = MultiPoly(2, {(1, 0): 7, (0, 0): 1})
-    assert mp_sub(f, mp_scale(g, -1, F11), F11).coeffs == {(0, 1): 2, (0, 0): 1}
+    assert mp_sub(f, mp_mul_term(g, (0, 0), -1, F11), F11).coeffs == {(0, 1): 2, (0, 0): 1}
     assert mp_sub(f, f, F11).is_zero()
-    assert mp_scale(f, 0, F11).is_zero()
-    assert mp_scale(f, 3, F11).coeffs == {(1, 0): 1, (0, 1): 6}
+    assert mp_mul_term(f, (0, 0), 0, F11).is_zero()
+    assert mp_mul_term(f, (0, 0), 3, F11).coeffs == {(1, 0): 1, (0, 1): 6}
 
 
 def test_mul_term():
@@ -184,10 +183,10 @@ def test_interreduce_rows_matches_reference(n, d, p):
         spoiled = []
         for i, g in enumerate(polys):
             for h in polys[:i]:
-                g = mp_sub(g, mp_scale(h, rng.randrange(p), F), F)
-            spoiled.append(mp_scale(g, rng.randrange(1, p), F))
+                g = mp_sub(g, mp_mul_term(h, (0,) * n, rng.randrange(p), F), F)
+            spoiled.append(mp_mul_term(g, (0,) * n, rng.randrange(1, p), F))
         extra = [mp_mul_term(g, (0,) * (n - 1) + (1,), rng.randrange(1, p), F) for g in spoiled]
-        inputs = spoiled + extra + [mp_scale(g, 2 % p or 1, F) for g in spoiled[::2]]
+        inputs = spoiled + extra + [mp_mul_term(g, (0,) * n, 2 % p or 1, F) for g in spoiled[::2]]
         rng.shuffle(inputs)
         assert buchberger(inputs, "drl", F).polys == polys
         assert reference_buchberger(inputs, "drl", F).polys == polys

@@ -11,7 +11,7 @@ from sparsefglm import quotient
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm, toplevel
-from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_scale
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_mul_term
 from sparsefglm.quotient import (
     QuotientStructure,
     SparseMat,
@@ -444,7 +444,7 @@ def test_unreduced_input_is_reduced(gf11):
     """QuotientStructure takes the reduced basis only; an unreduced one is
     bad input, and buchberger reduces it."""
     F, polys = parse_system(GF11_TEXT)
-    doubled = polys + [mp_scale(polys[0], 2, F)]
+    doubled = polys + [mp_mul_term(polys[0], (0,) * 3, 2, F)]
     with pytest.raises(ValueError, match="not reduced"):
         QuotientStructure(GroebnerBasis(doubled, "drl"), F)
     Q = QuotientStructure(buchberger(doubled, "drl", F), F)

@@ -234,6 +234,34 @@ def test_shape_det_fits_each_factor_once(monkeypatch):
         assert [t for _, tails in factors for t in tails] == _fresh_solves(rec, F)
 
 
+def test_shape_det_multiplies_no_zero_vector(monkeypatch):
+    """A Krylov chain stops multiplying once its vector is zero, and so does
+    the Horner view of a unit probe: shape_det passes no all-zero vector to
+    a transposed product.  On (3, 2, 2, 36) (D = 8, not in shape position)
+    that leaves 25 products, on (2, 3, 2, 21) (D = 9, not radical) 32."""
+    for args, products, want in (
+        ((3, 2, 2, 36), 25, None),
+        ((2, 3, 2, 21), 32, ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
+    ):
+        F = PrimeField(args[2])
+        Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
+        vectors = []
+
+        def counted(T, w):
+            vectors.append(w)
+            return apply_transpose(T, w)
+
+        monkeypatch.setattr(shape, "apply_transpose", counted)
+        out = shape_det(Q)
+        monkeypatch.undo()
+        assert all(any(w) for w in vectors)
+        assert len(vectors) == products
+        if want is None:
+            assert isinstance(out, Fail) and "not in shape position" in out.reason
+        else:
+            assert (out[0].f1, out[0].tails, out[1]) == (*want, False)
+
+
 def test_shape_paths_hold_memory_linear_in_d():
     """With T_1 and NF(x_2) built first, the tracemalloc peak per D of
     shape_prob and of shape_det stays within 1.5x from D = 64 to D = 256:
@@ -336,8 +364,9 @@ def test_matrix_poly_apply_horner(gf11):
 
 
 def test_matrix_poly_apply_makes_deg_g_products(gf11):
-    """Horner from the leading coefficient: g of degree k costs k products,
-    a constant none, and the value is sum_i g_i T^i v."""
+    """Horner from the leading coefficient: g of degree k costs at most k
+    products, none while the accumulator is zero (a constant g or a zero v
+    none at all), and the value is sum_i g_i T^i v."""
     T, F = gf11.matrix(1), gf11.F
     v = [3, 1, 4, 1]
     rng = random.Random(7)
@@ -345,17 +374,21 @@ def test_matrix_poly_apply_makes_deg_g_products(gf11):
         powers = [v]
         for _ in range(5):
             powers.append(step(T, powers[-1]))
+        calls = []
+
+        def counted(T, w):
+            calls.append(w)
+            return step(T, w)
+
         for k in (0, 1, 2, 5):
             g = [rng.randrange(11) for _ in range(k)] + [rng.randrange(1, 11)]
-            calls = []
-
-            def counted(T, w):
-                calls.append(w)
-                return step(T, w)
-
+            calls.clear()
             want = [sum(c * t[i] for c, t in zip(g, powers)) % 11 for i in range(len(v))]
             assert matrix_poly_apply(g, counted, T, v, F) == want
             assert len(calls) == k
+        calls.clear()
+        assert matrix_poly_apply([2, 0, 1, 5], counted, T, [0] * 4, F) == [0] * 4
+        assert calls == []
 
 
 def test_incremental_univariate_gf11_matches_full_bm(gf11):
