@@ -11,13 +11,7 @@ from .buchberger import buchberger, gen_random_system
 from .bms import bms_change, is_gb
 from .field import PrimeField
 from .fglm import ConversionResult, classic_fglm, toplevel
-from .generic import (
-    analyze_rows,
-    asymptotic_estimate,
-    density_bound,
-    hilbert_profile,
-    verify_moreno_socias,
-)
+from .generic import asymptotic_estimate, density_bound, hilbert_profile
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form
 from .quotient import (
     QuotientStructure,
@@ -53,8 +47,6 @@ __all__ = [
     "hilbert_profile",
     "density_bound",
     "asymptotic_estimate",
-    "verify_moreno_socias",
-    "analyze_rows",
     "parse_system",
     "write_system",
     "poly_str",

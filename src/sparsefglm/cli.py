@@ -17,7 +17,7 @@ import time
 from .buchberger import buchberger, gen_random_system
 from .field import PrimeField
 from .fglm import classic_fglm, toplevel
-from .generic import analyze_rows
+from .generic import asymptotic_estimate, density_bound, hilbert_profile
 from .bms import bms_change
 from .poly import Fail, MultiPoly
 from .quotient import QuotientStructure, density_stats, dump_matrix
@@ -159,10 +159,11 @@ def cmd_analyze(args):
     if dmax < args.d:
         raise ValueError(f"--dmax {dmax} is below --d {args.d}")
     lines = ["n,d,D,k0,m0,density_bound,asymptotic,ratio"]
-    for r in analyze_rows(args.n, list(range(args.d, dmax + 1))):
+    for d in range(args.d, dmax + 1):
+        prof, est = hilbert_profile(args.n, d), asymptotic_estimate(args.n, d)
         lines.append(
-            f"{r['n']},{r['d']},{r['D']},{r['k0']},{r['m0']},"
-            f"{r['density_bound']},{r['asymptotic']:.6f},{r['ratio']:.6f}"
+            f"{args.n},{d},{prof.ideal_degree},{prof.k0},{prof.m0},"
+            f"{density_bound(args.n, d)},{est:.6f},{est / prof.m0:.6f}"
         )
     return "\n".join(lines) + "\n"
 

@@ -8,6 +8,7 @@ one int of fixed-width fields, for matrix rows and polynomial products.
 
 from __future__ import annotations
 
+import math
 import struct
 from functools import cache, lru_cache
 from operator import mul
@@ -15,17 +16,17 @@ from operator import mul
 
 @lru_cache(maxsize=64, typed=True)
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond 64 bits with this base set
+    """Miller-Rabin to the prime bases 2..37, a proof below 3317044064679887385961981 (the least
+    strong pseudoprime to all twelve, Sorenson-Webster); at and above it also a strong Lucas
+    test (Baillie-PSW), which has no known counterexample but is not a proof."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
+        d, r = d // 2, r + 1
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -36,7 +37,36 @@ def _is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < 3317044064679887385961981 or math.isqrt(n) ** 2 != n and _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    a, t = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a, t = a // 2, -t if n % 8 in (3, 5) else t
+        t = -t if a % 4 == n % 4 == 3 else t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas test of an odd non-square n > 37 with Selfridge's parameters (D the first of
+    5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4): U_d = 0 or V_(d 2^r) = 0, r < s."""
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else 2 - D
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d 2^s, d odd
+    d, Q, half = (n + 1) >> s, (1 - D) // 4, (n + 1) // 2
+    U, V, Qk = 0, 2, 1  # U_k, V_k and Q^k from k = 0: each bit of d doubles k, a 1 adds one
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    zero = U == 0
+    for _ in range(s):
+        zero, V, Qk = zero or V == 0, (V * V - 2 * Qk) % n, Qk * Qk % n
+    return j == -1 and zero
 
 
 class PrimeField:

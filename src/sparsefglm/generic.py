@@ -3,8 +3,7 @@
 The staircase of a generic system is governed by the coefficients of
 (1 + z + ... + z^(d-1))^n; the greatest coefficient m0 predicts the number
 of dense columns in the multiplication matrices, and the density of T_1 is
-bounded by (m0+1)/d^n.  Verification hooks compare the prediction against
-an actually constructed T_1.
+bounded by (m0+1)/d^n.  The measured side is `density_stats(Q.matrix(1))`.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .quotient import QuotientStructure, density_stats
-from .terms import divides, var_term
 
 
 @dataclass
@@ -64,44 +60,3 @@ def asymptotic_estimate(n: int, d: int) -> float:
     """
     return math.sqrt(6 / (n * math.pi)) * d ** (n - 1)
 
-
-def verify_moreno_socias(Q: QuotientStructure, n: int, d: int) -> dict:
-    """Compare predicted vs measured dense columns of T_1.
-
-    Also reports the number of minimal generators divisible by x1 and
-    whether T_1 needed any case-(3) column (it should not, for generic
-    systems).
-    """
-    predicted = dense_column_count(n, d)
-    T1 = Q.matrix(1)
-    measured = density_stats(T1)["dense_column_count"]
-    x1 = var_term(Q.n, 1)
-    gens_with_x1 = sum(1 for g in Q.G1.polys if divides(x1, g.lt("drl")))
-    return {
-        "predicted": predicted,
-        "measured": measured,
-        "match": predicted == measured,
-        "generators_with_x1": gens_with_x1,
-        "case3_absent": T1.column_cases.count(3) == 0,
-    }
-
-
-def analyze_rows(n: int, d_values: list[int]) -> list[dict]:
-    """Rows for the analyze CSV: n,d,D,k0,m0,density_bound,asymptotic,ratio."""
-    out = []
-    for d in d_values:
-        prof = hilbert_profile(n, d)
-        est = asymptotic_estimate(n, d)
-        out.append(
-            {
-                "n": n,
-                "d": d,
-                "D": prof.ideal_degree,
-                "k0": prof.k0,
-                "m0": prof.m0,
-                "density_bound": density_bound(n, d),
-                "asymptotic": est,
-                "ratio": est / prof.m0,
-            }
-        )
-    return out

@@ -23,10 +23,10 @@ from sparsefglm.bms import bms_change, is_gb
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm, toplevel
 from sparsefglm.field import PrimeField
-from sparsefglm.generic import asymptotic_estimate, dense_column_count, verify_moreno_socias
+from sparsefglm.generic import asymptotic_estimate, dense_column_count
 from sparsefglm.linrec import berlekamp_massey, hankel_solve
 from sparsefglm.poly import Fail, MultiPoly, mp_sub, normal_form
-from sparsefglm.quotient import QuotientStructure, apply, apply_transpose
+from sparsefglm.quotient import QuotientStructure, apply, apply_transpose, density_stats
 from sparsefglm.shape import ShapeBasis, shape_det, shape_prob
 from sparsefglm.unipoly import (
     squarefree_part,
@@ -258,11 +258,9 @@ def test_c08_dense_column_count_matches_prediction():
         m0 = dense_column_count(n, d)
         for seed in range(10):
             gb = buchberger(gen_random_system(n, d, P, seed), "drl", F)
-            Q = QuotientStructure(gb, F)
-            rep = verify_moreno_socias(Q, n, d)
-            assert rep["match"], (n, d, seed, rep)
-            assert rep["case3_absent"], (n, d, seed)
-            assert rep["measured"] == m0
+            T1 = QuotientStructure(gb, F).matrix(1)
+            assert density_stats(T1)["dense_column_count"] == m0, (n, d, seed)
+            assert 3 not in T1.column_cases, (n, d, seed)
         if d == 2:
             assert m0 == math.comb(n, math.ceil(n / 2))
 

@@ -303,6 +303,21 @@ def test_bms_declines_as_soon_as_delta_outgrows_D():
     assert not is_gb(trace[-1][1], Q)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalError,
+    reason="ROADMAP item 6: the sweep finds no witness to correct with on these small-p systems",
+)
+@pytest.mark.parametrize("n, d, p, seed", [(3, 3, 5, 41100005), (3, 3, 2, 7)])
+def test_bms_answers_or_declines_on_small_primes(n, d, p, seed):
+    """The sweep with a system's first probe returns a basis or declines
+    (D = 26 at p = 5, D = 27 at p = 2); today it raises InternalError, so
+    this turns red once item 6 mends the sweep and the marker can go."""
+    Fp = PrimeField(p)
+    Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", Fp), Fp)
+    assert isinstance(bms_change(Q, next(Q.probes(seed))), (GroebnerBasis, Fail))
+
+
 WITNESS_DEFECT = """
 from itertools import islice
 from sparsefglm import InternalError, PrimeField, buchberger, gen_random_system

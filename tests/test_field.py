@@ -1,17 +1,48 @@
+import math
+
 import pytest
 
-from sparsefglm.field import PrimeField, _is_prime, field_codec
+from sparsefglm.field import PrimeField, _is_prime, _strong_lucas, field_codec
+
+# 1287836182261 * 2575672364521, the least strong pseudoprime to all twelve
+# prime bases 2..37 (Sorenson-Webster): Miller-Rabin to those bases passes it
+SORENSON_WEBSTER = 3317044064679887385961981
 
 
 def test_rejects_composite_modulus():
-    for bad in (0, 1, 4, 91, 65520):
-        with pytest.raises(ValueError):
+    # 5459, 5777 and 10877 are strong Lucas pseudoprimes, so Miller-Rabin rejects them
+    assert SORENSON_WEBSTER == 1287836182261 * 2575672364521
+    for bad in (0, 1, 4, 91, 65520, 5459, 5777, 10877, SORENSON_WEBSTER):
+        with pytest.raises(ValueError, match=f"modulus {bad} is not prime"):
             PrimeField(bad)
 
 
 def test_accepts_word_sized_primes():
     for p in (2, 3, 11, 65521, 2**31 - 1):
         assert PrimeField(p).p == p
+
+
+def test_accepts_mersenne_primes_on_both_sides_of_the_bound():
+    # 2^89 - 1 and 2^127 - 1 lie past SORENSON_WEBSTER, where the Lucas test runs too
+    for p in (2**61 - 1, 2**89 - 1, 2**127 - 1):
+        assert PrimeField(p).p == p
+
+
+def test_strong_lucas_passes_primes_and_its_known_pseudoprimes():
+    """Below 30,000 the odd non-squares past 37 that the strong Lucas test
+    with Selfridge's parameters passes are the primes and the first eight
+    strong Lucas pseudoprimes (OEIS A217255).  It passes the Mersenne primes
+    2^89 - 1 and 2^127 - 1 and fails SORENSON_WEBSTER."""
+
+    def slow(n):
+        return all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    passed = {n for n in range(39, 30000, 2) if math.isqrt(n) ** 2 != n and _strong_lucas(n)}
+    pseudo = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert sorted(n for n in passed if not slow(n)) == pseudo
+    assert all(n in passed for n in range(39, 30000, 2) if slow(n))
+    assert _strong_lucas(2**89 - 1) and _strong_lucas(2**127 - 1)
+    assert not _strong_lucas(SORENSON_WEBSTER)
 
 
 def test_is_prime_agrees_with_trial_division():

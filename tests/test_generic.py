@@ -3,18 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from sparsefglm.buchberger import buchberger, gen_random_system
-from sparsefglm.field import PrimeField
 from sparsefglm.generic import (
     HilbertProfile,
-    analyze_rows,
     asymptotic_estimate,
     dense_column_count,
     density_bound,
     hilbert_profile,
-    verify_moreno_socias,
 )
-from sparsefglm.quotient import QuotientStructure
 
 
 def test_profile_two_quadrics():
@@ -63,34 +58,3 @@ def test_asymptotic_estimate_formula():
         math.sqrt(6 / (3 * math.pi)) * 100**2
     )
     assert asymptotic_estimate(2, 10) == pytest.approx(math.sqrt(3 / math.pi) * 10)
-
-
-def test_analyze_rows_shape():
-    rows = analyze_rows(3, [2, 3])
-    assert [r["d"] for r in rows] == [2, 3]
-    r = rows[0]
-    assert r["n"] == 3
-    assert r["D"] == 8
-    assert r["k0"] == 2
-    assert r["m0"] == 3
-    assert r["density_bound"] == Fraction(1, 2)
-    assert r["ratio"] == pytest.approx(r["asymptotic"] / 3)
-
-
-def test_measured_dense_columns_match_prediction():
-    p = 65521
-    F = PrimeField(p)
-    for n, d, seed in ((2, 2, 0), (3, 2, 1)):
-        gb = buchberger(gen_random_system(n, d, p, seed), "drl", F)
-        Q = QuotientStructure(gb, F)
-        report = verify_moreno_socias(Q, n, d)
-        assert set(report) == {
-            "predicted",
-            "measured",
-            "match",
-            "generators_with_x1",
-            "case3_absent",
-        }
-        assert report["match"]
-        assert report["case3_absent"]
-        assert report["predicted"] == dense_column_count(n, d)

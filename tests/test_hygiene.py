@@ -3,7 +3,7 @@ every top-level function or class in the library has a caller outside the
 tests.
 
 `__init__.py` is exempt from the import check, since it imports names only
-to re-export them.
+to re-export them; for the same reason a re-export is no caller.
 """
 
 import ast
@@ -80,17 +80,19 @@ def referenced_names(source: str) -> tuple[set[str], set[str]]:
     return read, outside
 
 
-def unreferenced_defs(sources: dict[str, str], library: set[str], exported: set[str]) -> list[str]:
+def unreferenced_defs(sources: dict[str, str], library: set[str]) -> list[str]:
     """`module.name` of every top-level def or class of a library module
-    that its own module does not read, no module reaches from outside (see
-    `referenced_names`), and the package does not export; sources and
+    that its own module does not read and no module other than an
+    `__init__.py` reaches from outside (see `referenced_names`); sources and
     library are keyed by file path."""
     refs = {path: referenced_names(src) for path, src in sources.items()}
-    outside = set().union(*(names for _, names in refs.values()))
+    outside = set().union(
+        *(names for path, (_, names) in refs.items() if Path(path).name != "__init__.py")
+    )
     out = []
     for path in sorted(library):
         for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if node.name not in refs[path][0] and node.name not in outside:
                 out.append(f"{Path(path).stem}.{node.name}")
@@ -103,7 +105,7 @@ def test_unreferenced_checker_flags_orphans_and_accepts_references():
             "def used_here(): pass\n"
             "def imported(): pass\n"
             "def traced(): pass\n"
-            "def exported(): pass\n"
+            "def reexported(): pass\n"
             "def _only_tests(): pass\n"
             "class Orphan: pass\n"
             "def is_zero(f): return not f\n"
@@ -115,26 +117,20 @@ def test_unreferenced_checker_flags_orphans_and_accepts_references():
         "c": "import a\na.helper()\n",
         "d": "import sys\nsys.modules['a'].looked_up()\n",
         "tracer": "WRAPPED = [('a', 'traced')]\n",
+        "pkg/__init__.py": "from a import reexported\n__all__ = ['reexported']\n",
     }
-    assert unreferenced_defs(sources, {"a"}, {"exported"}) == ["a._only_tests", "a.Orphan", "a.is_zero"]
+    assert unreferenced_defs(sources, {"a"}) == ["a.reexported", "a._only_tests", "a.Orphan", "a.is_zero"]
 
 
-def tree_sources() -> tuple[dict[str, str], set[str], set[str]]:
+def tree_sources() -> tuple[dict[str, str], set[str]]:
     """The sources of the package and the benchmark, less their tests, keyed
-    by file path; the package's modules; and the names it exports."""
+    by file path, and the package's modules."""
     sources = {
         str(path): path.read_text()
         for path in [*PACKAGE.glob("*.py"), *(ROOT / "benchmark").glob("*.py")]
         if not path.name.startswith("test_")
     }
-    library = {str(path) for path in PACKAGE.glob("*.py")}
-    init = ast.parse(sources[str(PACKAGE / "__init__.py")])
-    exported = next(
-        set(ast.literal_eval(node.value))
-        for node in init.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
-    )
-    return sources, library, exported
+    return sources, {str(path) for path in PACKAGE.glob("*.py")}
 
 
 def test_no_library_helper_only_tests_use():
@@ -144,9 +140,9 @@ def test_no_library_helper_only_tests_use():
 def test_tree_check_flags_a_helper_named_like_a_method():
     """A top-level `is_zero` only tests would call is named, although
     `MultiPoly.is_zero()` is read all over the tree."""
-    sources, library, exported = tree_sources()
+    sources, library = tree_sources()
     sources[str(PACKAGE / "unipoly.py")] += "\n\ndef is_zero(f):\n    return not f\n"
-    assert unreferenced_defs(sources, library, exported) == ["unipoly.is_zero"]
+    assert unreferenced_defs(sources, library) == ["unipoly.is_zero"]
 
 
 def random_generator_sites(source: str) -> list[str]:

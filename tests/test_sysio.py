@@ -249,6 +249,11 @@ def test_table_lookups_agree_with_reference_parser(n, p):
 def test_parse_rejects_composite_modulus():
     with pytest.raises(ParseError):
         parse_system("p 4\nvars 1\nx1\n")
+    # a strong pseudoprime to every Miller-Rabin base 2..37
+    with pytest.raises(ParseError) as e:
+        parse_system("p 3317044064679887385961981\nvars 1\nx1^2 + 1\n")
+    assert (e.value.line, e.value.col) == (1, 3)
+    assert str(e.value).endswith("modulus 3317044064679887385961981 is not prime")
 
 
 def test_parse_rejects_empty_inputs():
