@@ -176,7 +176,8 @@ def bms_change(
     Q: QuotientStructure, probe: CoordVector, trace: list | None = None
 ) -> GroebnerBasis | Fail:
     """Sweep the array of the probe r, read through `Q.probe`; each pass
-    appends (u, F, delta) to trace, if given (a pass rebinds, never mutates)."""
+    appends (u, F, delta) to trace, if given (a pass rebinds, never mutates).
+    A verified F is returned as it stands: lt(F) ascend in lex order."""
     field = Q.F
     n = Q.n
     D = Q.D
@@ -194,8 +195,7 @@ def bms_change(
         if passes > cap:
             raise InternalError("pass budget exceeded (defect)")
         if is_gb(F, Q):
-            polys = sorted(F, key=lambda f: lex_key(f.lt("lex")))
-            return GroebnerBasis(polys, "lex")
+            return GroebnerBasis(F, "lex")
         return Fail(
             f"BMS sweep ended without a verified Groebner basis "
             f"({passes} passes, |delta| = {len(delta)}, D = {D})"

@@ -19,22 +19,20 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     """Reduced Groebner basis w.r.t. target by enumerating terms ascending.
 
     Keeps an echelon form of the coordinate vectors of the standard
-    monomials seen so far; a dependency yields a basis polynomial whose
-    leading term is the current term.  Each echelon row is one int of
-    2D + 1 fields of `field_codec`: the normalized vector in fields 0..D-1,
-    then its combination over the target-staircase terms, the k-th such
-    term in field D + k (field 2D is for the terms met once all D are
-    found).  A new term's vector is packed once with a 1 in its own
-    combination field; each pivot, ascending, then costs one field read and
-    one big-int multiply-add, and the result is unpacked once.  At most D
-    rows of reduced fields, each scaled by at most p - 1, are added to
-    reduced fields, so the bound (p-1) + D(p-1)^2 keeps every field from
-    carrying into the next.
+    monomials seen so far; a dependency appends a basis polynomial whose
+    leading term is the current term, so the basis comes out ascending.
+    Each echelon row is one int of 2D + 1 fields of `field_codec`: the
+    normalized vector in fields 0..D-1, then its combination over the
+    target-staircase terms, the k-th such term in field D + k (field 2D is
+    for the terms met once all D are found).  A new term's vector is packed
+    once with a 1 in its own combination field; each pivot, ascending, then
+    costs one field read and one big-int multiply-add, and the result is
+    unpacked once.  At most D rows of reduced fields, each scaled by at most
+    p - 1, are added to reduced fields, so the bound (p-1) + D(p-1)^2 keeps
+    every field from carrying into the next.
     """
     F = Q.F
-    p = F.p
-    n = Q.n
-    D = Q.D
+    p, n, D = F.p, Q.n, Q.D
     key = term_key(target)
     width, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
     bits = 8 * width
@@ -81,7 +79,6 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
             if nt not in seen:
                 seen.add(nt)
                 heapq.heappush(heap, (key(nt), nt, t, jj))
-    out.sort(key=lambda f: key(f.lt(target)))
     return GroebnerBasis(out, target)
 
 
@@ -141,11 +138,10 @@ def toplevel(
         if want_radical_ok:
             return ConversionResult(sb.to_groebner(field), "radical(I)", "shape-det")
 
-    if field.p <= Q.D:
-        return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm")
-    trace: list = []
-    res = bms_change(Q, next(islice(Q.probes(seed), 3, None)), trace)
-    if not isinstance(res, Fail):
-        return ConversionResult(res, "I", "bms", trace)
-
+    trace = None
+    if field.p > Q.D:
+        trace = []
+        res = bms_change(Q, next(islice(Q.probes(seed), 3, None)), trace)
+        if not isinstance(res, Fail):
+            return ConversionResult(res, "I", "bms", trace)
     return ConversionResult(classic_fglm(Q, "lex"), "I", "fglm", trace)

@@ -18,8 +18,9 @@ shape_prob and incremental_univariate read the probe they are given, a
 draw of `Q.probes(seed)` or any vector, through `Q.probe`.
 
 All of them touch T_1 only, apart from the single columns NF(x_i).
-shape_prob and shape_det share one Krylov loop (`_krylov`), which keeps only
-the current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
+Every Krylov chain is one generator (`_chain`) that multiplies no zero vector;
+shape_prob and shape_det read it through `_krylov`, which keeps only the
+current chain vector and reads each right-hand side <(T1^t)^j r, NF(x_i)>
 off it as it goes, so a run holds O(nD) residues, not the chain, and hands
 back only the Berlekamp-Massey fit of its sequence and those rows cut to
 its degree; one tail step (every Hankel solve takes that fit, so each
@@ -36,7 +37,7 @@ from operator import itemgetter
 
 from .field import PrimeField
 from .linrec import BMState, berlekamp_massey, hankel_solve
-from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_sub
+from .poly import Fail, GroebnerBasis, InternalError, MultiPoly
 from .quotient import CoordVector, QuotientStructure, apply, apply_transpose
 from .terms import var_term
 from .unipoly import (
@@ -73,16 +74,15 @@ class ShapeBasis:
     def n(self) -> int:
         return len(self.tails) + 1
 
-    def to_polys(self, F: PrimeField) -> list[MultiPoly]:
-        n = self.n
-        out = [MultiPoly.from_uni(n, self.f1)]
-        for i, t in enumerate(self.tails, start=2):
-            xi = MultiPoly(n, {var_term(n, i): 1})
-            out.append(mp_sub(xi, MultiPoly.from_uni(n, t), F))
-        return out
-
     def to_groebner(self, F: PrimeField) -> GroebnerBasis:
-        return GroebnerBasis(self.to_polys(F), "lex")
+        """The LEX basis, each member written as one coefficient dict."""
+        n, p = self.n, F.p
+        polys = [MultiPoly.from_uni(n, self.f1)]
+        for i, t in enumerate(self.tails, start=2):
+            coeffs = {var_term(n, i): 1}
+            coeffs.update(((k,) + (0,) * (n - 1), -c % p) for k, c in enumerate(t))
+            polys.append(MultiPoly(n, coeffs))
+        return GroebnerBasis(polys, "lex")
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,11 +118,21 @@ def matrix_poly_apply(g: UniPoly, step, T, v: CoordVector, F: PrimeField) -> Coo
     return out
 
 
+def _chain(T1, w: CoordVector):
+    """The Krylov chain w, T1^t w, (T1^t)^2 w, ..., each made when asked
+    for; a zero vector is yielded again, not multiplied.  `apply_transpose`
+    is looked up in this module's globals at each step (a tracer wraps it)."""
+    while True:
+        yield w
+        if any(w):
+            w = apply_transpose(T1, w)
+
+
 def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeField) -> KrylovRun:
     """A row <(T1^t)^j r, NF(x_i)> for j < deg f per vector in nfs, and the
     Berlekamp-Massey fit (f, N_s^-1 mod f) of the first components s of r,
-    T1^t r, ... (`length` of them).  Only the current chain vector is kept,
-    and once zero it is not multiplied; a unit NF(x_i) is read as one
+    T1^t r, ... (`length` of them), read in chain order off `_chain(T1, r)`.
+    Only the current chain vector is kept; a unit NF(x_i) is read as one
     component.  The rows are the right-hand sides of the Hankel solves on
     that fit: s has linear complexity deg f, so it is also the fit of
     s[:2 deg f], the prefix that defines H."""
@@ -133,10 +143,7 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
         reads.append(itemgetter(nz[0]) if unit else partial(F.dot, v_i))
     s: list[int] = []
     rows: list[list[int]] = [[] for _ in nfs]
-    w = r
-    for j in range(length):
-        if j and any(w):
-            w = apply_transpose(T1, w)
+    for j, w in zip(range(length), _chain(T1, r)):
         s.append(w[0])
         if j < length // 2:
             for row, read in zip(rows, reads):
@@ -146,8 +153,7 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
 
 
 def shape_prob(Q: QuotientStructure, probe: CoordVector) -> ShapeBasis | Fail:
-    F = Q.F
-    D = Q.D
+    F, D = Q.F, Q.D
     T1 = Q.matrix(1)
     nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
     run = _krylov(T1, Q.probe(probe), 2 * D, nfs, F)
@@ -170,8 +176,7 @@ def shape_det(
     radical basis, from the squarefree part of f1 and the CRT of the tails,
     and whether that is the basis of I) is unique.
     """
-    F = Q.F
-    D = Q.D
+    F, D = Q.F, Q.D
     T1 = Q.matrix(1)
     nfs = [Q.nf_of_var(i) for i in range(2, Q.n + 1)]
 
@@ -225,17 +230,13 @@ def shape_det(
 
 
 def incremental_univariate(Q: QuotientStructure, probe: CoordVector) -> UniPoly:
-    """Minimal polynomial estimate from one probe: the Krylov terms feed one
-    online Berlekamp-Massey state, and its f is returned once it is the
-    same after two consecutive pairs of terms (or after 2D terms).  No
-    prefix is refitted and no product is made past the last term."""
-    T1 = Q.matrix(1)
-    v = Q.probe(probe)
+    """Minimal polynomial estimate from one probe: the first components of
+    its `_chain`, in chain order, feed one online Berlekamp-Massey state, and
+    its f is returned once it is the same after two consecutive pairs of
+    terms (or 2D terms), with no prefix refitted and no product past them."""
     state = BMState(Q.F)
     prev = None
-    for j in range(2 * Q.D):
-        if j:
-            v = apply_transpose(T1, v)
+    for j, v in zip(range(2 * Q.D), _chain(Q.matrix(1), Q.probe(probe))):
         state.push(v[0])
         if j % 2:
             if state.f == prev:

@@ -36,7 +36,7 @@ def test_shape_prob_gf11_pinned_probe(gf11):
     assert not isinstance(sb, Fail)
     assert sb.f1 == [9, 8, 0, 0, 1]
     assert sb.tails == [[1, 0, 5], [2]]
-    assert basis_strs(sb.to_polys(gf11.F)) == [
+    assert basis_strs(sb.to_groebner(gf11.F)) == [
         "x1^4 + 8*x1 + 9",
         "6*x1^2 + x2 + 10",
         "x3 + 9",
@@ -91,7 +91,7 @@ def test_shape_det_gf2_peels_two_factors(monkeypatch, gf2q):
     assert not is_radical
     assert sb.f1 == [1, 0, 0, 1]
     assert sb.tails == [[0, 1]]
-    assert basis_strs(sb.to_polys(gf2q.F)) == ["x1^3 + 1", "x2 + x1"]
+    assert basis_strs(sb.to_groebner(gf2q.F)) == ["x1^3 + 1", "x2 + x1"]
 
     factors = shape_factors(rec)
     # probes view b through g(T1^t) u; the b vectors are each g(T1) b
@@ -110,7 +110,7 @@ def test_gf2_intermediate_pairs(monkeypatch, gf2q):
     rec = record_shape(monkeypatch)
     shape_det(gf2q)
     monkeypatch.undo()
-    pairs = [basis_strs(ShapeBasis(g, t).to_polys(gf2q.F)) for g, t in shape_factors(rec)]
+    pairs = [basis_strs(ShapeBasis(g, t).to_groebner(gf2q.F)) for g, t in shape_factors(rec)]
     assert pairs[0] == ["x1^4 + x1^3 + x1 + 1", "x2 + x1"]
     assert pairs[1] == ["x1^3 + 1", "x2 + x1"]
 
@@ -161,7 +161,7 @@ def test_shape_tails_match_classic_fglm_on_small_primes(monkeypatch):
                     seen["det"] += 1
                 else:
                     assert squarefree_part(sb.f1, F) == sb.f1
-                    got = sb.to_polys(F)
+                    got = sb.to_groebner(F).polys
                     assert all(normal_form(g, got, "lex", F).is_zero() for g in lex.polys)
                     seen["radical_of"] += 1
     assert all(seen.values()) and rejected <= 2, (seen, rejected)
@@ -234,23 +234,27 @@ def test_shape_det_fits_each_factor_once(monkeypatch):
         assert [t for _, tails in factors for t in tails] == _fresh_solves(rec, F)
 
 
-def test_shape_det_multiplies_no_zero_vector(monkeypatch):
+def test_shape_det_multiplies_no_zero_vector(monkeypatch, monomial6):
     """A Krylov chain stops multiplying once its vector is zero, and so does
     the Horner view of a unit probe: shape_det passes no all-zero vector to
     a transposed product.  On (3, 2, 2, 36) (D = 8, not in shape position)
-    that leaves 25 products, on (2, 3, 2, 21) (D = 9, not radical) 32."""
+    that leaves 25 products, on (2, 3, 2, 21) (D = 9, not radical) 32.
+    univar reads the same chain: on the monomial ideal <x1^3, x1^2*x2,
+    x1*x2^2, x2^3> (D = 6) each of probe seeds 0-2 makes 3 products, none
+    on a zero vector, and returns x1^3."""
+    vectors = []
+
+    def counted(T, w):
+        vectors.append(w)
+        return apply_transpose(T, w)
+
     for args, products, want in (
         ((3, 2, 2, 36), 25, None),
         ((2, 3, 2, 21), 32, ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
     ):
         F = PrimeField(args[2])
         Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
-        vectors = []
-
-        def counted(T, w):
-            vectors.append(w)
-            return apply_transpose(T, w)
-
+        vectors.clear()
         monkeypatch.setattr(shape, "apply_transpose", counted)
         out = shape_det(Q)
         monkeypatch.undo()
@@ -260,6 +264,12 @@ def test_shape_det_multiplies_no_zero_vector(monkeypatch):
             assert isinstance(out, Fail) and "not in shape position" in out.reason
         else:
             assert (out[0].f1, out[0].tails, out[1]) == (*want, False)
+    monkeypatch.setattr(shape, "apply_transpose", counted)
+    for seed in range(3):
+        vectors.clear()
+        assert incremental_univariate(monomial6, next(monomial6.probes(seed))) == [0, 0, 0, 1]
+        assert all(any(w) for w in vectors)
+        assert len(vectors) == 3
 
 
 def test_shape_paths_hold_memory_linear_in_d():
@@ -341,7 +351,7 @@ def test_shape_det_gf11_reports_nonradical(gf11):
     sb, is_radical = out
     assert not is_radical
     assert sb.f1 == [6, 5, 4, 1]
-    assert basis_strs(sb.to_polys(gf11.F)) == [
+    assert basis_strs(sb.to_groebner(gf11.F)) == [
         "x1^3 + 4*x1^2 + 5*x1 + 6",
         "6*x1^2 + x2 + 10",
         "x3 + 9",
@@ -423,8 +433,8 @@ def test_incremental_univariate_gf2_early_stops(gf2q):
 def test_incremental_univariate_feeds_one_state(monkeypatch, gf11, gf2q):
     """univar pushes each Krylov term once into one online state, refits no
     prefix (no berlekamp_massey call) and makes one transposed product per
-    term after the first, none past the last term it pushes; over GF(2)
-    seed 0 stops after four terms and over GF(11) seed 0 runs to 2D."""
+    nonzero term after the first, none past the last term it pushes; over
+    GF(2) seed 0 stops after four terms and over GF(11) seed 0 runs to 2D."""
     counts = {}
 
     def counted(key, fn):
