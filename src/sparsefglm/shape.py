@@ -7,9 +7,10 @@ Three entry points:
   Hankel solves on that fit.  Fails (recoverably) when the probe sees only
   a proper factor of the minimal polynomial.
 * shape_det   — deterministic variant: unit probes peel the minimal
-  polynomial factor by factor; failure certifies the ideal is not in shape
-  position.  Always returns a basis of the radical, plus a flag telling
-  whether that is the ideal itself.
+  polynomial factor by factor, each at a coordinate that the unpeeled part
+  of e shows, so that each peels a factor of positive degree; failure
+  certifies the ideal is not in shape position.  Always returns a basis of
+  the radical, plus a flag telling whether that is the ideal itself.
 * incremental_univariate — grows the probe sequence lazily into one
   online Berlekamp-Massey state and stops as soon as its fit stabilizes;
   cheap early estimate of f_1, O(D^2) beside its matrix products.
@@ -167,8 +168,11 @@ def shape_prob(Q: QuotientStructure, probe: CoordVector) -> ShapeBasis | Fail:
 def shape_det(
     Q: QuotientStructure, start: KrylovRun | None = None
 ) -> tuple[ShapeBasis, bool] | Fail:
-    """Peel the minimal polynomial f1 of e under T_1 factor by factor, unit
-    probe k viewing b = f(T_1) e for the product f of the factors so far.
+    """Peel the minimal polynomial f1 of e under T_1 factor by factor.  With
+    f the product of the factors so far and b = f(T_1) e, each round probes
+    e_k at the first k with b[k] != 0, read as the chain of f(T_1^t) e_k:
+    its sequence <e_k, T_1^i b> starts with b[k], so its fit g has positive
+    degree, and b becomes g(T_1) b.  So at most D probes run.
 
     start, a declined shape_prob probe's (rhs rows, fit) on e, is taken as
     the first factor in place of one from unit probe e_0.  The factors then
@@ -183,18 +187,13 @@ def shape_det(
     f = [1]
     b = Q.e()
     runs: list[KrylovRun] = []  # one per factor of positive degree
-    k = 0
     while any(b):
         if start is None:
-            if k >= D:
-                raise InternalError("probe loop exceeded D iterations")
             d = deg(f)
             if d >= D:
-                raise InternalError("peeled degree reached D with probes left")
+                raise InternalError("peeled degree reached D with b nonzero")
             u = [0] * D
-            u[k] = 1
-            k += 1
-            # view the current b through probe u: same sequence as <u_adj, T1^i e>
+            u[next(k for k, c in enumerate(b) if c)] = 1
             w = matrix_poly_apply(f, apply_transpose, T1, u, F)
             run = _krylov(T1, w, 2 * (D - d), nfs, F)
         else:

@@ -187,6 +187,19 @@ def _count_fits(monkeypatch):
     return calls, rec
 
 
+def _transposed_products(monkeypatch) -> list:
+    """Wrap shape's apply_transpose; the returned list gets each vector it
+    multiplies, in call order."""
+    vectors = []
+
+    def counted(T, w):
+        vectors.append(w)
+        return apply_transpose(T, w)
+
+    monkeypatch.setattr(shape, "apply_transpose", counted)
+    return vectors
+
+
 def _fresh_solves(rec, F):
     """Each recorded Hankel solve again, on a fresh fit of the prefix
     s[:2d] of the sequence s whose Krylov fit it was given."""
@@ -215,21 +228,22 @@ def test_shape_prob_fits_its_sequence_once(monkeypatch):
 
 
 def test_shape_det_fits_each_factor_once(monkeypatch):
-    """shape_det runs Berlekamp-Massey once per probe (on the second system
-    one of three probes peels nothing) and hands each factor's Krylov fit to
-    its tail solves, which then refit nothing; the only extended Euclid runs
-    are the CRT glue steps.  Each per-factor tail is what a fresh
-    hankel_solve on the prefix that defines H gives."""
-    for p, seed, degrees, probes in ((3, 1, [1, 8], 2), (7, 1, [8, 1], 3)):
+    """shape_det runs Berlekamp-Massey once per probe, and each probe peels a
+    factor of positive degree, so there are as many runs as factors.  Each
+    factor's Krylov fit goes to its tail solves, which then refit nothing;
+    the only extended Euclid runs are the CRT glue steps.  Each per-factor
+    tail is what a fresh hankel_solve on the prefix that defines H gives."""
+    for p, seed, degrees in ((3, 1, [1, 8]), (7, 1, [8, 1])):
         F = PrimeField(p)
         Q = QuotientStructure(buchberger(gen_random_system(2, 3, p, seed), "drl", F), F)
         calls, rec = _count_fits(monkeypatch)
         out = shape_det(Q)
         monkeypatch.undo()
         assert out[1] is True
+        assert [len(fit[0]) - 1 for _, fit in rec["bm"]] == degrees
         factors = shape_factors(rec)
         assert [len(g) - 1 for g, _ in factors] == degrees
-        assert calls == {"bm": probes, "xgcd": len(degrees) - 1}
+        assert calls == {"bm": len(degrees), "xgcd": len(degrees) - 1}
         assert [len(rhs) for _, rhs, _ in rec["hankel"]] == degrees
         assert [t for _, tails in factors for t in tails] == _fresh_solves(rec, F)
 
@@ -238,33 +252,29 @@ def test_shape_det_multiplies_no_zero_vector(monkeypatch, monomial6):
     """A Krylov chain stops multiplying once its vector is zero, and so does
     the Horner view of a unit probe: shape_det passes no all-zero vector to
     a transposed product.  On (3, 2, 2, 36) (D = 8, not in shape position)
-    that leaves 25 products, on (2, 3, 2, 21) (D = 9, not radical) 32.
+    that leaves 18 products and four fits of degree 1, on (2, 3, 2, 21)
+    (D = 9, not radical) 26 products and fits of degree 1, 7 and 1.
     univar reads the same chain: on the monomial ideal <x1^3, x1^2*x2,
     x1*x2^2, x2^3> (D = 6) each of probe seeds 0-2 makes 3 products, none
     on a zero vector, and returns x1^3."""
-    vectors = []
-
-    def counted(T, w):
-        vectors.append(w)
-        return apply_transpose(T, w)
-
-    for args, products, want in (
-        ((3, 2, 2, 36), 25, None),
-        ((2, 3, 2, 21), 32, ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
+    for args, products, fits, want in (
+        ((3, 2, 2, 36), 18, [1, 1, 1, 1], None),
+        ((2, 3, 2, 21), 26, [1, 7, 1], ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
     ):
         F = PrimeField(args[2])
         Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
-        vectors.clear()
-        monkeypatch.setattr(shape, "apply_transpose", counted)
+        rec = record_shape(monkeypatch)
+        vectors = _transposed_products(monkeypatch)
         out = shape_det(Q)
         monkeypatch.undo()
         assert all(any(w) for w in vectors)
         assert len(vectors) == products
+        assert [len(fit[0]) - 1 for _, fit in rec["bm"]] == fits
         if want is None:
             assert isinstance(out, Fail) and "not in shape position" in out.reason
         else:
             assert (out[0].f1, out[0].tails, out[1]) == (*want, False)
-    monkeypatch.setattr(shape, "apply_transpose", counted)
+    vectors = _transposed_products(monkeypatch)
     for seed in range(3):
         vectors.clear()
         assert incremental_univariate(monomial6, next(monomial6.probes(seed))) == [0, 0, 0, 1]
@@ -301,21 +311,26 @@ def test_shape_paths_hold_memory_linear_in_d():
 
 
 def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
-    """Over GF(2), gen_random_system(2, 6, 2, 35) (D = 30) takes shape_det
-    through 20 unit probes.  With T_1 and NF(x_2) built first, its
-    tracemalloc peak stays within 1.2x that of one shape_prob on the same
-    quotient: it keeps, per factor, only the right-hand side rows and the
-    fit, not the probes, sequences or b vectors it has seen (which read
-    about 1.7x here)."""
+    """Each unit probe peels a factor: over GF(2), gen_random_system(2, 6, 2,
+    35) (D = 30) takes shape_det through 2 probes and 93 transposed products,
+    and gen_random_system(3, 3, 2, 26) (D = 27) through 5, the most of any
+    small system seen.  With T_1 and NF(x_2) built first, the tracemalloc
+    peak on (2, 6, 2, 35) stays within 1.2x that of one shape_prob on the
+    same quotient: shape_det keeps, per factor, only the right-hand side
+    rows and the fit, not the probes, sequences or b vectors it has seen.
+    (On (3, 3, 2, 26) it reads about 1.24x: at D = 27 the list and tuple
+    headers of five kept factors weigh as much as a few vectors.)"""
     F = PrimeField(2)
-    Q = QuotientStructure(buchberger(gen_random_system(2, 6, 2, 35), "drl", F), F)
-    Q.matrix(1)
-    Q.nf_of_var(2)
-    assert Q.D == 30
-    rec = record_shape(monkeypatch)
-    shape_det(Q)
-    monkeypatch.undo()
-    assert len(rec["bm"]) == 20
+    for args, D, runs, products in (((3, 3, 2, 26), 27, 5, 89), ((2, 6, 2, 35), 30, 2, 93)):
+        Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
+        Q.matrix(1)
+        Q.nf_of_var(2)
+        assert Q.D == D
+        rec = record_shape(monkeypatch)
+        vectors = _transposed_products(monkeypatch)
+        shape_det(Q)
+        monkeypatch.undo()
+        assert (len(rec["bm"]), len(vectors)) == (runs, products)
     peaks = {}
     for name, run in (("prob", lambda: shape_prob(Q, next(Q.probes(0)))), ("det", lambda: shape_det(Q))):
         tracemalloc.start()
