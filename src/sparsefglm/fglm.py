@@ -117,9 +117,12 @@ def toplevel(
 
     Probe k is the k-th of `Q.probes(seed)`, drawn when its stage runs; the
     sweep's is the 4th of a fresh one, and its passes are `bms_trace`.  The
-    quotient structure and matrices are built once and shared by every stage.
+    quotient structure and matrices are built once and shared by every stage;
+    a given `quotient` must be the one of G1 over field (ValueError otherwise).
     """
     Q = quotient if quotient is not None else QuotientStructure(G1, field)
+    if Q.G1 != G1 or Q.F != field:
+        raise ValueError("quotient was built from another basis or field")
     probes = Q.probes(seed)
 
     res = shape_prob(Q, next(probes))

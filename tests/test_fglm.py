@@ -14,7 +14,7 @@ from sparsefglm.shape import shape_det, shape_prob
 from sparsefglm.sysio import parse_system
 from sparsefglm.unipoly import squarefree_part
 
-from conftest import basis_strs, reference_classic_fglm
+from conftest import basis_strs, quotient_from_text, reference_classic_fglm
 
 GF11_LEX = ["x1^4 + 8*x1 + 9", "6*x1^2 + x2 + 10", "x3 + 9"]
 GF2_LEX = ["x1^7 + x1^6 + x1 + 1", "x1^4 + x1^3 + x2 + 1"]
@@ -193,6 +193,17 @@ def test_toplevel_builds_quotient_when_not_given(monkeypatch):
     res = toplevel(gb, F, seed=0)
     assert [Q.D for Q in built] == [2]
     assert basis_strs(res.basis) == ["x1^2 + 1", "x2 + x1"]
+
+
+def test_toplevel_rejects_a_quotient_of_another_basis_or_field(gf11):
+    # the conversion runs on the quotient, but the tails are negated mod
+    # field.p and the sweep is gated on it: a quotient of another field or
+    # basis would answer with wrong tails or for another ideal
+    with pytest.raises(ValueError, match="another basis or field"):
+        toplevel(gf11.G1, PrimeField(13), seed=1, quotient=gf11)
+    other = quotient_from_text("p 11\nvars 3\nx1^2 + 1\nx2 + x1\nx3 + 2\n")
+    with pytest.raises(ValueError, match="another basis or field"):
+        toplevel(other.G1, gf11.F, seed=1, quotient=gf11)
 
 
 def _gf5_system(seed: int) -> QuotientStructure:

@@ -147,6 +147,7 @@ def test_gcd_and_xgcd():
     assert d == [1]
     assert uni_mod(uni_mul(s, [1, 1], F11), [2, 0, 1], F11) == [1]
     assert uni_gcd([], [0, 0, 3], F11) == [0, 0, 1]
+    assert uni_xgcd([], [], F11) == ([], [1])
 
 
 def test_derivative():
