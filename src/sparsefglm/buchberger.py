@@ -100,7 +100,7 @@ class _PackedRows:
         self.p = p
         self.spread = spread
         self.bound = (p - 1) + RANK_LIMIT * (p - 1) ** 2
-        self.bits = 8 * field_codec(1, self.bound)[0]
+        self.bits = field_codec(1, self.bound)[0]
         # per row: (leading term, tail), the tail's (delta, m) by descending
         # term; a generator that `buchberger` reduces first has no `table` entry
         self.rows: list[Row] = []
@@ -150,8 +150,7 @@ class _PackedRows:
                 fields = [0] * (rank[t + tail[0][0]] + 1 - low)
                 for d, m in tail:
                     fields[rank[t + d] - low] = m
-                pack = field_codec(len(fields), self.bound)[1]
-                P = int.from_bytes(pack(*fields), "little"), self.bits * low
+                P = field_codec(len(fields), self.bound)[1](fields), self.bits * low
             else:
                 P = 0, 0
             self.products[key] = P
@@ -237,8 +236,7 @@ class _PackedRows:
             r = shift + base >> log
             if r < floor:
                 count, low = (shift >> log) + 1, base >> log
-                width, _, unpack = field_codec(count, self.bound)
-                fields = unpack(work.to_bytes(count * width, "little"))
+                fields = field_codec(count, self.bound)[2](work)
                 for i in range(count - 1, -1, -1):
                     if c := fields[i] % p:
                         out.append((terms[low + i], c))

@@ -34,10 +34,8 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     F = Q.F
     p, n, D = F.p, Q.n, Q.D
     key = term_key(target)
-    width, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
-    bits = 8 * width
+    bits, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
     mask = (1 << bits) - 1
-    nbytes = (2 * D + 1) * width
     pad = [0] * (D + 1)
     xs = [var_term(n, jj) for jj in range(1, n + 1)]
 
@@ -55,12 +53,12 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
         if any(divides(l, t) for l in lts):
             continue
         v = Q.e() if parent is None else apply(Q.matrix(j), raw_vec[parent])
-        r = int.from_bytes(pack(*v, *pad), "little") | 1 << bits * (D + len(stair))
+        r = pack(v + pad) | 1 << bits * (D + len(stair))
         for shift, row in echelon:
             c = (r >> shift & mask) % p
             if c:
                 r += (p - c) * row
-        fields = [a % p for a in unpack(r.to_bytes(nbytes, "little"))]
+        fields = [a % p for a in unpack(r)]
         piv = next(filter(fields.__getitem__, range(D)), None)
         if piv is None:
             # dependency: t = sum of earlier staircase terms inside the quotient
@@ -70,7 +68,7 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
             lts.append(t)
             continue
         inv = F.inv(fields[piv])
-        row = int.from_bytes(pack(*[a * inv % p for a in fields]), "little")
+        row = pack([a * inv % p for a in fields])
         bisect.insort(echelon, (bits * piv, row))
         stair.append(t)
         raw_vec[t] = v

@@ -102,25 +102,31 @@ class PrimeField:
 
 
 def field_codec(count: int, bound: int):
-    """(w, pack, unpack) for `count` little-endian unsigned fields of w bytes,
-    w the smallest power of two with 8w >= bit_length(bound): pack(*values)
-    gives the bytes, unpack(bytes) the values back.  A struct format up to
-    w = 8, `int.from_bytes` slices above; made once per (count, w)."""
+    """(bits, pack, unpack) for `count` unsigned fields of bits = 8w bits, w the
+    smallest power of two with 8w >= bit_length(bound): pack(values) gives the int
+    with the i-th value at bit bits * i, unpack(x) the fields of int x.  A struct
+    format up to w = 8, `int.from_bytes` slices above; made once per (count, w)."""
     # bit_length L needs ceil(L / 8) bytes, rounded up to a power of two
     return _field_codec(count, 1 << ((max(bound.bit_length(), 1) - 1) // 8).bit_length())
 
 
 @cache
 def _field_codec(count: int, width: int):
+    nbytes, zero = count * width, bytes(width)
     if width <= 8:
         fmt = struct.Struct(f"<{count}{'BHIQ'[width.bit_length() - 1]}")
-        return width, fmt.pack, fmt.unpack
-    nbytes, zero = count * width, bytes(width)
+        join, split = fmt.pack, fmt.unpack
+    else:
+        def join(*values: int) -> bytes:
+            return b"".join([a.to_bytes(width, "little") if a else zero for a in values])
 
-    def pack(*values: int) -> bytes:
-        return b"".join([a.to_bytes(width, "little") if a else zero for a in values])
+        def split(b: bytes) -> list[int]:
+            return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
 
-    def unpack(b: bytes) -> list[int]:
-        return [int.from_bytes(b[at : at + width], "little") for at in range(0, nbytes, width)]
+    def pack(values) -> int:
+        return int.from_bytes(join(*values), "little")
 
-    return width, pack, unpack
+    def unpack(x: int):
+        return split(x.to_bytes(nbytes, "little"))
+
+    return 8 * width, pack, unpack

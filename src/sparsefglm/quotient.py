@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
@@ -48,36 +48,34 @@ class SparseMat:
     injective on B, so no row has two, and a field of T v stays within
     D(p-1)^2, uncarried.  For `apply_transpose`, `complete` adds one int per
     row r with T[r][c] of each dense column c, the k-th in field k; `fields`
-    splits the `row_bytes` bytes of a sum of rows, and `gather` picks v's
-    entry for each unit column and the field of each dense one out of
-    v + [fields], in column order.
+    splits a sum of rows into its fields, and `gather` picks v's entry for
+    each unit column and the field of each dense one out of v + [fields], in
+    column order.
     """
 
-    __slots__ = ("dim", "p", "rows", "cols", "units", "nbytes", "pack", "unpack",
-                 "column_cases", "packed", "row_bytes", "fields", "gather")
+    __slots__ = ("dim", "p", "rows", "cols", "units", "pack", "unpack",
+                 "column_cases", "packed", "fields", "gather")
 
     def __init__(self, rows: list[int | None], p: int):
         self.dim = D = len(rows)
         self.rows, self.p, self.cols = rows, p, [None] * D
         column_of = {row: c for c, row in enumerate(rows) if row is not None}
         self.units = _picker([column_of.get(r, D) for r in range(D)])
-        width, self.pack, self.unpack = field_codec(D, D * (p - 1) ** 2)
-        self.nbytes = D * width
+        _, self.pack, self.unpack = field_codec(D, D * (p - 1) ** 2)
 
     def times(self, v: CoordVector) -> CoordVector:
         """T v: one gather packs the unit columns' entries of v, then one
         big-int multiply-add per packed column (the rest meet zeros of v)."""
-        total = int.from_bytes(self.pack(*self.units(v + [0])), "little")
+        total = self.pack(self.units(v + [0]))
         total = sum(map(mul, filter(None, self.cols), compress(v, self.cols)), total)
-        return list(map(self.p.__rmod__, self.unpack(total.to_bytes(self.nbytes, "little"))))
+        return list(map(self.p.__rmod__, self.unpack(total)))
 
     def complete(self, dense_columns: list[CoordVector], column_cases: list[int]) -> SparseMat:
         """Add the row layout of the dense columns, in column order."""
         self.column_cases = column_cases
-        width, pack_row, self.fields = field_codec(len(dense_columns), self.dim * (self.p - 1) ** 2)
-        self.row_bytes = len(dense_columns) * width
+        _, pack_row, self.fields = field_codec(len(dense_columns), self.dim * (self.p - 1) ** 2)
         # row r packs the r-th entry of every dense column
-        self.packed = list(map(int.from_bytes, map(pack_row, *dense_columns), repeat("little")))
+        self.packed = list(map(pack_row, zip(*dense_columns)))
         at = iter(range(self.dim, self.dim + len(dense_columns)))
         self.gather = _picker([next(at) if row is None else row for row in self.rows])
         return self
@@ -88,7 +86,7 @@ class SparseMat:
             if row is not None:
                 yield [(row, 1)]
             else:
-                yield [(r, a) for r, a in enumerate(self.unpack(col.to_bytes(self.nbytes, "little"))) if a]
+                yield [(r, a) for r, a in enumerate(self.unpack(col)) if a]
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
@@ -100,7 +98,7 @@ def apply(T: SparseMat, v: CoordVector) -> CoordVector:
 def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    fields = T.fields(sum(map(mul, T.packed, v)).to_bytes(T.row_bytes, "little"))
+    fields = T.fields(sum(map(mul, T.packed, v)))
     return list(T.gather(v + list(map(T.p.__rmod__, fields))))
 
 
@@ -265,7 +263,7 @@ class QuotientStructure:
         """NF(b_k x_l), a dense column of T_l, packed into it once."""
         v = self.term_vec(term_mul(self.basis[k], var_term(self.n, l + 1)))
         if (T := self._stores[l]).cols[k] is None:
-            T.cols[k] = int.from_bytes(T.pack(*v), "little")
+            T.cols[k] = T.pack(v)
         return v
 
     def nf_of_var(self, i: int) -> CoordVector:

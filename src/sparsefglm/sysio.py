@@ -10,11 +10,11 @@
 After the `p <modulus>` and `vars <n>` headers, each non-blank line is one
 polynomial: terms joined by `+` or `-`, only the first with an optional
 leading `-`; a term is factors joined by `*`, each `<digits>`, `x<i>` or
-`x<i>^<digits>`.  Blanks may sit between tokens; `#` starts a comment.
-Variable indices run 1..n and coefficients must lie in [0, p).  A
-`ParseError` gives the line and the raw-line column of the first offending
-character; a digit run longer than `int()` converts is one at its first
-digit.
+`x<i>^<digits>`, a digit being ASCII 0-9.  Blanks may sit between tokens;
+`#` starts a comment.  Variable indices run 1..n and coefficients must lie
+in [0, p).  A `ParseError` gives the line and the raw-line column of the
+first offending character; a digit run longer than `int()` converts is one
+at its first digit.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ class ParseError(ValueError):
         self.col = col
 
 
-_FACTOR = r"(?:\d+|x\d+(?:\s*\^\s*\d+)?)"
+_FACTOR = r"(?:[0-9]+|x[0-9]+(?:\s*\^\s*[0-9]+)?)"
 # A factor possibly cut short, with the blanks after it; none may follow a bare x.
-_CUT = r"(?:(?:\d+|x\d+(?:\s*\^(?:\s*\d+)?)?)\s*|x)?"
+_CUT = r"(?:(?:[0-9]+|x[0-9]+(?:\s*\^(?:\s*[0-9]+)?)?)\s*|x)?"
 # Factors joined by '*', '+' or '-' after an optional leading '-', the last
 # one possibly cut short: the match ends at the first character that no
 # completion of the line allows.
 _LINE = re.compile(rf"\s*(?:-\s*)?(?:{_FACTOR}\s*[-+*]\s*)*{_CUT}")
 _SIGN = re.compile(r"[-+]")
-_FACTORS = re.compile(r"(\d+)|x(\d+)(?:\s*\^\s*(\d+))?")
+_FACTORS = re.compile(r"([0-9]+)|x([0-9]+)(?:\s*\^\s*([0-9]+))?")
 
 
 # (n, monomial text) -> exponents, of the monomials without a coefficient
@@ -79,7 +79,7 @@ def _factors(text: str, start: int, end: int, ln: int, n: int, p: int) -> tuple[
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
     end, body = _LINE.match(text).end(), text.rstrip()
-    if end < len(text) or not body[-1].isdecimal():  # every factor ends in a digit
+    if end < len(text) or body[-1] not in "0123456789":  # every factor ends in a digit
         # a bad factor before the character the grammar rejects comes first
         stop = min(end, len(body))
         _factors(text, 0, stop, ln, n, F.p)
@@ -127,7 +127,7 @@ def parse_system(text: str) -> tuple[PrimeField, list[MultiPoly]]:
             continue
         if field is None or n is None:
             key, what = ("p", "modulus") if field is None else ("vars", "count")
-            m = re.fullmatch(rf"\s*{key}\s+(\d+)\s*", line)
+            m = re.fullmatch(rf"\s*{key}\s+([0-9]+)\s*", line)
             if m is None:
                 col = len(line) - len(line.lstrip()) + 1
                 raise ParseError(ln, col, f"expected header '{key} <{what}>'")

@@ -45,13 +45,12 @@ def uni_scale(f: UniPoly, c: int, F: PrimeField) -> UniPoly:
 
 
 def _packed(f: UniPoly, bound: int) -> int:
-    return int.from_bytes(field_codec(len(f), bound)[1](*f), "little")
+    return field_codec(len(f), bound)[1](f)
 
 
 def _unpacked(a: int, count: int, bound: int, p: int) -> UniPoly:
     """The first `count` fields of a, reduced mod p and trimmed."""
-    width, _, unpack = field_codec(count, bound)
-    return trim(list(map(p.__rmod__, unpack(a.to_bytes(count * width, "little")))))
+    return trim(list(map(p.__rmod__, field_codec(count, bound)[2](a))))
 
 
 def uni_mul(f: UniPoly, g: UniPoly, F: PrimeField) -> UniPoly:
@@ -85,7 +84,7 @@ def uni_divmod(f: UniPoly, g: UniPoly, F: PrimeField) -> tuple[UniPoly, UniPoly]
     # which leaves a multiple of p in field i + n; a field holds p - 1 plus
     # at most k such additions of at most (p-1)^2
     bound = (p - 1) + k * (p - 1) ** 2
-    bits = 8 * field_codec(1, bound)[0]
+    bits = field_codec(1, bound)[0]
     mask = (1 << bits) - 1
     r, gp = _packed(f, bound), _packed(g, bound)
     q = [0] * k

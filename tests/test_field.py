@@ -112,10 +112,20 @@ def test_equality_and_hash():
 
 @pytest.mark.parametrize("bound", [1, 255, 256, 65521**2, 2**64, 2**64 + 1, 2**200])
 def test_field_codec_width_and_round_trip(bound):
-    width, pack, unpack = field_codec(5, bound)
-    # the smallest power of two with 8 * width >= bit_length(bound)
-    assert 8 * width >= bound.bit_length() and (width == 1 or 4 * width < bound.bit_length())
-    values = [bound, 0, 1, bound // 2, bound - 1]
-    assert list(unpack(pack(*values))) == values
-    # made once per (count, width)
-    assert field_codec(5, bound)[1] is pack
+    """Both paths, struct (bound <= 2^64) and slice (above), take any iterable
+    of ints and give field i at bit bits * i."""
+    for count in (1, 5):
+        bits, pack, unpack = field_codec(count, bound)
+        width = bits // 8
+        # whole bytes, the smallest power of two of them with 8 * width >= bit_length(bound)
+        assert bits == 8 * width and width & (width - 1) == 0 and bits >= bound.bit_length()
+        assert width == 1 or 4 * width < bound.bit_length()
+        values = [bound, 0, 1, bound // 2, bound - 1][:count]
+        x = pack(values)
+        assert x == sum(a << bits * i for i, a in enumerate(values))
+        # a list, a tuple, a row of `zip(*columns)` as `SparseMat.complete`
+        # packs it, and a one-pass iterator
+        for row in (values, tuple(values), next(zip(*[[a] for a in values])), map(int, values)):
+            assert pack(row) == x and list(unpack(x)) == values
+        # made once per (count, width)
+        assert field_codec(count, bound)[1] is pack

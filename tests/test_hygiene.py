@@ -189,3 +189,15 @@ def test_probes_come_from_one_seeded_stream():
         for site in random_generator_sites(path.read_text())
     ]
     assert sites == ["buchberger.gen_random_system", "quotient.QuotientStructure.probes"]
+
+
+def test_only_field_and_terms_turn_ints_into_bytes():
+    """The packed-vector format belongs to `field.field_codec`, whose pack
+    and unpack take and give ints; `terms.TermCodec` keeps its own guarded
+    16-bit term fields.  No other module calls `from_bytes` or `to_bytes`."""
+    sites: dict[str, list[int]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                sites.setdefault(path.name, []).append(node.lineno)
+    assert sites.keys() == {"field.py", "terms.py"}, sites

@@ -368,7 +368,7 @@ def test_apply_matches_reference_apply(p):
 def all_p_minus_one(D, p):
     """T with every entry p - 1, every column dense, in both packed layouts."""
     T = SparseMat([None] * D, p)
-    T.cols[:] = [int.from_bytes(T.pack(*[p - 1] * D), "little")] * D
+    T.cols[:] = [T.pack([p - 1] * D)] * D
     return T.complete([[p - 1] * D] * D, [3] * D)
 
 

@@ -111,6 +111,24 @@ def test_error_columns_count_from_the_raw_line():
         assert msg in str(e.value), text
 
 
+def test_digits_are_ascii():
+    """A digit is 0-9: another Unicode decimal digit, here Arabic-Indic
+    two, three and seven (U+0662, U+0663, U+0667) or a fullwidth one
+    (U+FF11), is the first character no completion allows."""
+    for text, msg in (
+        ("p 7\nvars 2\nx1^2 + \u0663\nx2 + 1\n", "line 3, column 8: unexpected '\u0663'"),
+        ("p 7\nvars 2\n\u0663*x1^2\nx2 + 1\n", "line 3, column 1: unexpected '\u0663'"),
+        ("p 7\nvars 2\nx1^\u0662\nx2 + 1\n", "line 3, column 4: unexpected '\u0662'"),
+        ("p 7\nvars 2\nx\u0662 + 1\nx1 + 1\n", "line 3, column 2: unexpected '\u0662'"),
+        ("p 7\nvars 2\nx1^2\nx2 + \uff11\n", "line 4, column 6: unexpected '\uff11'"),
+        ("p \u0667\nvars 2\nx1^2\nx2 + 1\n", "line 1, column 1: expected header 'p <modulus>'"),
+        ("p 7\nvars \u0662\nx1^2\nx2 + 1\n", "line 2, column 1: expected header 'vars <count>'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_system(text)
+        assert str(e.value) == msg, text
+
+
 def test_long_malformed_lines_fail_fast():
     n = 10**5
     for bad in (
