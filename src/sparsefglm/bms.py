@@ -169,7 +169,7 @@ def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
     B = staircase(lts, Q.n, Q.D)
     if B is None or len(B) != Q.D:
         return False
-    return all(not any(Q.nf_vector(f)) for f in F)
+    return all(normal_form(f, Q.G1.polys, "drl", Q.F).is_zero() for f in F)
 
 
 def bms_change(

@@ -28,7 +28,7 @@ from .sysio import parse_system, poly_str, write_system
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path) as fh:
+    with open(path, newline="") as fh:  # line ends are the parser's, as on stdin
         return fh.read()
 
 

@@ -26,7 +26,7 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, InternalError, MultiPoly
+from .poly import GroebnerBasis, InternalError
 from .terms import Term, drl_fronts, term_codec, term_mul, unit_term, var_term
 
 CoordVector = list[int]
@@ -288,14 +288,6 @@ class QuotientStructure:
             for eps, row in zip(self.basis, T.rows)
         ]
         return T.complete(dense, cases)
-
-    # --- vectors of polynomials -------------------------------------------
-
-    def nf_vector(self, f: MultiPoly) -> CoordVector:
-        """Coordinate vector of NF(f)."""
-        coeffs = list(f.coeffs.values())
-        rows = zip(*map(self.term_vec, f.coeffs)) if coeffs else [()] * self.D
-        return [sum(map(mul, row, coeffs)) % self.F.p for row in rows]
 
 
 def dump_matrix(Q: QuotientStructure, j: int) -> str:

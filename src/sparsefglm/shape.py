@@ -136,19 +136,25 @@ def _krylov(T1, r: CoordVector, length: int, nfs: list[CoordVector], F: PrimeFie
     Only the current chain vector is kept; a unit NF(x_i) is read as one
     component.  The rows are the right-hand sides of the Hankel solves on
     that fit: s has linear complexity deg f, so it is also the fit of
-    s[:2 deg f], the prefix that defines H."""
+    s[:2 deg f], the prefix that defines H.  x1^j lies in B for j <= J, so
+    s[i + j] is the i-th chain vector's entry at x1^j: the chain stops
+    J' = min(J, length // 2) vectors early and its last vector ends s."""
     reads = []
     for v_i in nfs:
         nz = [k for k, c in enumerate(v_i) if c]
         unit = len(nz) == 1 and v_i[nz[0]] == 1
         reads.append(itemgetter(nz[0]) if unit else partial(F.dot, v_i))
+    powers = [0]  # the indices of 1, x1, ..., x1^J' in B
+    while len(powers) <= length // 2 and (k := T1.rows[powers[-1]]) is not None:
+        powers.append(k)
     s: list[int] = []
     rows: list[list[int]] = [[] for _ in nfs]
-    for j, w in zip(range(length), _chain(T1, r)):
+    for j, w in zip(range(length + 1 - len(powers)), _chain(T1, r)):
         s.append(w[0])
         if j < length // 2:
             for row, read in zip(rows, reads):
                 row.append(read(w))
+    s += [w[k] for k in powers[1:]]
     fit = berlekamp_massey(s, F)
     return [row[: deg(fit[0])] for row in rows], fit
 

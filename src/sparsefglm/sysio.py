@@ -10,11 +10,12 @@
 After the `p <modulus>` and `vars <n>` headers, each non-blank line is one
 polynomial: terms joined by `+` or `-`, only the first with an optional
 leading `-`; a term is factors joined by `*`, each `<digits>`, `x<i>` or
-`x<i>^<digits>`, a digit being ASCII 0-9.  Blanks may sit between tokens;
-`#` starts a comment.  Variable indices run 1..n and coefficients must lie
-in [0, p).  A `ParseError` gives the line and the raw-line column of the
-first offending character; a digit run longer than `int()` converts is one
-at its first digit.
+`x<i>^<digits>`, a digit being ASCII 0-9.  Blanks (spaces and tabs) may
+sit between tokens; `#` starts a comment.  A line ends at a newline, CRLF
+accepted; any other space or line break is a bad character.  Variable
+indices run 1..n and coefficients must lie in [0, p).  A `ParseError` gives
+the line and the raw-line column of the first offending character; a digit
+run longer than `int()` converts is one at its first digit.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ class ParseError(ValueError):
         self.col = col
 
 
-_FACTOR = r"(?:[0-9]+|x[0-9]+(?:\s*\^\s*[0-9]+)?)"
+_FACTOR = r"(?:[0-9]+|x[0-9]+(?:[ \t]*\^[ \t]*[0-9]+)?)"
 # A factor possibly cut short, with the blanks after it; none may follow a bare x.
-_CUT = r"(?:(?:[0-9]+|x[0-9]+(?:\s*\^(?:\s*[0-9]+)?)?)\s*|x)?"
+_CUT = r"(?:(?:[0-9]+|x[0-9]+(?:[ \t]*\^(?:[ \t]*[0-9]+)?)?)[ \t]*|x)?"
 # Factors joined by '*', '+' or '-' after an optional leading '-', the last
 # one possibly cut short: the match ends at the first character that no
 # completion of the line allows.
-_LINE = re.compile(rf"\s*(?:-\s*)?(?:{_FACTOR}\s*[-+*]\s*)*{_CUT}")
+_LINE = re.compile(rf"[ \t]*(?:-[ \t]*)?(?:{_FACTOR}[ \t]*[-+*][ \t]*)*{_CUT}")
 _SIGN = re.compile(r"[-+]")
-_FACTORS = re.compile(r"([0-9]+)|x([0-9]+)(?:\s*\^\s*([0-9]+))?")
+_FACTORS = re.compile(r"([0-9]+)|x([0-9]+)(?:[ \t]*\^[ \t]*([0-9]+))?")
 
 
 # (n, monomial text) -> exponents, of the monomials without a coefficient
@@ -78,7 +79,7 @@ def _factors(text: str, start: int, end: int, ln: int, n: int, p: int) -> tuple[
 
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
-    end, body = _LINE.match(text).end(), text.rstrip()
+    end, body = _LINE.match(text).end(), text.rstrip(" \t")
     if end < len(text) or body[-1] not in "0123456789":  # every factor ends in a digit
         # a bad factor before the character the grammar rejects comes first
         stop = min(end, len(body))
@@ -95,7 +96,7 @@ def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
     start = 0
     for term in _SIGN.split(text):
         end = start + len(term)
-        if start or term.strip():
+        if start or term.strip(" \t"):
             head, _, mono = term.partition("*")
             try:
                 coef, lead = int(head), 1
@@ -121,15 +122,15 @@ def parse_system(text: str) -> tuple[PrimeField, list[MultiPoly]]:
     field: PrimeField | None = None
     n: int | None = None
     polys: list[MultiPoly] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(re.split(r"\r?\n", text), start=1):
         line = raw.split("#", 1)[0]
-        if not line.strip():
+        if not line.strip(" \t"):
             continue
         if field is None or n is None:
             key, what = ("p", "modulus") if field is None else ("vars", "count")
-            m = re.fullmatch(rf"\s*{key}\s+([0-9]+)\s*", line)
+            m = re.fullmatch(rf"[ \t]*{key}[ \t]+([0-9]+)[ \t]*", line)
             if m is None:
-                col = len(line) - len(line.lstrip()) + 1
+                col = len(line) - len(line.lstrip(" \t")) + 1
                 raise ParseError(ln, col, f"expected header '{key} <{what}>'")
             value, col = _int(m, 1, ln), m.start(1) + 1
             if field is None:

@@ -66,6 +66,18 @@ def test_is_gb_rejects_non_members(monomial6):
     # right staircase, but x1^3 + 1 is not in the ideal
     polys = [MultiPoly(2, {(3, 0): 1, (0, 0): 1})] + monomial6.G1.polys[1:]
     assert not is_gb(polys, monomial6)
+    # on seeded systems, small p included: classic FGLM's LEX basis passes,
+    # and f + 1 for any member f keeps the staircase but leaves the ideal
+    for p in (3, 5, 7, 65521):
+        field = PrimeField(p)
+        for n, d, seed in ((2, 3, 0), (2, 3, 1), (3, 2, 0), (3, 2, 1)):
+            Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", field), field)
+            lex = classic_fglm(Q, "lex").polys
+            assert is_gb(lex, Q), (p, n, d, seed)
+            for i, f in enumerate(lex):
+                shifted = f.coeffs | {(0,) * n: (f.coeffs.get((0,) * n, 0) + 1) % p}
+                bad = lex[:i] + [MultiPoly(n, {t: c for t, c in shifted.items() if c})] + lex[i + 1 :]
+                assert not is_gb(bad, Q), (p, n, d, seed, i)
 
 
 def test_is_gb_degenerate_inputs(monomial6):

@@ -186,6 +186,18 @@ def test_missing_file_exits_3(tmp_path, cli):
     assert err.startswith("error: ") and "nope.sys" in err
 
 
+def test_a_file_and_stdin_end_lines_alike(tmp_path, cli):
+    """Only LF and CRLF end a line, read from a file as from stdin: a lone
+    carriage return is bad input on both."""
+    path = tmp_path / "in.sys"
+    for text, want in (
+        ("p 7\r\nvars 2\r\nx1^2 + 3\r\nx2 + 1\r\n", (0, "D: 2\nbasis:\n  x1^2 + 3\n  x2 + 1\n", "")),
+        ("p 7\nvars 2\nx1^2 + 3\rx2 + 1\n", (3, "", "error: line 3, column 9: unexpected '\\r'\n")),
+    ):
+        path.write_bytes(text.encode())
+        assert cli("fglm", "--in", str(path)) == cli("fglm", stdin=text) == want
+
+
 def test_composite_modulus_exits_3(cli):
     assert cli("gen", "--n", "2", "--d", "2", "--p", "65520", "--seed", "0") == (
         3, "", "error: modulus 65520 is not prime\n")
@@ -317,6 +329,9 @@ PIPES = [
     # a digit is ASCII 0-9: an Arabic-Indic three (U+0663) is bad input
     ("non-ascii-digit", "p 7\nvars 2\nx1^2 + \u0663\nx2 + 1\n", "convert", 3, "",
      "error: line 3, column 8: unexpected '\u0663'\n"),
+    # a blank is a space or a tab: an ideographic space (U+3000) is bad input
+    ("non-ascii-blank", "p 7\nvars 2\nx1^2 + 3\nx2\u3000+ 1\n", "convert", 3, "",
+     "error: line 4, column 3: unexpected '\\u3000'\n"),
 ]
 
 

@@ -11,7 +11,7 @@ from sparsefglm import quotient
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm, toplevel
-from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_mul_term
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_mul_term, normal_form
 from sparsefglm.quotient import (
     QuotientStructure,
     SparseMat,
@@ -154,13 +154,14 @@ def test_term_vec_matches_direct_reduction(p):
 
 
 def test_term_vec_of_a_high_degree_term():
-    """The cascade walks a chain of 5,000 divisors without recursing on it."""
+    """The cascade walks a chain of 5,000 divisors without recursing on it,
+    and NF(x1^3000 + 1) by direct reduction reads its term vectors' sum."""
     F = PrimeField(11)
     Q = QuotientStructure(buchberger(gen_random_system(2, 3, F.p, 0), "drl", F), F)
     assert Q.term_vec((5000, 0)) == reference_nf_term(Q, (5000, 0))
-    f = MultiPoly(2, {(3000, 0): 1, (0, 0): 1})
-    want = [(a + b) % F.p for a, b in zip(reference_nf_term(Q, (3000, 0)), Q.e())]
-    assert Q.nf_vector(f) == want
+    nf = normal_form(MultiPoly(2, {(3000, 0): 1, (0, 0): 1}), Q.G1.polys, "drl", F)
+    want = [(a + b) % F.p for a, b in zip(Q.term_vec((3000, 0)), Q.e())]
+    assert [nf.coeffs.get(b, 0) for b in Q.basis] == want
 
 
 def test_normal_forms_build_no_matrix():
@@ -168,7 +169,7 @@ def test_normal_forms_build_no_matrix():
     Q = QuotientStructure(buchberger(gen_random_system(2, 2, F.p, 0), "drl", F), F)
     Q.term_vec((3, 4))
     Q.nf_of_var(2)
-    Q.nf_vector(MultiPoly(2, {(5, 1): 3, (0, 2): 1}))
+    Q.term_vec((5, 1))
     assert not isinstance(bms_change(Q, next(Q.probes(0))), Fail)
     assert Q.matrices == [None, None]
 
@@ -295,13 +296,14 @@ def test_matrix_holds_bytes_linear_in_its_dense_columns():
     assert per_unit[1] <= 1.3 * per_unit[0], per_unit
 
 
-def test_term_vec_and_nf_vector(gf11):
+def test_term_vec_of_one_and_of_basis_members(gf11):
+    """Each member's term vectors, weighted by its coefficients, sum to 0."""
     assert gf11.term_vec((1, 1, 0)) == [0, 0, 0, 1]
     assert gf11.term_vec((2, 0, 0)) == [2, 0, 9, 0]
-    one = MultiPoly(3, {(0, 0, 0): 1})
-    assert gf11.nf_vector(one) == gf11.e()
+    assert gf11.term_vec((0, 0, 0)) == gf11.e()
     for g in gf11.G1.polys:
-        assert gf11.nf_vector(g) == [0, 0, 0, 0]
+        vecs = [[c * x for x in gf11.term_vec(t)] for t, c in g.coeffs.items()]
+        assert [sum(col) % 11 for col in zip(*vecs)] == [0, 0, 0, 0]
 
 
 def test_apply_transpose_is_adjoint(gf2q):

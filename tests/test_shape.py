@@ -214,15 +214,20 @@ def test_shape_prob_fits_its_sequence_once(monkeypatch):
     """On an n = 4 system one shape_prob call runs Berlekamp-Massey once (its
     Krylov fit, which also gives N_s^-1) and no extended Euclid for all three
     tails, and each tail is what a fresh hankel_solve gives for that
-    right-hand side."""
+    right-hand side.  Its 2D = 32 terms take 2D - 1 - J = 27 transposed
+    products: 1, x1, ..., x1^J lie in B for J = 4, and the last chain vector
+    gives the last J terms."""
     F = PrimeField(65521)
     Q = QuotientStructure(buchberger(gen_random_system(4, 2, 65521, 0), "drl", F), F)
     calls, rec = _count_fits(monkeypatch)
+    vectors = _transposed_products(monkeypatch)
     sb = shape_prob(Q, next(Q.probes(0)))
     monkeypatch.undo()
     assert not hasattr(linrec, "uni_xgcd")
     assert not isinstance(sb, Fail)
     assert calls == {"bm": 1, "xgcd": 0}
+    assert (Q.D, len(vectors)) == (16, 27)
+    assert [t for t in Q.basis if not any(t[1:])] == [(j, 0, 0, 0) for j in range(5)]
     assert len(rec["hankel"]) == 3
     assert sb.tails == [trim(t) for t in _fresh_solves(rec, F)]
 
@@ -252,14 +257,14 @@ def test_shape_det_multiplies_no_zero_vector(monkeypatch, monomial6):
     """A Krylov chain stops multiplying once its vector is zero, and so does
     the Horner view of a unit probe: shape_det passes no all-zero vector to
     a transposed product.  On (3, 2, 2, 36) (D = 8, not in shape position)
-    that leaves 18 products and four fits of degree 1, on (2, 3, 2, 21)
-    (D = 9, not radical) 26 products and fits of degree 1, 7 and 1.
+    that leaves 15 products and four fits of degree 1, on (2, 3, 2, 21)
+    (D = 9, not radical) 23 products and fits of degree 1, 7 and 1.
     univar reads the same chain: on the monomial ideal <x1^3, x1^2*x2,
     x1*x2^2, x2^3> (D = 6) each of probe seeds 0-2 makes 3 products, none
     on a zero vector, and returns x1^3."""
     for args, products, fits, want in (
-        ((3, 2, 2, 36), 18, [1, 1, 1, 1], None),
-        ((2, 3, 2, 21), 26, [1, 7, 1], ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
+        ((3, 2, 2, 36), 15, [1, 1, 1, 1], None),
+        ((2, 3, 2, 21), 23, [1, 7, 1], ([0, 1, 0, 1, 1], [[0, 0, 1, 1]])),
     ):
         F = PrimeField(args[2])
         Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
@@ -312,7 +317,7 @@ def test_shape_paths_hold_memory_linear_in_d():
 
 def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
     """Each unit probe peels a factor: over GF(2), gen_random_system(2, 6, 2,
-    35) (D = 30) takes shape_det through 2 probes and 93 transposed products,
+    35) (D = 30) takes shape_det through 2 probes and 80 transposed products,
     and gen_random_system(3, 3, 2, 26) (D = 27) through 5, the most of any
     small system seen.  With T_1 and NF(x_2) built first, the tracemalloc
     peak on (2, 6, 2, 35) stays within 1.2x that of one shape_prob on the
@@ -321,7 +326,7 @@ def test_shape_det_holds_no_more_than_one_probe(monkeypatch):
     (On (3, 3, 2, 26) it reads about 1.24x: at D = 27 the list and tuple
     headers of five kept factors weigh as much as a few vectors.)"""
     F = PrimeField(2)
-    for args, D, runs, products in (((3, 3, 2, 26), 27, 5, 89), ((2, 6, 2, 35), 30, 2, 93)):
+    for args, D, runs, products in (((3, 3, 2, 26), 27, 5, 77), ((2, 6, 2, 35), 30, 2, 80)):
         Q = QuotientStructure(buchberger(gen_random_system(*args), "drl", F), F)
         Q.matrix(1)
         Q.nf_of_var(2)

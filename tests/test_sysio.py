@@ -129,6 +129,33 @@ def test_digits_are_ascii():
         assert str(e.value) == msg, text
 
 
+def test_blanks_are_spaces_and_tabs():
+    """A blank is a space or a tab, and a line ends at LF or CRLF: a no-break
+    or ideographic space (U+00A0, U+3000), a line separator (U+2028), a
+    vertical tab, a form feed or a file separator (U+001C) is the first
+    character no completion allows, and line numbers count LFs only."""
+    for text, msg in (
+        ("p 7\nvars 2\nx1^2\xa0+ 3\nx2 + 1\n", "line 3, column 5: unexpected '\\xa0'"),
+        ("p 7\nvars 2\nx1^2 + 3\nx2\u3000+ 1\n", "line 4, column 3: unexpected '\\u3000'"),
+        ("p 7\nvars 2\nx1^2 + 3\u2028x2 + 1\n", "line 3, column 9: unexpected '\\u2028'"),
+        ("p 7\nvars 2\nx1^2 + 3\x0bx2 + 1\n", "line 3, column 9: unexpected '\\x0b'"),
+        ("p 7\nvars 2\nx1^2 + 3\x0cx2 + 1\n", "line 3, column 9: unexpected '\\x0c'"),
+        ("p 7\nvars 2\nx1^2 + 3\x1cx2 + 1\n", "line 3, column 9: unexpected '\\x1c'"),
+        ("p 7\x0c\nvars 2\nx1^2\nx2 + 1\n", "line 1, column 1: expected header 'p <modulus>'"),
+        ("p 7\nvars\xa02\nx1^2\nx2 + 1\n", "line 2, column 1: expected header 'vars <count>'"),
+        ("p 7\nvars 2\n\u3000\nx1^2\nx2 + 1\n", "line 3, column 1: unexpected '\\u3000'"),
+        ("p 7\n\u2028vars 2\nx1^2\nx2 + 1\n", "line 2, column 1: expected header 'vars <count>'"),
+        ("p 7\nvars 2\nx1^2 + 3\u2028\nx2 + 1 + x1\x0c\n", "line 3, column 9: unexpected '\\u2028'"),
+        ("p 7\nvars 2\nx1^2 + 3\nx2 + 1\r", "line 4, column 7: unexpected '\\r'"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_system(text)
+        assert str(e.value) == msg, text
+    lf = "p 7\nvars 2\n# comment \t\nx1^2 + 3\t\n\n\t x2 + 1  \n"
+    assert parse_system(lf.replace("\n", "\r\n")) == parse_system(lf)
+    assert [poly_str(f) for f in parse_system(lf)[1]] == ["x1^2 + 3", "x2 + 1"]
+
+
 def test_long_malformed_lines_fail_fast():
     n = 10**5
     for bad in (
