@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -245,6 +246,42 @@ def test_bms_sweep_lengths_are_pinned(system, passes, delta_size, verified):
         assert res == classic_fglm(Q, "lex")
     else:
         assert f"{passes} passes" in res.reason
+
+
+PINNED_SWEEPS = [
+    (n, d, p, seed)
+    for n, d in ((2, 2), (2, 3), (3, 2))
+    for p in (3, 5, 7, 101, 65521)
+    for seed in range(6)
+] + [(3, 3, 5, 41100005), (3, 3, 2, 7)]
+
+
+def test_sweep_passes_are_pinned():
+    """Every pass (u, F, delta) and every result of 92 seeded sweeps, each
+    under the first probe of Q.probes(seed), hashed into one digest, so that
+    a rewrite of the sweep's arithmetic cannot change a pass unseen.  The
+    last two systems raise InternalError (ROADMAP item 6); the digest pins
+    its text."""
+    digest = hashlib.md5()
+    outcomes = {"answer": 0, "decline": 0, "error": 0}
+    for n, d, p, seed in PINNED_SWEEPS:
+        field = PrimeField(p)
+        Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", field), field)
+        trace = []
+        try:
+            res = bms_change(Q, next(Q.probes(seed)), trace=trace)
+        except InternalError as exc:
+            result, outcome = f"InternalError: {exc}", "error"
+        else:
+            if isinstance(res, Fail):
+                result, outcome = res.reason, "decline"
+            else:
+                result, outcome = [str(f) for f in res.polys], "answer"
+        outcomes[outcome] += 1
+        passes = [(u, [str(f) for f in polys], sorted(delta)) for u, polys, delta in trace]
+        digest.update(repr((passes, result)).encode())
+    assert outcomes == {"answer": 40, "decline": 50, "error": 2}
+    assert digest.hexdigest() == "3a57c3464a057a4db87b97516e4adc97"
 
 
 def test_bms_declines_monomial_ideal(monomial6):
