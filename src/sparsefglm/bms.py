@@ -3,8 +3,10 @@
 The n-dimensional array E(u) = <r, T^u e> is consumed term by term in
 ascending target-LEX order.  The sweep's state is (F, G, delta): the
 candidate polynomials F, the witness records G, and the delta set, the
-staircase of the array found so far.  Between passes the leading terms of
-F are exactly the corners of delta, in ascending lex order.  Each pass
+staircase of the array found so far.  The arithmetic runs on monic packed
+LEX rows (`poly.Row`); MultiPoly is the input and output type only, of the
+trace, the certificate and the result.  Between passes the leading terms
+of F are exactly the corners of delta, in ascending lex order.  Each pass
 tests F for validity at the new term, repairs failures using the
 witnesses, and re-reduces F.  The driver stops as soon as the candidates
 verify as the Groebner basis of the ideal (checked against the quotient
@@ -21,31 +23,24 @@ from functools import cache
 from itertools import product as iter_product
 
 from .field import PrimeField
-from .poly import (
-    Fail,
-    GroebnerBasis,
-    InternalError,
-    MultiPoly,
-    mp_monic,
-    mp_mul_term,
-    mp_sub,
-    normal_form,
-)
+from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, Row, make_row, normal_form
+from .poly import reduce_rows, row_poly
 from .quotient import CoordVector, QuotientStructure, staircase
-from .terms import Term, divides, lex_key, term_mul
+from .terms import Term, divides, lex_key, term_codec
 
-# witness record: (polynomial, span, discrepancy)
-WitnessRec = tuple[MultiPoly, Term, int]
+# witness record: (row, span, discrepancy)
+WitnessRec = tuple[Row, Term, int]
 
 
 def _array(Q: QuotientStructure, probe: CoordVector):
-    """The memoized u -> E(u) = <r, NF(x^u)>.
+    """The memoized x -> E(u) = <r, NF(x^u)>, x the packed LEX term of u.
 
     Coordinate vectors come from `Q.term_vec`, cached on Q: a new term
     x_l * u whose u is cached costs one packed product over T_l's columns,
     and no matrix is built.
     """
-    return cache(lambda u: Q.F.dot(probe, Q.term_vec(u)))
+    unpack = term_codec(Q.n, "lex").unpack
+    return cache(lambda x: Q.F.dot(probe, Q.term_vec(unpack(x))))
 
 
 def _sub(a: Term, b: Term) -> Term:
@@ -67,18 +62,19 @@ def _corners(delta: set[Term], n: int) -> list[Term]:
 
 
 def sakata_update(
-    F: list[MultiPoly],
+    F: list[Row],
     G: list[WitnessRec],
     delta: set[Term],
     u: Term,
     E,
     field: PrimeField,
     grow_tail: Term | None = None,
-) -> tuple[list[MultiPoly], list[WitnessRec], set[Term]] | None:
+) -> tuple[list[dict[int, int]], list[WitnessRec], set[Term]] | None:
     """One pass: make the candidate set valid up to u.
 
     Returns None if no candidate fails at u (a clean pass), else the new
-    state (F, G, delta), with F not yet reduced.
+    state (F, G, delta), with F not yet reduced: dicts from packed term to
+    a coefficient, which may lie outside [0, p).
 
     The sweep visits only a truncated slice of each x2..xn-level, so a
     nonzero discrepancy does not always reflect the array: a polynomial may
@@ -89,42 +85,51 @@ def sakata_update(
     level already verified, so it is discarded as truncation noise.
     grow_tail=None (revisit levels) discards all growth.
     """
-    # each failure, as the witness record it becomes if its span is new
-    fails: list[WitnessRec] = []
-    for f in F:
-        s = f.lt("lex")
+    p = field.p
+    codec = term_codec(len(u), "lex")
+    x = codec.pack(u)
+    lts = [codec.unpack(lt) for lt, _ in F]
+    # each failure by index in F, as the witness record it becomes if its span is new
+    fails: dict[int, WitnessRec] = {}
+    for i, s in enumerate(lts):
         if divides(s, u):
             span = _sub(u, s)
-            d = sum(coef * E(term_mul(c, span)) for c, coef in f.coeffs.items()) % field.p
+            # moved by span, the leading term lands on x and a tail entry (k, m) on x + k
+            d = (E(x) - sum(m * E(x + k) for k, m in F[i][1])) % p
             if d and (span in delta or (grow_tail is not None and span[1:] == grow_tail)):
-                fails.append((f, span, d))
+                fails[i] = (F[i], span, d)
     if not fails:
         return None
 
     new_delta = set(delta)
-    for _, span, _ in fails:
+    for _, span, _ in fails.values():
         new_delta.update(iter_product(*(range(a + 1) for a in span)))
 
-    fail_disc = {id(f): d for f, _, d in fails}
-    new_F: list[MultiPoly] = []
+    new_F: list[dict[int, int]] = []
     for s in _corners(new_delta, len(u)):
         # the candidate with leading term s, else one valid at u, else any
-        cands = [f for f in F if divides(f.lt("lex"), s)]
-        f = min(cands, key=lambda f: (f.lt("lex") != s, id(f) in fail_disc))
-        shifted = mp_mul_term(f, _sub(s, f.lt("lex")), 1, field)
-        if id(f) not in fail_disc or not divides(s, u):
+        cands = [i for i, t in enumerate(lts) if divides(t, s)]
+        i = min(cands, key=lambda i: (lts[i] != s, i in fails))
+        lt = codec.pack(s)
+        f = {lt: 1}
+        f.update((lt + k, p - m) for k, m in F[i][1])
+        new_F.append(f)
+        if i not in fails or not divides(s, u):
             # valid (or untestable) at u after the shift: no correction needed
-            new_F.append(shifted)
             continue
         need = _sub(u, s)
         rec = next((r for r in reversed(G) if divides(need, r[1])), None)
         if rec is None:
             raise InternalError("no witness available for correction")
-        g, span_g, d_g = rec
-        coef = fail_disc[id(f)] * field.inv(d_g) % field.p
-        new_F.append(mp_sub(shifted, mp_mul_term(g, _sub(span_g, need), coef, field), field))
+        (lt_g, tail_g), span_g, d_g = rec
+        # subtract c * x^(span_g - need) * g, whose leading term lands on at
+        c = fails[i][2] * field.inv(d_g) % p
+        at = lt_g + codec.pack(_sub(span_g, need))
+        f[at] = f.get(at, 0) - c
+        for k, m in tail_g:
+            f[at + k] = f.get(at + k, 0) + c * m
 
-    new_G = G + [rec for rec in fails if rec[1] not in delta]
+    new_G = G + [rec for rec in fails.values() if rec[1] not in delta]
     # keep only span-maximal witnesses; later records win ties
     pruned = [
         rec
@@ -137,20 +142,24 @@ def sakata_update(
     return new_F, pruned, new_delta
 
 
-def reduce_set(F: list[MultiPoly], field: PrimeField) -> list[MultiPoly]:
-    """Reduce each f modulo the reduced polynomials before it, make it monic,
-    and drop zeros.
+def reduce_set(F: list[dict[int, int]], field: PrimeField) -> list[Row]:
+    """Reduce each packed LEX polynomial f (consumed) modulo the rows of the
+    reduced polynomials before it, make it a monic row, and drop zeros.
 
     F arrives as the corners of delta, leading terms ascending in lex order.
     A later member has a larger leading term, which divides no term of an
     earlier one, so reducing against the earlier members is reducing
-    against all the others.
+    against all the others.  No leading term is reduced, so the rows stay
+    in ascending order, the order `normal_form` sorts its reducers into.
     """
-    out: list[MultiPoly] = []
+    # a LEX term packs alike in more variables (x1 in the lowest field), so
+    # the codec need only have the fields up to the largest term's highest
+    codec = term_codec(max(map(max, F)).bit_length() // 16 + 1, "lex")
+    out: list[Row] = []
     for f in F:
-        r = normal_form(f, out, "lex", field)
-        if not r.is_zero():
-            out.append(mp_monic(r, "lex", field))
+        r = reduce_rows(f, out, codec, field.p)
+        if r:
+            out.append(make_row(r.items(), field))
     return out
 
 
@@ -181,8 +190,9 @@ def bms_change(
     field = Q.F
     n = Q.n
     D = Q.D
+    codec = term_codec(n, "lex")
     E = _array(Q, Q.probe(probe))
-    F: list[MultiPoly] = [MultiPoly(n, {(0,) * n: 1})]
+    F: list[Row] = [(codec.pack((0,) * n), [])]
     G: list[WitnessRec] = []
     delta: set[Term] = set()
     cap = 2 * n * D
@@ -194,8 +204,9 @@ def bms_change(
     def finish():
         if passes > cap:
             raise InternalError("pass budget exceeded (defect)")
-        if is_gb(F, Q):
-            return GroebnerBasis(F, "lex")
+        basis = [row_poly(f, codec, field) for f in F]
+        if is_gb(basis, Q):
+            return GroebnerBasis(basis, "lex")
         return Fail(
             f"BMS sweep ended without a verified Groebner basis "
             f"({passes} passes, |delta| = {len(delta)}, D = {D})"
@@ -240,7 +251,7 @@ def bms_change(
                     F = reduce_set(F, field)
                 passes += 1
                 if trace is not None:
-                    trace.append((u, F, delta))
+                    trace.append((u, [row_poly(f, codec, field) for f in F], delta))
                 if len(delta) > D:
                     # lt(F) are the corners of delta, so delta is the staircase
                     # of lt(F), and delta never shrinks: is_gb cannot pass

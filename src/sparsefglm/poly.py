@@ -1,22 +1,24 @@
 """Multivariate polynomials over GF(p) and polynomial reduction.
 
-A MultiPoly keeps its coefficients in a dict keyed by exponent tuples; only
-nonzero entries are stored.  Polynomials do not carry the field; operations
-that need arithmetic take a PrimeField argument, mirroring the univariate
-layer.
+A MultiPoly is the input and output type: it keeps its coefficients in a
+dict keyed by exponent tuples, only nonzero entries stored, and does not
+carry the field.  It has no arithmetic of its own.
 
-Reduction runs on packed terms (`terms.TermCodec`).  A reducer is a *row*
-(lt, tail): its leading term packed, and for each other term x^s with
-coefficient a the pair (pack(s) - lt, -a/lc).  Reducing the term x^t with
-coefficient c then adds c * m at the packed term t + delta of each tail
-entry (delta, m), so no exponent tuple is built in the loop.
-`reduce_rows` is that loop, a heap of packed terms; `normal_form` runs on
-it.  `buchberger` keeps its basis as rows too but reduces on DRL ranks up
-to its rank limit, on this loop past it.
+Arithmetic runs on rows over packed terms (`terms.TermCodec`).  A row is
+(lt, tail): the leading term packed, and for each other term x^s with
+coefficient a the pair (pack(s) - lt, -a/lc); it stands for the monic
+polynomial.  Reducing the term x^t with coefficient c then adds c * m at
+the packed term t + delta of each tail entry (delta, m), so no exponent
+tuple is built in the loop, and moving a row to another leading term
+leaves its tail as it is.  `reduce_rows` is that loop, a heap of packed
+terms; `normal_form` runs on it.  `buchberger` and the BMS sweep keep their
+polynomials as rows, and `row_poly` turns a row back into a MultiPoly;
+`buchberger` reduces on DRL ranks up to its rank limit, on this loop past
+it.
 
-A MultiPoly is immutable once constructed: every operation builds a new
-coefficient dict, and nothing writes to `coeffs` afterwards, so `lt` caches
-its answer on the instance.  Rows are built by `make_row` and not cached.
+A MultiPoly is immutable once constructed: nothing writes to `coeffs`
+after construction, so `lt` caches its answer on the instance.  Rows are
+built by `make_row` and not cached.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .field import PrimeField
-from .terms import OrderingTag, Term, TermCodec, drl_key, term_codec, term_key, term_mul, term_str
+from .terms import OrderingTag, Term, TermCodec, drl_key, term_codec, term_key, term_str
 from .unipoly import UniPoly, trim
 
 # (packed leading term, [(packed term - packed leading term, -coeff/lc)])
@@ -44,10 +46,6 @@ class MultiPoly:
         self.n = n
         self.coeffs = {t: c for t, c in (coeffs or {}).items() if c}
         self._lt: dict[str, Term] | None = None
-
-    @classmethod
-    def zero(cls, n: int) -> "MultiPoly":
-        return cls(n)
 
     @classmethod
     def from_uni(cls, n: int, f: UniPoly) -> "MultiPoly":
@@ -77,9 +75,6 @@ class MultiPoly:
             t = cache[ordering] = max(self.coeffs, key=term_key(ordering))
         return t
 
-    def lc(self, ordering: OrderingTag) -> int:
-        return self.coeffs[self.lt(ordering)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -107,32 +102,6 @@ class MultiPoly:
             else:
                 parts.append(f"{c}*{term_str(t)}")
         return " + ".join(parts)
-
-
-def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
-    out = dict(f.coeffs)
-    for t, c in g.coeffs.items():
-        v = (out.get(t, 0) - c) % F.p
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return MultiPoly(f.n, out)
-
-
-def mp_mul_term(f: MultiPoly, t: Term, c: int, F: PrimeField) -> MultiPoly:
-    """f * c*x^t."""
-    c = F.norm(c)
-    if c == 0:
-        return MultiPoly.zero(f.n)
-    return MultiPoly(f.n, {term_mul(s, t): c * a % F.p for s, a in f.coeffs.items()})
-
-
-def mp_monic(f: MultiPoly, ordering: OrderingTag, F: PrimeField) -> MultiPoly:
-    if f.is_zero():
-        return f
-    c = F.inv(f.lc(ordering))
-    return MultiPoly(f.n, {t: c * a % F.p for t, a in f.coeffs.items()})
 
 
 def make_row(terms: Iterable[tuple[int, int]], F: PrimeField) -> Row:

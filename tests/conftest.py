@@ -86,13 +86,27 @@ def basis_strs(polys) -> list[str]:
     return [poly_str(f) for f in polys]
 
 
+# Polynomial arithmetic on exponent tuples, for building test inputs and
+# oracles; the library's arithmetic runs on packed rows (see `poly`).
+def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
+    out = dict(f.coeffs)
+    for t, c in g.coeffs.items():
+        out[t] = (out.get(t, 0) - c) % F.p
+    return MultiPoly(f.n, out)
+
+
+def mp_mul_term(f: MultiPoly, t: Term, c: int, F: PrimeField) -> MultiPoly:
+    """f * c*x^t."""
+    return MultiPoly(f.n, {term_mul(s, t): c * a % F.p for s, a in f.coeffs.items()})
+
+
 def normal_form_linear_scan(f, reducers, ordering, F):
     """Reference oracle for `normal_form`, on exponent tuples: the leading
     term of what is left is found by a linear scan on every step, with the
     same smallest-leading-term rule."""
     key = term_key(ordering)
     table = sorted(
-        ((g.lt(ordering), g.lc(ordering), g) for g in reducers if not g.is_zero()),
+        ((g.lt(ordering), g.coeffs[g.lt(ordering)], g) for g in reducers if not g.is_zero()),
         key=lambda row: key(row[0]),
     )
     work = dict(f.coeffs)

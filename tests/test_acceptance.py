@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     PROBE12,
     basis_strs,
+    mp_sub,
     noncommuting_units,
     rank_mod_p,
     record_shape,
@@ -25,7 +26,7 @@ from sparsefglm.fglm import classic_fglm, toplevel
 from sparsefglm.field import PrimeField
 from sparsefglm.generic import asymptotic_estimate, dense_column_count
 from sparsefglm.linrec import berlekamp_massey, hankel_solve
-from sparsefglm.poly import Fail, MultiPoly, mp_sub, normal_form
+from sparsefglm.poly import Fail, MultiPoly, normal_form
 from sparsefglm.quotient import QuotientStructure, apply, apply_transpose, density_stats
 from sparsefglm.shape import ShapeBasis, shape_det, shape_prob
 from sparsefglm.unipoly import (

@@ -13,20 +13,22 @@ from sparsefglm.bms import _array, _corners, bms_change, is_gb, reduce_set
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
-from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_monic, normal_form
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, row_poly
 from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.shape import incremental_univariate, shape_prob
-from sparsefglm.terms import MAX_EXP, divides, lex_key
+from sparsefglm.terms import MAX_EXP, divides, lex_key, term_codec
 
-from conftest import PROBE12, basis_strs, noncommuting_units, quotient_from_text
+from conftest import PROBE12, basis_strs, mp_mul_term, noncommuting_units, quotient_from_text
 
 F = PrimeField(65521)
 
 
 def test_array_values_match_probe_sequence(gf11):
+    """E is read at packed LEX terms."""
     E = _array(gf11, [8, 4, 8, 6])
+    pack = term_codec(3, "lex").pack
     for _ in range(2):  # the second read comes from the memo
-        assert [E((k, 0, 0)) for k in range(8)] == [8, 4, 0, 7, 6, 8, 10, 10]
+        assert [E(pack((k, 0, 0))) for k in range(8)] == [8, 4, 0, 7, 6, 8, 10, 10]
 
 
 def test_corners():
@@ -83,14 +85,21 @@ def test_is_gb_rejects_non_members(monomial6):
 
 def test_is_gb_degenerate_inputs(monomial6):
     assert not is_gb([], monomial6)
-    assert not is_gb([MultiPoly.zero(2)], monomial6)
+    assert not is_gb([MultiPoly(2)], monomial6)
+
+
+def packed(f: MultiPoly) -> dict[int, int]:
+    """f as the packed LEX polynomial `reduce_set` takes."""
+    pack = term_codec(f.n, "lex").pack
+    return {pack(t): c for t, c in f.coeffs.items()}
 
 
 def test_reduce_set():
     f = MultiPoly(2, {(1, 0): 2, (0, 0): 2})
     g = MultiPoly(2, {(2, 0): 1, (1, 0): 1})
-    out = reduce_set([f, g], PrimeField(11))
-    assert [h.coeffs for h in out] == [{(1, 0): 1, (0, 0): 1}]
+    field, codec = PrimeField(11), term_codec(2, "lex")
+    out = reduce_set([packed(f), packed(g)], field)
+    assert [row_poly(row, codec, field).coeffs for row in out] == [{(1, 0): 1, (0, 0): 1}]
 
 
 def reduce_set_all_others(F, field):
@@ -111,7 +120,9 @@ def reduce_set_all_others(F, field):
             if kj < ki or (kj == ki and j < i):
                 reducers.append(fj)
         r = normal_form(fi, reducers, "lex", field)
-        out[i] = mp_monic(r, "lex", field) if not r.is_zero() else r
+        if not r.is_zero():  # made monic
+            r = mp_mul_term(r, (0,) * r.n, field.inv(r.coeffs[r.lt("lex")]), field)
+        out[i] = r
     return [f for f in out if not f.is_zero()]
 
 
@@ -133,7 +144,8 @@ def test_reduce_set_matches_reduction_against_all_others(n, p):
             smaller = [t for t in box if lex_key(t) < lex_key(s)]
             tail = rng.sample(smaller, min(len(smaller), rng.randrange(6)))
             F.append(MultiPoly(n, {t: rng.randrange(1, p) for t in tail + [s]}))
-        got = reduce_set(F, field)
+        rows = reduce_set([packed(f) for f in F], field)
+        got = [row_poly(row, term_codec(n, "lex"), field) for row in rows]
         assert got == reduce_set_all_others(F, field)
         assert [f.lt("lex") for f in got] == [f.lt("lex") for f in F]
 
@@ -301,7 +313,7 @@ def test_bms_declines_inconsistent_input():
     commute, and the sweep finds no basis it can verify."""
 
     def P(d):
-        return MultiPoly(2, {t: F.norm(c) for t, c in d.items()})
+        return MultiPoly(2, {t: c % F.p for t, c in d.items()})
 
     g_a = P({(0, 4): 1, (3, 1): 2, (0, 3): 21, (1, 2): 11, (2, 1): 4, (3, 0): 22,
              (0, 2): 9, (1, 1): 17, (2, 0): 19, (0, 1): 2, (1, 0): 19, (0, 0): 5})

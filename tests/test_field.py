@@ -63,23 +63,6 @@ def test_each_modulus_is_proved_prime_once():
     assert after.maxsize is not None  # bounded: one entry per distinct modulus at most
 
 
-def test_norm_maps_into_range():
-    F = PrimeField(11)
-    assert F.norm(-1) == 10
-    assert F.norm(22) == 0
-    assert F.norm(7) == 7
-
-
-def test_ring_operations():
-    F = PrimeField(11)
-    # callers work on plain ints and reduce with norm (or % p)
-    assert F.norm(9 + 5) == 3
-    assert F.norm(2 - 5) == 8
-    assert F.norm(7 * 8) == 1
-    assert F.norm(-4) == 7
-    assert F.norm(-0) == 0
-
-
 def test_inverses_over_full_group():
     for p in (2, 11, 101):
         F = PrimeField(p)

@@ -1,6 +1,6 @@
 """Source hygiene: every name a library module imports is used in it, and
-every top-level function or class in the library has a caller outside the
-tests.
+every top-level function or class in the library, and every method of a
+library class, has a caller outside the tests.
 
 `__init__.py` is exempt from the import check, since it imports names only
 to re-export them; for the same reason a re-export is no caller.
@@ -143,6 +143,68 @@ def test_tree_check_flags_a_helper_named_like_a_method():
     sources, library = tree_sources()
     sources[str(PACKAGE / "unipoly.py")] += "\n\ndef is_zero(f):\n    return not f\n"
     assert unreferenced_defs(sources, library) == ["unipoly.is_zero"]
+
+
+def unread_methods(sources: dict[str, str], library: set[str]) -> list[str]:
+    """`Class.name` of every method or property, dunders aside, of a class
+    defined at the top level of a library module that no source reads as an
+    attribute, of any object, or spells as a string; sources and library are
+    keyed by file path."""
+    names = set()
+    for src in sources.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return [
+        f"{cls.name}.{node.name}"
+        for path in sorted(library)
+        for cls in ast.parse(sources[path]).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in names
+    ]
+
+
+def test_method_checker_flags_unread_methods_and_accepts_reads():
+    sources = {
+        "a": (
+            "class P:\n"
+            "    def __init__(self): self.read_here()\n"
+            "    def read_here(self): pass\n"
+            "    @classmethod\n"
+            "    def made(cls): pass\n"
+            "    @property\n"
+            "    def size(self): pass\n"
+            "    def traced(self): pass\n"
+            "    def only_tests(self): pass\n"
+            "    def __len__(self): pass\n"
+            "def size(): pass\n"
+        ),
+        "b": "from a import P\nP.made()\n",
+        "tracer": "WRAPPED = [('a', 'traced')]\n",
+    }
+    assert unread_methods(sources, {"a"}) == ["P.size", "P.only_tests"]
+
+
+def test_no_library_method_only_tests_use():
+    assert unread_methods(*tree_sources()) == []
+
+
+def test_tree_check_flags_a_method_only_tests_call():
+    """A `MultiPoly.constant` that no library or benchmark code reads is
+    named, although the body it adds reads `coeffs` and `n`."""
+    sources, library = tree_sources()
+    path = str(PACKAGE / "poly.py")
+    sources[path] = sources[path].replace(
+        "    def is_zero(self) -> bool:",
+        "    def constant(self) -> int:\n        return self.coeffs.get((0,) * self.n, 0)\n\n"
+        "    def is_zero(self) -> bool:",
+    )
+    assert unread_methods(sources, library) == ["MultiPoly.constant"]
 
 
 def random_generator_sites(source: str) -> list[str]:

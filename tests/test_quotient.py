@@ -11,7 +11,7 @@ from sparsefglm import quotient
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm, toplevel
-from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, mp_mul_term, normal_form
+from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form
 from sparsefglm.quotient import (
     QuotientStructure,
     SparseMat,
@@ -24,6 +24,7 @@ from sparsefglm.sysio import parse_system
 
 from conftest import (
     GF11_TEXT,
+    mp_mul_term,
     quotient_from_text,
     reference_apply,
     reference_matrix,

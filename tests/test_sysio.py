@@ -311,7 +311,7 @@ def test_parse_rejects_empty_inputs():
 
 
 def test_poly_str():
-    assert poly_str(MultiPoly.zero(2)) == "0"
+    assert poly_str(MultiPoly(2)) == "0"
     f = MultiPoly(2, {(0, 0): 9, (2, 0): 1, (0, 1): 6})
     assert poly_str(f) == "x1^2 + 6*x2 + 9"
     assert poly_str(MultiPoly(2, {(1, 1): 1})) == "x1*x2"
