@@ -26,7 +26,7 @@ from .field import PrimeField
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, Row, make_row, normal_form
 from .poly import reduce_rows, row_poly
 from .quotient import CoordVector, QuotientStructure, staircase
-from .terms import Term, divides, lex_key, term_codec
+from .terms import Term, TermCodec, divides, lex_key, term_codec
 
 # witness record: (row, span, discrepancy)
 WitnessRec = tuple[Row, Term, int]
@@ -142,9 +142,9 @@ def sakata_update(
     return new_F, pruned, new_delta
 
 
-def reduce_set(F: list[dict[int, int]], field: PrimeField) -> list[Row]:
-    """Reduce each packed LEX polynomial f (consumed) modulo the rows of the
-    reduced polynomials before it, make it a monic row, and drop zeros.
+def reduce_set(F: list[dict[int, int]], codec: TermCodec, field: PrimeField) -> list[Row]:
+    """Reduce each polynomial f (consumed) in codec's packed LEX terms modulo
+    the rows of the reduced ones before it, make it a monic row, drop zeros.
 
     F arrives as the corners of delta, leading terms ascending in lex order.
     A later member has a larger leading term, which divides no term of an
@@ -152,9 +152,6 @@ def reduce_set(F: list[dict[int, int]], field: PrimeField) -> list[Row]:
     against all the others.  No leading term is reduced, so the rows stay
     in ascending order, the order `normal_form` sorts its reducers into.
     """
-    # a LEX term packs alike in more variables (x1 in the lowest field), so
-    # the codec need only have the fields up to the largest term's highest
-    codec = term_codec(max(map(max, F)).bit_length() // 16 + 1, "lex")
     out: list[Row] = []
     for f in F:
         r = reduce_rows(f, out, codec, field.p)
@@ -248,7 +245,7 @@ def bms_change(
                     # a clean pass keeps the F the last pass already reduced,
                     # and reduce_set is idempotent on it
                     F, G, delta = step
-                    F = reduce_set(F, field)
+                    F = reduce_set(F, codec, field)
                 passes += 1
                 if trace is not None:
                     trace.append((u, [row_poly(f, codec, field) for f in F], delta))

@@ -35,12 +35,13 @@ import bisect
 import heapq
 import math
 import random
+from contextlib import suppress
 from functools import cache
 from itertools import combinations_with_replacement
 
 from .field import PrimeField, field_codec
 from .poly import GroebnerBasis, MultiPoly, Row, make_row, reduce_rows, reducer_row, row_poly
-from .terms import MAX_EXP, OrderingTag, Term, TermCodec, drl_fronts, term_codec
+from .terms import OrderingTag, Term, TermCodec, drl_fronts, term_codec
 
 
 _UNSEEN = object()
@@ -300,7 +301,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
     # spread opens a gap of w bits between the degree field and the
     # variable fields of a packed term, for the position; a product of
     # terms stays a sum less offset, as it is for packed terms
-    L = 16 * codec.n
+    L = codec.bits * codec.n
     w = len(G).bit_length()
     low_fields = (1 << L) - 1
 
@@ -355,7 +356,7 @@ def buchberger(polys: list[MultiPoly], ordering: OrderingTag, F: PrimeField) -> 
         cover = []
         for z in syzygies[position(sig)].values():
             r = [x + y - v if y > v else 0 for x, y, v in zip(e, z, s)]
-            if sum(r) <= MAX_EXP:
+            with suppress(ValueError):  # a degree past the codec's fields
                 cover.append(pack(tuple(r)) - lift)
         for a, (ea, support_a, Ea, _) in signed.items():
             if Ea == E or not support_a & support:

@@ -1,4 +1,4 @@
-"""Classic FGLM (term enumeration + echelon) and the top-level dispatcher."""
+"""Classic FGLM (packed-term enumeration + echelon) and the top-level dispatcher."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .field import PrimeField, field_codec
 from .poly import Fail, GroebnerBasis, MultiPoly
 from .quotient import QuotientStructure, apply
 from .shape import shape_det, shape_prob
-from .terms import OrderingTag, Term, divides, term_key, term_mul, unit_term, var_term
+from .terms import OrderingTag, term_codec, unit_term, var_term
 
 
 def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
@@ -21,6 +21,9 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     Keeps an echelon form of the coordinate vectors of the standard
     monomials seen so far; a dependency appends a basis polynomial whose
     leading term is the current term, so the basis comes out ascending.
+    Terms are packed by `term_codec(n, target)`; the frontier is one heap of
+    (x_j s, j, vector of s) per staircase term s, and a term pushed by
+    several s pops as one run, of which the first entry is taken.
     Each echelon row is one int of 2D + 1 fields of `field_codec`: the
     normalized vector in fields 0..D-1, then its combination over the
     target-staircase terms, the k-th such term in field D + k (field 2D is
@@ -33,26 +36,26 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     """
     F = Q.F
     p, n, D = F.p, Q.n, Q.D
-    key = term_key(target)
+    codec = term_codec(n, target)
+    guard, mark = codec.guard, codec.mark
     bits, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
     mask = (1 << bits) - 1
     pad = [0] * (D + 1)
-    xs = [var_term(n, jj) for jj in range(1, n + 1)]
+    steps = [codec.pack(var_term(n, j)) - codec.offset for j in range(1, n + 1)]
 
-    raw_vec: dict[Term, list[int]] = {}  # target-staircase term -> vec(NF(term))
-    stair: list[Term] = []  # target-staircase terms, the k-th in field D + k
+    stair: list[int] = []  # target-staircase terms, the k-th in field D + k
     echelon: list[tuple[int, int]] = []  # (bits * pivot, packed row), ascending
     out: list[MultiPoly] = []
-    lts: list[Term] = []
+    lows: list[int] = []  # leading terms less lift: lt divides t iff (t - low) & guard == mark
 
-    start = unit_term(n)
-    heap: list[tuple[tuple, Term, Term | None, int]] = [(key(start), start, None, 0)]
-    seen = {start}
+    heap: list[tuple[int, int, list[int] | None]] = [(codec.pack(unit_term(n)), 0, None)]
+    last = None
     while heap:
-        _, t, parent, j = heapq.heappop(heap)
-        if any(divides(l, t) for l in lts):
+        t, j, parent = heapq.heappop(heap)
+        if t == last or any((t - low) & guard == mark for low in lows):
             continue
-        v = Q.e() if parent is None else apply(Q.matrix(j), raw_vec[parent])
+        last = t
+        v = Q.e() if parent is None else apply(Q.matrix(j), parent)
         r = pack(v + pad) | 1 << bits * (D + len(stair))
         for shift, row in echelon:
             c = (r >> shift & mask) % p
@@ -62,21 +65,17 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
         piv = next(filter(fields.__getitem__, range(D)), None)
         if piv is None:
             # dependency: t = sum of earlier staircase terms inside the quotient
-            coeffs = {s: a for s, a in zip(stair, fields[D:]) if a}
-            coeffs[t] = 1
+            coeffs = {codec.unpack(s): a for s, a in zip(stair, fields[D:]) if a}
+            coeffs[codec.unpack(t)] = 1
             out.append(MultiPoly(n, coeffs))
-            lts.append(t)
+            lows.append(t - codec.lift)
             continue
         inv = F.inv(fields[piv])
         row = pack([a * inv % p for a in fields])
         bisect.insort(echelon, (bits * piv, row))
         stair.append(t)
-        raw_vec[t] = v
-        for jj, x in enumerate(xs, start=1):
-            nt = term_mul(t, x)
-            if nt not in seen:
-                seen.add(nt)
-                heapq.heappush(heap, (key(nt), nt, t, jj))
+        for jj, step in enumerate(steps, start=1):
+            heapq.heappush(heap, (codec.check(t + step), jj, v))
     return GroebnerBasis(out, target)
 
 

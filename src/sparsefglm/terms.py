@@ -15,13 +15,14 @@ usual way:
 Sort keys are exposed instead of comparator objects; ascending sorts with
 these keys produce ascending term order.
 
-Inside the reduction layers (`poly.normal_form`, `buchberger`) a term is
-one int instead, packed by the `TermCodec` of its (n, ordering): the ints
-compare as the terms do, a product of terms is an int addition, and
-divisibility is one mask test.  `buchberger` also numbers the packed DRL
-terms of low degree by their place in the order, so that a polynomial can
-be one int with a field per rank.  Exponent tuples stay the format of
-every public interface.
+Inside the reduction layers (`poly.normal_form`, `buchberger`, the BMS
+sweep) and `fglm.classic_fglm`'s term walk a term is one int instead,
+packed by the `TermCodec` of its (n, ordering): the ints compare as the
+terms do, a product of terms is an int addition, and divisibility is one
+mask test.  `buchberger` also numbers the packed DRL terms of low degree
+by their place in the order, so that a polynomial can be one int with a
+field per rank.  Exponent tuples stay the format of every public
+interface.
 
 Terms repeat from one system to the next, so the conversions at the
 pipeline's edges are table lookups: each codec keeps its packings and
@@ -108,8 +109,8 @@ MAX_EXP = 0x7FFF
 class TermCodec:
     """Packs the terms in n variables into ints ordered as the terms are.
 
-    Every field is 16 bits wide, and its top bit is a guard that each valid
-    encoding keeps clear.  DRL puts the total degree in the most
+    Every field is `bits` = 16 bits wide, and its top bit is a guard that
+    each valid encoding keeps clear.  DRL puts the total degree in the most
     significant field, then MAX_EXP - e_i for x1, ..., xn (a larger exponent
     on an earlier variable makes the term smaller); LEX puts e_n in the most
     significant field down to e_1 in the least.  Hence:
@@ -129,6 +130,7 @@ class TermCodec:
     """
 
     __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "_fields", "_packed", "_unpacked")
+    bits = 16
 
     def __init__(self, n: int, ordering: OrderingTag):
         term_key(ordering)  # validates the tag

@@ -98,7 +98,7 @@ def test_reduce_set():
     f = MultiPoly(2, {(1, 0): 2, (0, 0): 2})
     g = MultiPoly(2, {(2, 0): 1, (1, 0): 1})
     field, codec = PrimeField(11), term_codec(2, "lex")
-    out = reduce_set([packed(f), packed(g)], field)
+    out = reduce_set([packed(f), packed(g)], codec, field)
     assert [row_poly(row, codec, field).coeffs for row in out] == [{(1, 0): 1, (0, 0): 1}]
 
 
@@ -144,8 +144,9 @@ def test_reduce_set_matches_reduction_against_all_others(n, p):
             smaller = [t for t in box if lex_key(t) < lex_key(s)]
             tail = rng.sample(smaller, min(len(smaller), rng.randrange(6)))
             F.append(MultiPoly(n, {t: rng.randrange(1, p) for t in tail + [s]}))
-        rows = reduce_set([packed(f) for f in F], field)
-        got = [row_poly(row, term_codec(n, "lex"), field) for row in rows]
+        codec = term_codec(n, "lex")
+        rows = reduce_set([packed(f) for f in F], codec, field)
+        got = [row_poly(row, codec, field) for row in rows]
         assert got == reduce_set_all_others(F, field)
         assert [f.lt("lex") for f in got] == [f.lt("lex") for f in F]
 

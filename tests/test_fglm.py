@@ -64,8 +64,9 @@ def _quotient(n: int, d: int, p: int, seed: int) -> QuotientStructure | None:
 def test_classic_fglm_packed_rows_match_reference(p):
     """The packed echelon rows give the same basis text as the unpacked
     reference, for 1-byte fields (p = 2) up to int.from_bytes fields (the
-    89-bit prime), towards LEX and back to DRL."""
-    checked = 0
+    89-bit prime), towards LEX and back to DRL; at each small prime on at
+    least one system whose LEX basis is not in shape position."""
+    checked = not_shape = 0
     for n, d in SHAPES:
         for seed in range(2):
             Q = _quotient(n, d, p, seed)
@@ -76,8 +77,30 @@ def test_classic_fglm_packed_rows_match_reference(p):
                 want = reference_classic_fglm(Q, target)
                 assert got.ordering == want.ordering == target
                 assert basis_strs(got) == basis_strs(want), (n, d, p, seed, target)
+                if target == "lex":
+                    not_shape += len(got.polys) != n or got.polys[0].lt("lex") != (Q.D,) + (0,) * (n - 1)
             checked += 1
     assert checked >= len(SHAPES)
+    assert not_shape or p not in SMALL_PRIMES
+
+
+@pytest.mark.parametrize("target", ["lex", "drl"])
+@pytest.mark.parametrize("system", ["gf11", "gf2q", "gf5"])
+def test_classic_fglm_multiplies_each_term_once(system, target, request, monkeypatch):
+    """One product per term the walk meets that no leading term divides:
+    the D staircase terms but 1, and the leading terms of the basis, so a
+    term pushed by several parents is multiplied once.  gf5 is not in shape
+    position."""
+    Q = _gf5_system(41100005) if system == "gf5" else request.getfixturevalue(system)
+    calls = []
+
+    def counted(T, v, _apply=fglm.apply):
+        calls.append(T)
+        return _apply(T, v)
+
+    monkeypatch.setattr(fglm, "apply", counted)
+    out = classic_fglm(Q, target)
+    assert len(calls) == Q.D + len(out.polys) - 1
 
 
 def test_shape_det_from_declined_probe_agrees():
