@@ -171,8 +171,7 @@ def is_gb(F: list[MultiPoly], Q: QuotientStructure) -> bool:
     """
     if not F or any(f.is_zero() for f in F):
         return False
-    lts = [f.lt("lex") for f in F]
-    B = staircase(lts, Q.n, Q.D)
+    B = staircase([f.lt("lex") for f in F], Q.n, Q.D)
     if B is None or len(B) != Q.D:
         return False
     return all(normal_form(f, Q.G1.polys, "drl", Q.F).is_zero() for f in F)

@@ -12,7 +12,7 @@ from .field import PrimeField, field_codec
 from .poly import Fail, GroebnerBasis, MultiPoly
 from .quotient import QuotientStructure, apply
 from .shape import shape_det, shape_prob
-from .terms import OrderingTag, term_codec, unit_term, var_term
+from .terms import OrderingTag, term_codec, unit_term
 
 
 def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
@@ -41,7 +41,6 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
     bits, pack, unpack = field_codec(2 * D + 1, (p - 1) + D * (p - 1) ** 2)
     mask = (1 << bits) - 1
     pad = [0] * (D + 1)
-    steps = [codec.pack(var_term(n, j)) - codec.offset for j in range(1, n + 1)]
 
     stair: list[int] = []  # target-staircase terms, the k-th in field D + k
     echelon: list[tuple[int, int]] = []  # (bits * pivot, packed row), ascending
@@ -74,7 +73,7 @@ def classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:
         row = pack([a * inv % p for a in fields])
         bisect.insort(echelon, (bits * piv, row))
         stair.append(t)
-        for jj, step in enumerate(steps, start=1):
+        for jj, step in enumerate(codec.steps, start=1):
             heapq.heappush(heap, (codec.check(t + step), jj, v))
     return GroebnerBasis(out, target)
 

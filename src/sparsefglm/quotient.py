@@ -3,19 +3,21 @@ DRL basis, as `buchberger` returns it.
 
 Builds the canonical basis B (staircase monomials, ascending DRL), the sparse
 multiplication matrices T_1..T_n, and the coordinate-vector utilities the
-change-of-ordering algorithms run on.  A case-2 column reads a basis
-element's other terms as coordinates in B, so a basis that is not reduced
-(a leading term divisible by another, or another term outside B) is
-rejected with ValueError; `buchberger` reduces it.
+change-of-ordering algorithms run on, keyed by packed DRL term
+(`TermCodec`): x_l t is t + steps[l - 1], and only `basis` and the terms
+`term_vec` and `staircase` take are exponent tuples.
 
 Column construction distinguishes three cases for the product term b_k*x_l:
 (1) it lies in B (unit column, kept as the row of its 1), (2) it is a
-leading term of the input basis (read the column off that polynomial), (3)
-it is a border term.  `term_vec` computes every such normal form: in case
-(3), t = x_l * u with u outside B and NF(t) = T_l NF(u), a forward product
-over the columns of T_l known so far, packing the case-2/3 columns it needs
-(a cascade).  `matrix(l)` completes that same T_l with a row layout for its
-transpose.  Both products take vectors already reduced into [0, p).
+leading term of the input basis (its element's other terms times -1/lc,
+placed by B's index), (3) it is a border term.  A basis that is not
+reduced (a leading term divisible by another, or another term outside B)
+is rejected with ValueError; `buchberger` reduces it.  `term_vec` computes
+every such normal form: in case (3), t = x_l * u with u outside B and
+NF(t) = T_l NF(u), a forward product over the columns of T_l known so far,
+packing the case-2/3 columns it needs (a cascade).  `matrix(l)` completes
+that same T_l with a row layout for its transpose.  Both products take
+vectors already reduced into [0, p).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, InternalError
-from .terms import Term, drl_fronts, term_codec, term_mul, unit_term, var_term
+from .poly import GroebnerBasis, InternalError, MultiPoly
+from .terms import Term, drl_fronts, term_codec, unit_term, var_term
 
 CoordVector = list[int]
 
@@ -39,11 +41,11 @@ def _picker(picks: list[int]):
 
 class SparseMat:
     """T_l, the D x D matrix of x_l on B over GF(p), made on first use and
-    completed once by `complete`.  For `times`: rows[c] is the row of unit
+    completed once by `complete`.  For `apply`: rows[c] is the row of unit
     (case-1) column c's 1, None for a case-2/3 (dense) column; cols[c] is
     dense column c packed, T[r][c] in field r of `field_codec(D, D*(p-1)^2)`,
     None until packed (and for a unit column), so a zero column is packed
-    once too; `times` skips None as it skips 0.  `units` picks out of v + [0]
+    once too; `apply` skips None as it skips 0.  `units` picks out of v + [0]
     the entry of the unit column with its 1 in row r, else the 0: x_l is
     injective on B, so no row has two, and a field of T v stays within
     D(p-1)^2, uncarried.  For `apply_transpose`, `complete` adds one int per
@@ -62,13 +64,6 @@ class SparseMat:
         column_of = {row: c for c, row in enumerate(rows) if row is not None}
         self.units = _picker([column_of.get(r, D) for r in range(D)])
         _, self.pack, self.unpack = field_codec(D, D * (p - 1) ** 2)
-
-    def times(self, v: CoordVector) -> CoordVector:
-        """T v: one gather packs the unit columns' entries of v, then one
-        big-int multiply-add per packed column (the rest meet zeros of v)."""
-        total = self.pack(self.units(v + [0]))
-        total = sum(map(mul, filter(None, self.cols), compress(v, self.cols)), total)
-        return list(map(self.p.__rmod__, self.unpack(total)))
 
     def complete(self, dense_columns: list[CoordVector], column_cases: list[int]) -> SparseMat:
         """Add the row layout of the dense columns, in column order."""
@@ -90,9 +85,12 @@ class SparseMat:
 
 
 def apply(T: SparseMat, v: CoordVector) -> CoordVector:
+    """T v: one gather packs the unit columns' entries of v, then one
+    big-int multiply-add per packed column (the rest meet zeros of v)."""
     if len(v) != T.dim:
         raise ValueError("vector length does not match matrix dimension")
-    return T.times(v)
+    total = sum(map(mul, filter(None, T.cols), compress(v, T.cols)), T.pack(T.units(v + [0])))
+    return list(map(T.p.__rmod__, T.unpack(total)))
 
 
 def apply_transpose(T: SparseMat, v: CoordVector) -> CoordVector:
@@ -111,24 +109,21 @@ def density_stats(T: SparseMat) -> dict:
     }
 
 
-def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] | None:
-    """Standard monomials under lts in ascending DRL order.
+def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[int] | None:
+    """Standard monomials under lts in ascending DRL order, as packed DRL
+    terms, which sort as the terms do and test divisibility by one mask
+    each (`TermCodec`).
 
     None when the staircase is infinite or, given a limit, holds more than
     limit terms; the walk stops as soon as the count passes the limit.
     Every divisor of a standard monomial is one, so the standard monomials
     of degree d + 1 are the products x_i t of those of degree d that no
-    leading term divides.  The walk runs on packed DRL terms, which sort
-    as the terms do and test divisibility by one mask each (`TermCodec`);
-    ValueError when the product of the pure powers' bounds, which every
-    term it visits divides, has a degree past MAX_EXP.
+    leading term divides.  ValueError when the product of the pure powers'
+    bounds, which every term it visits divides, has a degree past MAX_EXP.
     """
-    corner = []
-    for i in range(n):
-        pure = [t[i] for t in lts if sum(t) == t[i]]
-        if not pure:
-            return None
-        corner.append(min(pure))
+    corner = [min((t[i] for t in lts if sum(t) == t[i]), default=None) for i in range(n)]
+    if None in corner:  # some variable has no pure power among lts
+        return None
     codec = term_codec(n, "drl")
     codec.pack(tuple(corner))  # no term the walk visits leaves its fields
     guard = codec.guard
@@ -148,7 +143,7 @@ def staircase(lts: list[Term], n: int, limit: int | None = None) -> list[Term] |
         terms += front
         if limit is not None and len(terms) > limit:
             return None
-    return list(map(codec.unpack, terms))
+    return terms
 
 
 class QuotientStructure:
@@ -156,39 +151,38 @@ class QuotientStructure:
         if G1.ordering != "drl":
             raise ValueError("source basis must be DRL")
         self.G1, self.F, self.n = G1, F, G1.n
-        lts = [g.lt("drl") for g in G1.polys]
-        self._lt_map = dict(zip(lts, G1.polys))
-        if unit_term(self.n) in self._lt_map:
-            raise ValueError("ideal contains 1 (quotient has dimension 0)")
-        basis = staircase(lts, self.n)
+        codec = self._codec = term_codec(self.n, "drl")
+        self._basis = basis = staircase([g.lt("drl") for g in G1.polys], self.n)
         if basis is None:
             raise ValueError("ideal not zero-dimensional")
-        if not basis or basis[0] != unit_term(self.n):
+        if not basis:  # a leading term divides 1
+            raise ValueError("ideal contains 1 (quotient has dimension 0)")
+        if basis[0] != codec.pack(unit_term(self.n)):
             raise InternalError("staircase does not start at 1")
-        self.basis = basis
+        self.basis = list(map(codec.unpack, basis))
         self.D = len(basis)
-        self.index = {t: i for i, t in enumerate(basis)}
-        # the columns read the basis as reduced: no leading term divides
-        # another, so each is distinct with every t / x_l in B, and the
-        # leading term is each element's one term outside B
-        minimal = all(t[:l] + (t[l] - 1,) + t[l + 1 :] in self.index for t in lts for l in range(self.n) if t[l])
-        tails_in_b = all(len(g.coeffs.keys() - self.index.keys()) == 1 for g in G1.polys)
-        if len(self._lt_map) < len(lts) or not (minimal and tails_in_b):
+        self.index = index = {t: i for i, t in enumerate(basis)}
+        # packed leading term -> its element and the place in B of each term
+        self._elements = elements = {
+            codec.pack(g.lt("drl")): (g, list(map(index.get, codec.pack_all(g.coeffs))))
+            for g in G1.polys
+        }
+        # the columns read the basis as reduced: its leading terms are
+        # distinct, each t / x_l of one is in B, and so are its other terms
+        if not (
+            len(elements) == len(G1.polys)
+            and all((u := t - s) & codec.guard or u in index for t in elements for s in codec.steps)
+            and all(places.count(None) == 1 for _, places in elements.values())
+        ):
             raise ValueError("DRL basis is not reduced; buchberger returns a reduced one")
+        # NF(x^t) of the packed t outside B that term_vec reached; read-only
+        self._term_vecs: dict[int, CoordVector] = {}
         self.matrices: list[SparseMat | None] = [None] * self.n
-        # NF(x^t) of the terms outside B that term_vec reached; callers must
-        # not mutate them
-        self._term_vecs: dict[Term, CoordVector] = {}
         self._stores: list[SparseMat | None] = [None] * self.n
-
-    def _unit(self, i: int) -> CoordVector:
-        v = [0] * self.D
-        v[i] = 1
-        return v
 
     def e(self) -> CoordVector:
         """Coordinate vector of 1."""
-        return self._unit(0)
+        return self.term_vec(unit_term(self.n))
 
     # --- probes -------------------------------------------------------------
 
@@ -208,40 +202,45 @@ class QuotientStructure:
 
     # --- normal forms of single terms -------------------------------------
 
-    def _case2_column(self, t: Term) -> CoordVector:
-        g = self._lt_map[t]
-        p = self.F.p
-        v = [0] * self.D
-        inv = self.F.inv(g.coeffs[t])
-        for s, c in g.coeffs.items():
-            if s != t:
-                v[self.index[s]] = -c * inv % p
+    def _case2_column(self, g: MultiPoly, places: list[int | None]) -> CoordVector:
+        """NF(lt(g)): g's other terms times -1/lc, each at its place in B."""
+        p, v = self.F.p, [0] * self.D
+        m = p - self.F.inv(g.coeffs[g.lt("drl")])
+        for k, c in zip(places, g.coeffs.values()):
+            if k is not None:
+                v[k] = c * m % p
         return v
 
     def term_vec(self, t: Term) -> CoordVector:
         """Coordinate vector of NF(x^t), the one routine that computes it.
 
+        t is packed once, so a total degree past MAX_EXP raises ValueError.
         A term of B gives a unit vector and a leading term its case-2
         column.  Any other t is x_l * u with u outside B (case 3), so
         NF(t) = T_l NF(u), one forward product over T_l once the
         dense columns it needs are packed.  The chain of such u is walked
         down first, so the recursion depth does not grow with the degree.
         """
+        return self._vec(self._codec.pack(t))
+
+    def _vec(self, t: int) -> CoordVector:
+        """`term_vec` of the packed term t."""
         chain = []
         while (v := self._term_vecs.get(t)) is None:
-            if t in self.index:
-                v = self._unit(self.index[t])
+            if (k := self.index.get(t)) is not None:
+                v = [0] * self.D
+                v[k] = 1
                 break
-            if t in self._lt_map:
-                v = self._term_vecs[t] = self._case2_column(t)
+            if (element := self._elements.get(t)) is not None:
+                v = self._term_vecs[t] = self._case2_column(*element)
                 break
             # every basis term of NF(u) sits strictly below u in DRL, so the
             # columns NF(b_k x_l) lie below t
-            for l in range(self.n):
-                if t[l] and (u := t[:l] + (t[l] - 1,) + t[l + 1 :]) not in self.index:
+            for l, s in enumerate(self._codec.steps):
+                if not (u := t - s) & self._codec.guard and u not in self.index:
                     break
             else:
-                raise InternalError(f"no reducible divisor for border term {t}")
+                raise InternalError(f"no reducible divisor for border term {self._codec.unpack(t)}")
             chain.append((t, l))
             t = u
         for t, l in reversed(chain):
@@ -249,19 +248,19 @@ class QuotientStructure:
             for k in compress(range(self.D), v):
                 if T.rows[k] is None and T.cols[k] is None:
                     self._dense_column(l, k)
-            v = self._term_vecs[t] = T.times(v)
+            v = self._term_vecs[t] = apply(T, v)
         return v
 
     def _store(self, l: int) -> SparseMat:
         """T_l, 0-based l, made on first use; matrix(l + 1) completes it."""
         if self._stores[l] is None:
-            xl = var_term(self.n, l + 1)
-            self._stores[l] = SparseMat([self.index.get(term_mul(b, xl)) for b in self.basis], self.F.p)
+            s = self._codec.steps[l]
+            self._stores[l] = SparseMat([self.index.get(b + s) for b in self._basis], self.F.p)
         return self._stores[l]
 
     def _dense_column(self, l: int, k: int) -> CoordVector:
         """NF(b_k x_l), a dense column of T_l, packed into it once."""
-        v = self.term_vec(term_mul(self.basis[k], var_term(self.n, l + 1)))
+        v = self._vec(self._basis[k] + self._codec.steps[l])
         if (T := self._stores[l]).cols[k] is None:
             T.cols[k] = T.pack(v)
         return v
@@ -281,11 +280,11 @@ class QuotientStructure:
         return self.matrices[j - 1]
 
     def _build(self, j: int) -> SparseMat:
-        T, xj = self._store(j - 1), var_term(self.n, j)
+        T, s = self._store(j - 1), self._codec.steps[j - 1]
         dense = [self._dense_column(j - 1, k) for k, row in enumerate(T.rows) if row is None]
         cases = [
-            1 if row is not None else 2 if term_mul(eps, xj) in self._lt_map else 3
-            for eps, row in zip(self.basis, T.rows)
+            1 if row is not None else 2 if b + s in self._elements else 3
+            for b, row in zip(self._basis, T.rows)
         ]
         return T.complete(dense, cases)
 

@@ -16,12 +16,13 @@ Sort keys are exposed instead of comparator objects; ascending sorts with
 these keys produce ascending term order.
 
 Inside the reduction layers (`poly.normal_form`, `buchberger`, the BMS
-sweep) and `fglm.classic_fglm`'s term walk a term is one int instead,
-packed by the `TermCodec` of its (n, ordering): the ints compare as the
-terms do, a product of terms is an int addition, and divisibility is one
-mask test.  `buchberger` also numbers the packed DRL terms of low degree
-by their place in the order, so that a polynomial can be one int with a
-field per rank.  Exponent tuples stay the format of every public
+sweep), the quotient (`QuotientStructure`'s index, row maps and
+`term_vec` cascade) and `fglm.classic_fglm`'s term walk a term is one int
+instead, packed by the `TermCodec` of its (n, ordering): the ints compare
+as the terms do, a product of terms is an int addition, and divisibility
+is one mask test.  `buchberger` also numbers the packed DRL terms of low
+degree by their place in the order, so that a polynomial can be one int
+with a field per rank.  Exponent tuples stay the format of every public
 interface.
 
 Terms repeat from one system to the next, so the conversions at the
@@ -35,9 +36,9 @@ miss costs one failed lookup and nothing is evicted.
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from functools import cache
-from operator import add, le
+from operator import le
 from typing import Literal
 
 Term = tuple[int, ...]
@@ -58,10 +59,6 @@ def term_key(ordering: OrderingTag):
     if ordering == "lex":
         return lex_key
     raise ValueError(f"unknown term ordering {ordering!r}")
-
-
-def term_mul(a: Term, b: Term) -> Term:
-    return tuple(map(add, a, b))
 
 
 def divides(a: Term, b: Term) -> bool:
@@ -117,7 +114,8 @@ class TermCodec:
 
     * pack(a) < pack(b) iff a < b in the ordering;
     * pack(a * b) = pack(a) + pack(b) - offset, where offset holds MAX_EXP
-      in every variable field for DRL and is 0 for LEX;
+      in every variable field for DRL and is 0 for LEX, so x_i's product is
+      one addition of steps[i - 1];
     * a divides b iff (pack(b) - pack(a) + lift) & guard == mark, with
       (lift, mark) = (offset, 0) for DRL and (guard, guard) for LEX; the
       packed quotient is then pack(b) - pack(a) + offset;
@@ -129,13 +127,13 @@ class TermCodec:
     once for each term that the codec's tables hold.
     """
 
-    __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "_fields", "_packed", "_unpacked")
+    __slots__ = ("n", "ordering", "guard", "offset", "lift", "mark", "steps",
+                 "_fields", "_packed", "_unpacked")
     bits = 16
 
     def __init__(self, n: int, ordering: OrderingTag):
         term_key(ordering)  # validates the tag
-        self.n = n
-        self.ordering = ordering
+        self.n, self.ordering = n, ordering
         drl = ordering == "drl"
         self._fields = struct.Struct(("<>"[drl]) + "H" * (n + drl))
         self.guard = int.from_bytes(b"\x80\x00" * (n + drl), "big")
@@ -148,6 +146,7 @@ class TermCodec:
         # exponents -> packed term and back, of the terms converted so far
         self._packed: dict[Term, int] = {}
         self._unpacked: dict[int, Term] = {}
+        self.steps = [self.pack(var_term(n, i)) - self.offset for i in range(1, n + 1)]
 
     def pack(self, t: Term) -> int:
         x = self._packed.get(t)
@@ -161,6 +160,11 @@ class TermCodec:
                 raise ValueError(f"term {t} does not fit {self.n} packed fields") from exc
             x = remember(self._packed, t, self.check(x))
         return x
+
+    def pack_all(self, terms: Collection[Term]) -> list[int]:
+        """The packed terms, in one table lookup each once all are held."""
+        xs = list(map(self._packed.get, terms))
+        return list(map(self.pack, terms)) if None in xs else xs
 
     def unpack(self, x: int) -> Term:
         t = self._unpacked.get(x)
@@ -190,9 +194,7 @@ def drl_fronts(n: int, keep: Callable[[list[int]], list[int]] = list) -> Iterato
     degree's terms, until one is empty.  The caller stops the default walk
     before a degree past MAX_EXP."""
     codec = term_codec(n, "drl")
-    # x^a * x_i packs as pack(a) + pack(x_i) - offset
-    steps = [codec.pack(var_term(n, i)) - codec.offset for i in range(1, n + 1)]
     front = [codec.pack(unit_term(n))]
     while front := keep(front):
         yield front
-        front = sorted({t + s for t in front for s in steps})
+        front = sorted({t + s for t in front for s in codec.steps})

@@ -12,7 +12,7 @@ import importlib
 import math
 import re
 from itertools import product
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 import pytest
 
@@ -40,7 +40,6 @@ from sparsefglm.terms import (
     drl_key,
     term_codec,
     term_key,
-    term_mul,
     unit_term,
     var_term,
 )
@@ -86,8 +85,13 @@ def basis_strs(polys) -> list[str]:
     return [poly_str(f) for f in polys]
 
 
-# Polynomial arithmetic on exponent tuples, for building test inputs and
-# oracles; the library's arithmetic runs on packed rows (see `poly`).
+# Term and polynomial arithmetic on exponent tuples, for building test inputs
+# and oracles; the library's arithmetic runs on packed terms and rows (see
+# `terms.TermCodec` and `poly`).
+def term_mul(a: Term, b: Term) -> Term:
+    return tuple(map(add, a, b))
+
+
 def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
     out = dict(f.coeffs)
     for t, c in g.coeffs.items():
@@ -136,9 +140,10 @@ def normal_form_linear_scan(f, reducers, ordering, F):
 def reference_nf_term(Q: QuotientStructure, t: Term) -> CoordVector:
     """Coordinate vector of NF(x^t) by direct reduction against the basis."""
     f = normal_form(MultiPoly(Q.n, {t: 1}), Q.G1.polys, "drl", Q.F)
+    pack = term_codec(Q.n, "drl").pack
     v = [0] * Q.D
     for s, c in f.coeffs.items():
-        v[Q.index[s]] = c
+        v[Q.index[pack(s)]] = c
     return v
 
 

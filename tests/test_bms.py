@@ -40,14 +40,16 @@ def test_corners():
 
 def test_staircase_size():
     # is_gb sizes the candidate staircase with limit D
+    # the walk comes packed by the DRL codec
+    unpack = term_codec(2, "drl").unpack
     mono = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    assert staircase(mono, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    assert list(map(unpack, staircase(mono, 2))) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     assert len(staircase(mono, 2, 6)) == 6
     assert staircase(mono, 2, 5) is None  # over the limit
     assert len(staircase([(3, 0), (0, 3)], 2, 100)) == 9
     assert staircase([(3, 0)], 2, 100) is None  # infinite staircase
     assert staircase([(3, 0)], 2) is None
-    assert staircase([(1, 0), (0, 1)], 2, 10) == [(0, 0)]
+    assert list(map(unpack, staircase([(1, 0), (0, 1)], 2, 10))) == [(0, 0)]
     # the walk's terms must pack: a corner of degree past MAX_EXP is refused
     assert len(staircase([(MAX_EXP - 1, 0), (0, 1)], 2)) == MAX_EXP - 1
     with pytest.raises(ValueError):

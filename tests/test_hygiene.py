@@ -263,3 +263,16 @@ def test_only_field_and_terms_turn_ints_into_bytes():
             if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
                 sites.setdefault(path.name, []).append(node.lineno)
     assert sites.keys() == {"field.py", "terms.py"}, sites
+
+
+def test_quotient_does_no_tuple_term_arithmetic():
+    """`quotient.py` runs on packed DRL terms (`terms.TermCodec`): it imports
+    none of the exponent-tuple helpers for products, divisibility or order."""
+    tree = ast.parse((PACKAGE / "quotient.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & {"term_mul", "divides", "lex_key", "drl_key", "term_key"} == set()

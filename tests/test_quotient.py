@@ -21,6 +21,7 @@ from sparsefglm.quotient import (
     dump_matrix,
 )
 from sparsefglm.sysio import parse_system
+from sparsefglm.terms import MAX_EXP, term_codec
 
 from conftest import (
     GF11_TEXT,
@@ -41,12 +42,17 @@ def test_staircase_gf11(gf11):
     assert gf11.D == 4
     assert gf11.basis == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     assert gf11.e() == [1, 0, 0, 0]
-    assert gf11.index[(1, 1, 0)] == 3
+    assert gf11.index[term_codec(3, "drl").pack((1, 1, 0))] == 3
 
 
 def test_staircase_gf2(gf2q):
     assert gf2q.D == 7
     assert gf2q.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0), (2, 1)]
+
+
+def unpacked(terms: list[int] | None, n: int) -> list[tuple[int, ...]] | None:
+    """A packed DRL walk from `staircase` as exponent tuples; None stays."""
+    return None if terms is None else list(map(term_codec(n, "drl").unpack, terms))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,13 +73,13 @@ def test_staircase_matches_box_scan(n):
             lts.append((0,) * n)
         rng.shuffle(lts)
         want = reference_staircase(lts, n)
-        assert quotient.staircase(lts, n) == want, lts
+        assert unpacked(quotient.staircase(lts, n), n) == want, lts
         if want is None:
             seen["infinite"] += 1
             continue
         seen["one" if want == [] else "finite"] += 1
         for limit in {0, len(want) - 1, len(want), len(want) + 1} - {-1}:
-            got = quotient.staircase(lts, n, limit)
+            got = unpacked(quotient.staircase(lts, n, limit), n)
             assert got == reference_staircase(lts, n, limit), (lts, limit)
             seen["past limit"] += got is None
     assert min(seen.values()) > 0, seen
@@ -132,7 +138,7 @@ def test_cascade_without_reducible_divisor_is_a_defect():
     # lies in B, which a reduced basis rules out
     F, polys = parse_system(GF11_TEXT)
     Q = QuotientStructure(buchberger(polys, "drl", F), F)
-    del Q._lt_map[(2, 0, 0)]
+    del Q._elements[term_codec(3, "drl").pack((2, 0, 0))]
     with pytest.raises(InternalError):
         Q.term_vec((2, 0, 0))
 
@@ -163,6 +169,19 @@ def test_term_vec_of_a_high_degree_term():
     nf = normal_form(MultiPoly(2, {(3000, 0): 1, (0, 0): 1}), Q.G1.polys, "drl", F)
     want = [(a + b) % F.p for a, b in zip(Q.term_vec((3000, 0)), Q.e())]
     assert [nf.coeffs.get(b, 0) for b in Q.basis] == want
+
+
+def test_term_vec_past_max_exp_raises():
+    """term_vec packs its term as every packed layer does, so a total degree
+    past MAX_EXP raises ValueError instead of walking the cascade; a term of
+    total degree MAX_EXP is still reached, as x1 times the one below it."""
+    F = PrimeField(11)
+    Q = QuotientStructure(buchberger(gen_random_system(2, 3, F.p, 0), "drl", F), F)
+    with pytest.raises(ValueError, match="MAX_EXP"):
+        Q.term_vec((MAX_EXP, 1))
+    with pytest.raises(ValueError):
+        Q.term_vec((MAX_EXP + 1, 0))
+    assert Q.term_vec((MAX_EXP, 0)) == apply(Q.matrix(1), Q.term_vec((MAX_EXP - 1, 0)))
 
 
 def test_normal_forms_build_no_matrix():

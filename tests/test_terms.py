@@ -15,16 +15,18 @@ from sparsefglm.sysio import poly_str
 from sparsefglm.terms import (
     MAX_EXP,
     TABLE_CAP,
+    TermCodec,
     divides,
     drl_key,
     lex_key,
     term_codec,
     term_key,
-    term_mul,
     term_str,
     unit_term,
     var_term,
 )
+
+from conftest import term_mul
 
 
 def test_drl_order_two_variables():
@@ -96,6 +98,9 @@ def test_packed_terms_order_multiply_and_divide_as_tuples(n, ordering):
     terms = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(40)]
     for a in terms:
         assert C.unpack(C.pack(a)) == a
+    # pack_all packs through the table once it holds every term, else one by one
+    fresh = TermCodec(n, ordering)
+    assert fresh.pack_all(terms) == fresh.pack_all(terms) == list(map(C.pack, terms))
     for a, b in itertools.product(terms, repeat=2):
         pa, pb = C.pack(a), C.pack(b)
         assert (pa < pb) == (key(a) < key(b))
