@@ -3,10 +3,11 @@
 The n-dimensional array E(u) = <r, T^u e> is consumed term by term in
 ascending target-LEX order.  The sweep's state is (F, G, delta): the
 candidate polynomials F, the witness records G, and the delta set, the
-staircase of the array found so far.  The arithmetic runs on monic packed
-LEX rows (`poly.Row`); MultiPoly is the input and output type only, of the
-trace, the certificate and the result.  Between passes the leading terms
-of F are exactly the corners of delta, in ascending lex order.  Each pass
+staircase of the array found so far.  All of it is on packed LEX terms
+(`terms.TermCodec`): F is monic rows (`poly.Row`), delta and each witness
+span are packed terms; MultiPoly is only the certificate's input and the
+result.  Between passes the leading terms of F are exactly the corners of
+delta, in ascending lex order, which a pass updates.  Each pass
 tests F for validity at the new term, repairs failures using the
 witnesses, and re-reduces F.  The driver stops as soon as the candidates
 verify as the Groebner basis of the ideal (checked against the quotient
@@ -20,16 +21,15 @@ Restricted to one variable the update degenerates to Berlekamp-Massey.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product as iter_product
 
 from .field import PrimeField
 from .poly import Fail, GroebnerBasis, InternalError, MultiPoly, Row, make_row, normal_form
 from .poly import reduce_rows, row_poly
 from .quotient import CoordVector, QuotientStructure, staircase
-from .terms import Term, TermCodec, divides, lex_key, term_codec
+from .terms import Term, TermCodec, term_codec
 
-# witness record: (row, span, discrepancy)
-WitnessRec = tuple[Row, Term, int]
+# witness record: (row, packed span, discrepancy)
+WitnessRec = tuple[Row, int, int]
 
 
 def _array(Q: QuotientStructure, probe: CoordVector):
@@ -43,33 +43,15 @@ def _array(Q: QuotientStructure, probe: CoordVector):
     return cache(lambda x: Q.F.dot(probe, Q.term_vec(unpack(x))))
 
 
-def _sub(a: Term, b: Term) -> Term:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _corners(delta: set[Term], n: int) -> list[Term]:
-    """Minimal terms outside the (downward-closed) delta set, in lex order.
-
-    Each one is 1 or a successor x_i * t of some t in delta.
-    """
-    succ = {t[:i] + (t[i] + 1,) + t[i + 1 :] for t in delta for i in range(n)}
-    out = [
-        t
-        for t in succ.union([(0,) * n]) - delta
-        if all(t[i] == 0 or t[:i] + (t[i] - 1,) + t[i + 1 :] in delta for i in range(n))
-    ]
-    return sorted(out, key=lex_key)
-
-
 def sakata_update(
     F: list[Row],
     G: list[WitnessRec],
-    delta: set[Term],
+    delta: set[int],
     u: Term,
     E,
     field: PrimeField,
     grow_tail: Term | None = None,
-) -> tuple[list[dict[int, int]], list[WitnessRec], set[Term]] | None:
+) -> tuple[list[dict[int, int]], list[WitnessRec], set[int]] | None:
     """One pass: make the candidate set valid up to u.
 
     Returns None if no candidate fails at u (a clean pass), else the new
@@ -87,44 +69,61 @@ def sakata_update(
     """
     p = field.p
     codec = term_codec(len(u), "lex")
+    guard, bits, steps = codec.guard, codec.bits, codec.steps
+
+    def below(t: int) -> list[int]:  # the terms t / x_l; a divides b iff not (b - a) & guard
+        return [t - s for s in steps if not (t - s) & guard]
+
     x = codec.pack(u)
-    lts = [codec.unpack(lt) for lt, _ in F]
+    # the x2..xn fields a new span's must equal (None: no span's do)
+    tail = None if grow_tail is None else codec.pack((0, *grow_tail)) >> bits
     # each failure by index in F, as the witness record it becomes if its span is new
     fails: dict[int, WitnessRec] = {}
-    for i, s in enumerate(lts):
-        if divides(s, u):
-            span = _sub(u, s)
+    for i, (lt, rest) in enumerate(F):
+        span = x - lt
+        if not span & guard:
             # moved by span, the leading term lands on x and a tail entry (k, m) on x + k
-            d = (E(x) - sum(m * E(x + k) for k, m in F[i][1])) % p
-            if d and (span in delta or (grow_tail is not None and span[1:] == grow_tail)):
+            d = (E(x) - sum(m * E(x + k) for k, m in rest)) % p
+            if d and (span in delta or span >> bits == tail):
                 fails[i] = (F[i], span, d)
     if not fails:
         return None
 
+    # each new span joins delta with its divisors, walked down one variable
+    # at a time; delta is downward closed, so a walk stops where it meets it
     new_delta = set(delta)
-    for _, span, _ in fails.values():
-        new_delta.update(iter_product(*(range(a + 1) for a in span)))
+    added: list[int] = []
+    walk = [span for _, span, _ in fails.values()]
+    while walk:
+        t = walk.pop()
+        if t not in new_delta:
+            new_delta.add(t)
+            added.append(t)
+            walk.extend(below(t))
+    # a corner of new_delta lies outside it with every predecessor inside: an
+    # old corner, lt(F), or a successor of an added term
+    corners = {lt for lt, _ in F}.union(t + s for t in added for s in steps) - new_delta
+    corners = sorted(c for c in corners if new_delta.issuperset(below(c)))
 
     new_F: list[dict[int, int]] = []
-    for s in _corners(new_delta, len(u)):
+    for s in corners:
         # the candidate with leading term s, else one valid at u, else any
-        cands = [i for i, t in enumerate(lts) if divides(t, s)]
-        i = min(cands, key=lambda i: (lts[i] != s, i in fails))
-        lt = codec.pack(s)
-        f = {lt: 1}
-        f.update((lt + k, p - m) for k, m in F[i][1])
+        cands = [i for i, (lt, _) in enumerate(F) if not (s - lt) & guard]
+        i = min(cands, key=lambda i: (F[i][0] != s, i in fails))
+        f = {s: 1}
+        f.update((s + k, p - m) for k, m in F[i][1])
         new_F.append(f)
-        if i not in fails or not divides(s, u):
+        need = x - s
+        if i not in fails or need & guard:
             # valid (or untestable) at u after the shift: no correction needed
             continue
-        need = _sub(u, s)
-        rec = next((r for r in reversed(G) if divides(need, r[1])), None)
+        rec = next((r for r in reversed(G) if not (r[1] - need) & guard), None)
         if rec is None:
             raise InternalError("no witness available for correction")
         (lt_g, tail_g), span_g, d_g = rec
         # subtract c * x^(span_g - need) * g, whose leading term lands on at
         c = fails[i][2] * field.inv(d_g) % p
-        at = lt_g + codec.pack(_sub(span_g, need))
+        at = lt_g + span_g - need
         f[at] = f.get(at, 0) - c
         for k, m in tail_g:
             f[at + k] = f.get(at + k, 0) + c * m
@@ -135,13 +134,11 @@ def sakata_update(
         rec
         for i, rec in enumerate(new_G)
         if not any(
-            j != i and divides(rec[1], other[1]) and (other[1] != rec[1] or j > i)
+            j != i and not (other[1] - rec[1]) & guard and (other[1] != rec[1] or j > i)
             for j, other in enumerate(new_G)
         )
     ]
     return new_F, pruned, new_delta
-
-
 def reduce_set(F: list[dict[int, int]], codec: TermCodec, field: PrimeField) -> list[Row]:
     """Reduce each polynomial f (consumed) in codec's packed LEX terms modulo
     the rows of the reduced ones before it, make it a monic row, drop zeros.
@@ -181,21 +178,26 @@ def bms_change(
     Q: QuotientStructure, probe: CoordVector, trace: list | None = None
 ) -> GroebnerBasis | Fail:
     """Sweep the array of the probe r, read through `Q.probe`; each pass
-    appends (u, F, delta) to trace, if given (a pass rebinds, never mutates).
-    A verified F is returned as it stands: lt(F) ascend in lex order."""
+    appends (u, F, delta) to trace, if given, as it left them: rows and
+    packed terms of `term_codec(n, "lex")`, read by `row_poly` and
+    `codec.unpack` (a pass rebinds them, never mutates them).  A verified F
+    is returned as it stands: lt(F) ascend in lex order."""
     field = Q.F
     n = Q.n
     D = Q.D
     codec = term_codec(n, "lex")
+    bits, mask = codec.bits, (1 << codec.bits) - 1
     E = _array(Q, Q.probe(probe))
     F: list[Row] = [(codec.pack((0,) * n), [])]
     G: list[WitnessRec] = []
-    delta: set[Term] = set()
+    delta: set[int] = set()
     cap = 2 * n * D
     passes = 0
 
     def row_x1(j: Term) -> list[int]:
-        return [t[0] for t in delta if t[1:] == j]
+        # the x1-exponents of delta's terms whose x2..xn-exponents are j
+        top = codec.pack((0, *j)) >> bits
+        return [t & mask for t in delta if t >> bits == top]
 
     def finish():
         if passes > cap:
@@ -247,7 +249,7 @@ def bms_change(
                     F = reduce_set(F, codec, field)
                 passes += 1
                 if trace is not None:
-                    trace.append((u, [row_poly(f, codec, field) for f in F], delta))
+                    trace.append((u, F, delta))
                 if len(delta) > D:
                     # lt(F) are the corners of delta, so delta is the staircase
                     # of lt(F), and delta never shrinks: is_gb cannot pass
@@ -259,7 +261,7 @@ def bms_change(
         # the justification test above vets against the current delta set
         nxt = list(ridge)
         for k in range(n - 1):
-            jmax = max((t[k + 1] for t in delta), default=-1)
+            jmax = max((t >> (k + 1) * bits & mask for t in delta), default=-1)
             nxt[k] += 1
             if nxt[k] <= 2 * jmax + 2:
                 break

@@ -83,7 +83,7 @@ class ConversionResult:
     basis: GroebnerBasis
     of_what: str  # "I" | "radical(I)"
     method_used: str  # "shape-prob" | "shape-det" | "bms" | "fglm"
-    bms_trace: list | None = None  # the sweep's passes (see bms_change); None when none ran
+    bms_trace: list | None = None  # the sweep's passes (u, rows, packed delta); None if none ran
 
     @property
     def bms_passes(self) -> int | None:

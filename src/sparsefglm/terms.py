@@ -38,7 +38,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Collection, Iterator
 from functools import cache
-from operator import le
 from typing import Literal
 
 Term = tuple[int, ...]
@@ -61,17 +60,14 @@ def term_key(ordering: OrderingTag):
     raise ValueError(f"unknown term ordering {ordering!r}")
 
 
-def divides(a: Term, b: Term) -> bool:
-    """Does x^a divide x^b?"""
-    return all(map(le, a, b))
-
-
 def unit_term(n: int) -> Term:
     return (0,) * n
 
 
 def var_term(n: int, i: int) -> Term:
     """The term x_i (1-based variable index)."""
+    if not 1 <= i <= n:
+        raise ValueError(f"variable index {i} out of range")
     return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 

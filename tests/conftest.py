@@ -12,7 +12,7 @@ import importlib
 import math
 import re
 from itertools import product
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, le, mul, sub
 
 import pytest
 
@@ -36,8 +36,8 @@ from sparsefglm.terms import (
     OrderingTag,
     Term,
     TermCodec,
-    divides,
     drl_key,
+    lex_key,
     term_codec,
     term_key,
     unit_term,
@@ -90,6 +90,11 @@ def basis_strs(polys) -> list[str]:
 # `terms.TermCodec` and `poly`).
 def term_mul(a: Term, b: Term) -> Term:
     return tuple(map(add, a, b))
+
+
+def divides(a: Term, b: Term) -> bool:
+    """Does x^a divide x^b?"""
+    return all(map(le, a, b))
 
 
 def mp_sub(f: MultiPoly, g: MultiPoly, F: PrimeField) -> MultiPoly:
@@ -186,6 +191,28 @@ def reference_staircase(lts: list[Term], n: int, limit: int | None = None) -> li
                 return None
     terms.sort(key=drl_key)
     return terms
+
+
+def reference_corners(delta: set[Term], n: int) -> list[Term]:
+    """Minimal terms outside the (downward-closed) delta set, in lex order,
+    rebuilt from the whole set: each one is 1 or a successor x_i * t of some
+    t in delta.  The BMS sweep keeps them as lt(F) and updates them from the
+    terms each pass adds to delta."""
+    succ = {t[:i] + (t[i] + 1,) + t[i + 1 :] for t in delta for i in range(n)}
+    out = [
+        t
+        for t in succ.union([(0,) * n]) - delta
+        if all(t[i] == 0 or t[:i] + (t[i] - 1,) + t[i + 1 :] in delta for i in range(n))
+    ]
+    return sorted(out, key=lex_key)
+
+
+def read_pass(entry, F: PrimeField) -> tuple[Term, list[MultiPoly], set[Term]]:
+    """A pass (u, rows, packed delta) of `bms_change`'s trace as (u, the rows
+    as MultiPolys, delta as exponent tuples), read by the LEX codec."""
+    u, rows, delta = entry
+    codec = term_codec(len(u), "lex")
+    return u, [row_poly(row, codec, F) for row in rows], set(map(codec.unpack, delta))
 
 
 def reference_classic_fglm(Q: QuotientStructure, target: OrderingTag) -> GroebnerBasis:

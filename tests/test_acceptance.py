@@ -16,6 +16,7 @@ from conftest import (
     mp_sub,
     noncommuting_units,
     rank_mod_p,
+    read_pass,
     record_shape,
     shape_factors,
 )
@@ -154,7 +155,8 @@ def test_c03_array_sweep_trace_and_termination_on_trusted_input(trusted12):
         ((6, 0), {(0, 0), (1, 0), (2, 0), (3, 0)},
          ["x1^4 + 30688*x1^3 + 20026*x1^2 + 45766*x1 + 5434", "x2"]),
     ]
-    for (u, delta, polys), (got_u, got_F, got_delta) in zip(expected, trace):
+    passes = (read_pass(entry, trusted12.F) for entry in trace)
+    for (u, delta, polys), (got_u, got_F, got_delta) in zip(expected, passes):
         assert got_u == u
         assert got_delta == delta
         assert [str(f) for f in got_F] == polys

@@ -9,16 +9,25 @@ from pathlib import Path
 
 import pytest
 
-from sparsefglm.bms import _array, _corners, bms_change, is_gb, reduce_set
+from sparsefglm.bms import _array, bms_change, is_gb, reduce_set
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.field import PrimeField
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, row_poly
 from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.shape import incremental_univariate, shape_prob
-from sparsefglm.terms import MAX_EXP, divides, lex_key, term_codec
+from sparsefglm.terms import MAX_EXP, lex_key, term_codec
 
-from conftest import PROBE12, basis_strs, mp_mul_term, noncommuting_units, quotient_from_text
+from conftest import (
+    PROBE12,
+    basis_strs,
+    divides,
+    mp_mul_term,
+    noncommuting_units,
+    quotient_from_text,
+    read_pass,
+    reference_corners,
+)
 
 F = PrimeField(65521)
 
@@ -32,10 +41,10 @@ def test_array_values_match_probe_sequence(gf11):
 
 
 def test_corners():
-    assert _corners(set(), 2) == [(0, 0)]
-    assert _corners({(0, 0)}, 2) == [(1, 0), (0, 1)]
-    assert _corners({(0, 0), (1, 0)}, 2) == [(2, 0), (0, 1)]
-    assert _corners({(0, 0), (1, 0), (0, 1)}, 2) == [(2, 0), (1, 1), (0, 2)]
+    assert reference_corners(set(), 2) == [(0, 0)]
+    assert reference_corners({(0, 0)}, 2) == [(1, 0), (0, 1)]
+    assert reference_corners({(0, 0), (1, 0)}, 2) == [(2, 0), (0, 1)]
+    assert reference_corners({(0, 0), (1, 0), (0, 1)}, 2) == [(2, 0), (1, 1), (0, 2)]
 
 
 def test_staircase_size():
@@ -142,7 +151,7 @@ def test_reduce_set_matches_reduction_against_all_others(n, p):
         for _ in range(rng.randrange(1, 5)):
             delta.update(product(*(range(a + 1) for a in rng.choice(box))))
         F = []
-        for s in _corners(delta, n):
+        for s in reference_corners(delta, n):
             smaller = [t for t in box if lex_key(t) < lex_key(s)]
             tail = rng.sample(smaller, min(len(smaller), rng.randrange(6)))
             F.append(MultiPoly(n, {t: rng.randrange(1, p) for t in tail + [s]}))
@@ -219,7 +228,7 @@ def test_bms_trace_delta_growth():
     sizes = [len(d) for _, _, d in trace]
     assert sizes == sorted(sizes)
     # every recorded delta set is downward closed
-    for _, _, d in trace:
+    for _, _, d in (read_pass(entry, F) for entry in trace):
         for t in d:
             for i in range(2):
                 if t[i]:
@@ -271,6 +280,25 @@ PINNED_SWEEPS = [
 ] + [(3, 3, 5, 41100005), (3, 3, 2, 7)]
 
 
+def pinned_sweep(n, d, p, seed):
+    """The passes, read by `read_pass`, the result and the outcome of the
+    sweep of gen_random_system(n, d, p, seed) under the first probe of
+    Q.probes(seed)."""
+    field = PrimeField(p)
+    Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", field), field)
+    trace = []
+    try:
+        res = bms_change(Q, next(Q.probes(seed)), trace=trace)
+    except InternalError as exc:
+        result, outcome = f"InternalError: {exc}", "error"
+    else:
+        if isinstance(res, Fail):
+            result, outcome = res.reason, "decline"
+        else:
+            result, outcome = [str(f) for f in res.polys], "answer"
+    return [read_pass(entry, field) for entry in trace], result, outcome
+
+
 def test_sweep_passes_are_pinned():
     """Every pass (u, F, delta) and every result of 92 seeded sweeps, each
     under the first probe of Q.probes(seed), hashed into one digest, so that
@@ -279,24 +307,23 @@ def test_sweep_passes_are_pinned():
     its text."""
     digest = hashlib.md5()
     outcomes = {"answer": 0, "decline": 0, "error": 0}
-    for n, d, p, seed in PINNED_SWEEPS:
-        field = PrimeField(p)
-        Q = QuotientStructure(buchberger(gen_random_system(n, d, p, seed), "drl", field), field)
-        trace = []
-        try:
-            res = bms_change(Q, next(Q.probes(seed)), trace=trace)
-        except InternalError as exc:
-            result, outcome = f"InternalError: {exc}", "error"
-        else:
-            if isinstance(res, Fail):
-                result, outcome = res.reason, "decline"
-            else:
-                result, outcome = [str(f) for f in res.polys], "answer"
+    for system in PINNED_SWEEPS:
+        trace, result, outcome = pinned_sweep(*system)
         outcomes[outcome] += 1
         passes = [(u, [str(f) for f in polys], sorted(delta)) for u, polys, delta in trace]
         digest.update(repr((passes, result)).encode())
     assert outcomes == {"answer": 40, "decline": 50, "error": 2}
     assert digest.hexdigest() == "3a57c3464a057a4db87b97516e4adc97"
+
+
+def test_leading_terms_of_F_are_the_corners_of_delta():
+    """The invariant the sweep updates its corners by, instead of rebuilding
+    them from the whole delta set: after every pass of the 92 pinned sweeps,
+    lt(F) are the corners of delta in ascending lex order."""
+    for n, d, p, seed in PINNED_SWEEPS:
+        trace, _, _ = pinned_sweep(n, d, p, seed)
+        for u, polys, delta in trace:
+            assert [f.lt("lex") for f in polys] == reference_corners(delta, n), (n, d, p, seed, u)
 
 
 def test_bms_declines_monomial_ideal(monomial6):
@@ -307,7 +334,7 @@ def test_bms_declines_monomial_ideal(monomial6):
         assert "without a verified Groebner basis" in res.reason
         assert len(trace) <= 2 * 2 * 6
     # the visible recurrences stall at four delta elements out of six
-    assert sorted(trace[-1][2]) == [(0, 0), (0, 1), (1, 0), (2, 0)]
+    assert sorted(read_pass(trace[-1], monomial6.F)[2]) == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 def test_bms_declines_inconsistent_input():
@@ -359,12 +386,13 @@ def test_bms_declines_as_soon_as_delta_outgrows_D():
     assert len(trace) == 24 and sizes[-1] > Q.D >= max(sizes[:-1])
     # why declining is sound: on every pass the staircase of lt(F) is delta,
     # so from the first |delta| > D on is_gb cannot pass
-    for _, polys, delta in trace:
+    passes = [read_pass(entry, F3) for entry in trace]
+    for _, polys, delta in passes:
         lts = [f.lt("lex") for f in polys]
         box = [range(max((t[i] for t in delta), default=0) + 2) for i in range(2)]
         staircase = {t for t in product(*box) if not any(divides(l, t) for l in lts)}
         assert staircase == delta
-    assert not is_gb(trace[-1][1], Q)
+    assert not is_gb(passes[-1][1], Q)
 
 
 @pytest.mark.xfail(

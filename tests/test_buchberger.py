@@ -10,7 +10,7 @@ from sparsefglm.buchberger import RANK_LIMIT, buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly, normal_form, reduce_rows
-from sparsefglm.terms import MAX_EXP, divides, drl_key, term_codec
+from sparsefglm.terms import MAX_EXP, drl_key, term_codec
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
@@ -21,6 +21,7 @@ from conftest import (
     GF11_TEXT,
     GF2_TEXT,
     basis_strs,
+    divides,
     mp_mul_term,
     mp_sub,
     normal_form_linear_scan,

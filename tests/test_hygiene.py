@@ -266,13 +266,15 @@ def test_only_field_and_terms_turn_ints_into_bytes():
 
 
 def test_quotient_does_no_tuple_term_arithmetic():
-    """`quotient.py` runs on packed DRL terms (`terms.TermCodec`): it imports
-    none of the exponent-tuple helpers for products, divisibility or order."""
-    tree = ast.parse((PACKAGE / "quotient.py").read_text())
-    imported = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert imported & {"term_mul", "divides", "lex_key", "drl_key", "term_key"} == set()
+    """The quotient, the BMS sweep and classic FGLM run on packed terms
+    (`terms.TermCodec`): none imports the exponent-tuple helpers for
+    products, divisibility or order."""
+    for module in ("quotient.py", "bms.py", "fglm.py"):
+        tree = ast.parse((PACKAGE / module).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert imported & {"term_mul", "divides", "lex_key", "drl_key", "term_key"} == set(), module

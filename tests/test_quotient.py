@@ -90,6 +90,10 @@ def test_nf_of_var(gf11):
     assert gf11.nf_of_var(2) == [0, 0, 1, 0]
     # x3 is itself a leading term: NF(x3) = -9 = 2
     assert gf11.nf_of_var(3) == [2, 0, 0, 0]
+    # an index outside 1..n is refused, as by matrix(j), not read as NF(1)
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            gf11.nf_of_var(i)
 
 
 def assert_columns_are_reduced_normal_forms(Q):

@@ -16,7 +16,6 @@ from sparsefglm.terms import (
     MAX_EXP,
     TABLE_CAP,
     TermCodec,
-    divides,
     drl_key,
     lex_key,
     term_codec,
@@ -26,7 +25,7 @@ from sparsefglm.terms import (
     var_term,
 )
 
-from conftest import term_mul
+from conftest import divides, term_mul
 
 
 def test_drl_order_two_variables():
