@@ -16,9 +16,10 @@ polynomials as rows, and `row_poly` turns a row back into a MultiPoly;
 `buchberger` reduces on DRL ranks up to its rank limit, on this loop past
 it.
 
-A MultiPoly is immutable once constructed: nothing writes to `coeffs`
-after construction, so `lt` caches its answer on the instance.  Rows are
-built by `make_row` and not cached.
+A MultiPoly caches nothing: `lt` packs the terms by the ordering's
+`TermCodec` and takes the max, so it raises ValueError for a term past
+MAX_EXP as every packed path does.  Rows are built by `make_row` and not
+cached.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .field import PrimeField
-from .terms import OrderingTag, Term, TermCodec, drl_key, term_codec, term_key, term_str
+from .terms import OrderingTag, Term, TermCodec, term_codec, term_str
 from .unipoly import UniPoly, trim
 
 # (packed leading term, [(packed term - packed leading term, -coeff/lc)])
@@ -37,15 +38,14 @@ Row = tuple[int, list[tuple[int, int]]]
 
 
 class MultiPoly:
-    """A polynomial in n variables; `coeffs` must not be mutated after
-    construction, since leading terms are cached per ordering in `_lt`."""
+    """A polynomial in n variables: its nonzero coefficients by exponent
+    tuple in `coeffs`."""
 
-    __slots__ = ("n", "coeffs", "_lt")
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: dict[Term, int] | None = None):
         self.n = n
         self.coeffs = {t: c for t, c in (coeffs or {}).items() if c}
-        self._lt: dict[str, Term] | None = None
 
     @classmethod
     def from_uni(cls, n: int, f: UniPoly) -> "MultiPoly":
@@ -65,15 +65,10 @@ class MultiPoly:
         return not self.coeffs
 
     def lt(self, ordering: OrderingTag) -> Term:
-        cache = self._lt
-        if cache is None:
-            cache = self._lt = {}
-        t = cache.get(ordering)
-        if t is None:
-            if not self.coeffs:
-                raise ValueError("zero polynomial has no leading term")
-            t = cache[ordering] = max(self.coeffs, key=term_key(ordering))
-        return t
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading term")
+        codec = term_codec(self.n, ordering)
+        return codec.unpack(max(codec.pack_all(self.coeffs)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -91,7 +86,7 @@ class MultiPoly:
         try:  # packed DRL terms compare as the terms do
             order = sorted(self.coeffs, key=term_codec(self.n, "drl").pack, reverse=True)
         except ValueError:  # a degree past MAX_EXP, which no packed term holds
-            order = sorted(self.coeffs, key=drl_key, reverse=True)
+            order = sorted(self.coeffs, key=lambda t: (sum(t), [-e for e in t]), reverse=True)
         parts = []
         for t in order:
             c = self.coeffs[t]
@@ -175,13 +170,11 @@ def normal_form(
 
 
 def row_poly(row: Row, codec: TermCodec, F: PrimeField) -> MultiPoly:
-    """The monic MultiPoly of a row, with its leading term cached."""
+    """The monic MultiPoly of a row."""
     lt, tail = row
     coeffs = {codec.unpack(lt): 1}
     coeffs.update((codec.unpack(lt + d), F.p - m) for d, m in tail)
-    g = MultiPoly(codec.n, coeffs)
-    g._lt = {codec.ordering: codec.unpack(lt)}
-    return g
+    return MultiPoly(codec.n, coeffs)
 
 
 class InternalError(AssertionError):

@@ -28,7 +28,7 @@ from itertools import compress
 from operator import itemgetter, mul
 
 from .field import PrimeField, field_codec
-from .poly import GroebnerBasis, InternalError, MultiPoly
+from .poly import GroebnerBasis, InternalError
 from .terms import Term, drl_fronts, term_codec, unit_term, var_term
 
 CoordVector = list[int]
@@ -152,7 +152,12 @@ class QuotientStructure:
             raise ValueError("source basis must be DRL")
         self.G1, self.F, self.n = G1, F, G1.n
         codec = self._codec = term_codec(self.n, "drl")
-        self._basis = basis = staircase([g.lt("drl") for g in G1.polys], self.n)
+        if not all(g.coeffs for g in G1.polys):
+            raise ValueError("zero polynomial has no leading term")
+        # each element's packed terms, its leading term their max
+        packed = [codec.pack_all(g.coeffs) for g in G1.polys]
+        lts = list(map(max, packed))
+        self._basis = basis = staircase(list(map(codec.unpack, lts)), self.n)
         if basis is None:
             raise ValueError("ideal not zero-dimensional")
         if not basis:  # a leading term divides 1
@@ -162,10 +167,10 @@ class QuotientStructure:
         self.basis = list(map(codec.unpack, basis))
         self.D = len(basis)
         self.index = index = {t: i for i, t in enumerate(basis)}
-        # packed leading term -> its element and the place in B of each term
+        # packed leading term -> its element's coefficients and their places in B
         self._elements = elements = {
-            codec.pack(g.lt("drl")): (g, list(map(index.get, codec.pack_all(g.coeffs))))
-            for g in G1.polys
+            lt: (list(g.coeffs.values()), list(map(index.get, terms)))
+            for lt, g, terms in zip(lts, G1.polys, packed)
         }
         # the columns read the basis as reduced: its leading terms are
         # distinct, each t / x_l of one is in B, and so are its other terms
@@ -202,11 +207,12 @@ class QuotientStructure:
 
     # --- normal forms of single terms -------------------------------------
 
-    def _case2_column(self, g: MultiPoly, places: list[int | None]) -> CoordVector:
-        """NF(lt(g)): g's other terms times -1/lc, each at its place in B."""
+    def _case2_column(self, coeffs: list[int], places: list[int | None]) -> CoordVector:
+        """NF of an element's leading term, its one term outside B: the other
+        terms times -1/lc, each at its place in B."""
         p, v = self.F.p, [0] * self.D
-        m = p - self.F.inv(g.coeffs[g.lt("drl")])
-        for k, c in zip(places, g.coeffs.values()):
+        m = p - self.F.inv(coeffs[places.index(None)])
+        for k, c in zip(places, coeffs):
             if k is not None:
                 v[k] = c * m % p
         return v

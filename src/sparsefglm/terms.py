@@ -12,18 +12,16 @@ usual way:
   Every power of x1 is below x2, so for n = 2:
   1 < x1 < x1^2 < ... < x2 < x1*x2 < ...
 
-Sort keys are exposed instead of comparator objects; ascending sorts with
-these keys produce ascending term order.
-
-Inside the reduction layers (`poly.normal_form`, `buchberger`, the BMS
-sweep), the quotient (`QuotientStructure`'s index, row maps and
-`term_vec` cascade) and `fglm.classic_fglm`'s term walk a term is one int
-instead, packed by the `TermCodec` of its (n, ordering): the ints compare
-as the terms do, a product of terms is an int addition, and divisibility
-is one mask test.  `buchberger` also numbers the packed DRL terms of low
-degree by their place in the order, so that a polynomial can be one int
-with a field per rank.  Exponent tuples stay the format of every public
-interface.
+`TermCodec` is the one definition of both orders: the `TermCodec` of
+(n, ordering) packs a term into an int that compares as the term does, so
+a leading term is the max of the packed terms (`MultiPoly.lt`).  Inside
+the reduction layers (`poly.normal_form`, `buchberger`, the BMS sweep),
+the quotient (`QuotientStructure`'s index, row maps and `term_vec`
+cascade) and `fglm.classic_fglm`'s term walk a term is one such int: a
+product of terms is an int addition, and divisibility is one mask test.
+`buchberger` also numbers the packed DRL terms of low degree by their
+place in the order, so that a polynomial can be one int with a field per
+rank.  Exponent tuples stay the format of every public interface.
 
 Terms repeat from one system to the next, so the conversions at the
 pipeline's edges are table lookups: each codec keeps its packings and
@@ -42,22 +40,6 @@ from typing import Literal
 
 Term = tuple[int, ...]
 OrderingTag = Literal["drl", "lex"]
-
-
-def drl_key(t: Term):
-    return (sum(t), tuple(-e for e in t))
-
-
-def lex_key(t: Term):
-    return tuple(reversed(t))
-
-
-def term_key(ordering: OrderingTag):
-    if ordering == "drl":
-        return drl_key
-    if ordering == "lex":
-        return lex_key
-    raise ValueError(f"unknown term ordering {ordering!r}")
 
 
 def unit_term(n: int) -> Term:
@@ -128,7 +110,8 @@ class TermCodec:
     bits = 16
 
     def __init__(self, n: int, ordering: OrderingTag):
-        term_key(ordering)  # validates the tag
+        if ordering not in ("drl", "lex"):
+            raise ValueError(f"unknown term ordering {ordering!r}")
         self.n, self.ordering = n, ordering
         drl = ordering == "drl"
         self._fields = struct.Struct(("<>"[drl]) + "H" * (n + drl))

@@ -36,10 +36,7 @@ from sparsefglm.terms import (
     OrderingTag,
     Term,
     TermCodec,
-    drl_key,
-    lex_key,
     term_codec,
-    term_key,
     unit_term,
     var_term,
 )
@@ -85,9 +82,26 @@ def basis_strs(polys) -> list[str]:
     return [poly_str(f) for f in polys]
 
 
-# Term and polynomial arithmetic on exponent tuples, for building test inputs
-# and oracles; the library's arithmetic runs on packed terms and rows (see
-# `terms.TermCodec` and `poly`).
+# Term order and arithmetic on exponent tuples, for building test inputs
+# and oracles; the library orders and multiplies packed terms and rows (see
+# `terms.TermCodec` and `poly`).  Ascending sorts with these keys give
+# ascending term order.
+def drl_key(t: Term):
+    return (sum(t), tuple(-e for e in t))
+
+
+def lex_key(t: Term):
+    return tuple(reversed(t))
+
+
+def term_key(ordering: OrderingTag):
+    if ordering == "drl":
+        return drl_key
+    if ordering == "lex":
+        return lex_key
+    raise ValueError(f"unknown term ordering {ordering!r}")
+
+
 def term_mul(a: Term, b: Term) -> Term:
     return tuple(map(add, a, b))
 

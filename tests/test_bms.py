@@ -16,12 +16,13 @@ from sparsefglm.fglm import classic_fglm
 from sparsefglm.poly import Fail, GroebnerBasis, InternalError, MultiPoly, normal_form, row_poly
 from sparsefglm.quotient import QuotientStructure, staircase
 from sparsefglm.shape import incremental_univariate, shape_prob
-from sparsefglm.terms import MAX_EXP, lex_key, term_codec
+from sparsefglm.terms import MAX_EXP, term_codec
 
 from conftest import (
     PROBE12,
     basis_strs,
     divides,
+    lex_key,
     mp_mul_term,
     noncommuting_units,
     quotient_from_text,

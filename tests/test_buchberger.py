@@ -10,7 +10,7 @@ from sparsefglm.buchberger import RANK_LIMIT, buchberger, gen_random_system
 from sparsefglm.fglm import classic_fglm
 from sparsefglm.field import PrimeField
 from sparsefglm.poly import MultiPoly, normal_form, reduce_rows
-from sparsefglm.terms import MAX_EXP, drl_key, term_codec
+from sparsefglm.terms import MAX_EXP, term_codec
 from sparsefglm.quotient import QuotientStructure
 from sparsefglm.sysio import parse_system
 
@@ -22,6 +22,7 @@ from conftest import (
     GF2_TEXT,
     basis_strs,
     divides,
+    drl_key,
     mp_mul_term,
     mp_sub,
     normal_form_linear_scan,

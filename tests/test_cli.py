@@ -326,6 +326,9 @@ PIPES = [
      "error: ideal contains 1 (quotient has dimension 0)\n"),
     ("not-zero-dimensional", "p 7\nvars 2\nx1^2 + 1\n", "convert", 3, "",
      "error: ideal not zero-dimensional\n"),
+    # a degree past the packed term fields is bad input, not a defect
+    ("exponent-past-max", "p 7\nvars 2\nx1^40000 + 1\nx2 + 3\n", "convert", 3, "",
+     "error: exponent past MAX_EXP = 32767 in a packed term\n"),
     # a digit is ASCII 0-9: an Arabic-Indic three (U+0663) is bad input
     ("non-ascii-digit", "p 7\nvars 2\nx1^2 + \u0663\nx2 + 1\n", "convert", 3, "",
      "error: line 3, column 8: unexpected '\u0663'\n"),

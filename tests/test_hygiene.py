@@ -266,15 +266,22 @@ def test_only_field_and_terms_turn_ints_into_bytes():
 
 
 def test_quotient_does_no_tuple_term_arithmetic():
-    """The quotient, the BMS sweep and classic FGLM run on packed terms
-    (`terms.TermCodec`): none imports the exponent-tuple helpers for
-    products, divisibility or order."""
-    for module in ("quotient.py", "bms.py", "fglm.py"):
-        tree = ast.parse((PACKAGE / module).read_text())
-        imported = {
+    """The library orders, multiplies and divides packed terms
+    (`terms.TermCodec`): no module defines or imports an exponent-tuple
+    helper for products, divisibility or order (the tests keep them in
+    conftest as oracles)."""
+    helpers = {"term_mul", "divides", "lex_key", "drl_key", "term_key"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
             alias.name
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             for alias in node.names
         }
-        assert imported & {"term_mul", "divides", "lex_key", "drl_key", "term_key"} == set(), module
+        named |= {
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        }
+        assert named & helpers == set(), path.name

@@ -6,9 +6,9 @@ from sparsefglm.field import PrimeField
 from sparsefglm.poly import Fail, GroebnerBasis, MultiPoly, make_row, normal_form, reducer_row, row_poly
 from sparsefglm.buchberger import buchberger, gen_random_system
 from sparsefglm.quotient import QuotientStructure
-from sparsefglm.terms import MAX_EXP, term_codec, term_key
+from sparsefglm.terms import MAX_EXP, term_codec
 
-from conftest import mp_mul_term, mp_sub, normal_form_linear_scan, reference_buchberger
+from conftest import mp_mul_term, mp_sub, normal_form_linear_scan, reference_buchberger, term_key
 
 F11 = PrimeField(11)
 
@@ -127,6 +127,17 @@ def test_exponent_past_the_field_width_raises(ordering):
         )
         with pytest.raises(ValueError):
             normal_form(MultiPoly(2, {(1, 1): 1}), [g], "lex", F11)
+
+
+@pytest.mark.parametrize("ordering", ["drl", "lex"])
+def test_leading_term_past_max_exp_raises(ordering):
+    """lt packs the terms, so a term past MAX_EXP raises as every packed
+    path does; MAX_EXP itself still packs."""
+    assert MultiPoly(2, {(MAX_EXP, 0): 1, (0, 1): 2}).lt(ordering) == (
+        (MAX_EXP, 0) if ordering == "drl" else (0, 1)
+    )
+    with pytest.raises(ValueError, match="MAX_EXP"):
+        MultiPoly(2, {(MAX_EXP + 1, 0): 1, (0, 1): 2}).lt(ordering)
 
 
 def test_cached_leading_terms_match_uncached_scan():

@@ -188,6 +188,17 @@ def test_term_vec_past_max_exp_raises():
     assert Q.term_vec((MAX_EXP, 0)) == apply(Q.matrix(1), Q.term_vec((MAX_EXP - 1, 0)))
 
 
+def test_basis_past_max_exp_is_rejected_when_packed():
+    """The structure packs each element's terms to find its leading term,
+    so a DRL basis with a term past MAX_EXP raises that ValueError there,
+    before the staircase walk."""
+    G = GroebnerBasis(
+        [MultiPoly(2, {(0, 1): 1, (0, 0): 3}), MultiPoly(2, {(40000, 0): 1, (0, 0): 1})], "drl"
+    )
+    with pytest.raises(ValueError, match=r"^exponent past MAX_EXP = 32767 in a packed term$"):
+        QuotientStructure(G, PrimeField(7))
+
+
 def test_normal_forms_build_no_matrix():
     F = PrimeField(65521)
     Q = QuotientStructure(buchberger(gen_random_system(2, 2, F.p, 0), "drl", F), F)

@@ -16,16 +16,13 @@ from sparsefglm.terms import (
     MAX_EXP,
     TABLE_CAP,
     TermCodec,
-    drl_key,
-    lex_key,
     term_codec,
-    term_key,
     term_str,
     unit_term,
     var_term,
 )
 
-from conftest import divides, term_mul
+from conftest import divides, drl_key, lex_key, term_key, term_mul
 
 
 def test_drl_order_two_variables():
@@ -34,6 +31,7 @@ def test_drl_order_two_variables():
     assert sorted(want, key=drl_key) == want
     shuffled = list(reversed(want))
     assert sorted(shuffled, key=drl_key) == want
+    assert sorted(shuffled, key=term_codec(2, "drl").pack) == want
 
 
 def test_lex_order_two_variables():
@@ -41,12 +39,18 @@ def test_lex_order_two_variables():
     want = [(0, 0), (1, 0), (2, 0), (9, 0), (0, 1), (1, 1), (0, 2)]
     assert sorted(want, key=lex_key) == want
     assert lex_key((5, 0)) < lex_key((0, 1))
+    C = term_codec(2, "lex")
+    assert sorted(reversed(want), key=C.pack) == want
+    assert C.pack((5, 0)) < C.pack((0, 1))
 
 
 def test_orders_differ_on_mixed_degrees():
     # x1^3 vs x2: DRL ranks by degree, LEX by the last variable
     assert drl_key((3, 0)) > drl_key((0, 1))
     assert lex_key((3, 0)) < lex_key((0, 1))
+    drl, lex = term_codec(2, "drl"), term_codec(2, "lex")
+    assert drl.pack((3, 0)) > drl.pack((0, 1))
+    assert lex.pack((3, 0)) < lex.pack((0, 1))
 
 
 def test_drl_three_variables_matches_staircase_enumeration():
@@ -56,6 +60,7 @@ def test_drl_three_variables_matches_staircase_enumeration():
     assert s[1:4] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     degs = [sum(t) for t in s]
     assert degs == sorted(degs)
+    assert sorted(terms, key=term_codec(3, "drl").pack) == s
 
 
 def test_term_key_dispatch():
@@ -63,6 +68,8 @@ def test_term_key_dispatch():
     assert term_key("lex") is lex_key
     with pytest.raises(ValueError):
         term_key("grevlex")
+    with pytest.raises(ValueError, match="unknown term ordering 'grevlex'"):
+        term_codec(2, "grevlex")
 
 
 def test_mul_div_divides():
@@ -132,8 +139,8 @@ def test_packed_exponent_overflow_raises(ordering):
 
 def test_printing_distinct_terms_leaves_the_tables_at_their_cap():
     """10^5 distinct powers of x1, the last ones past MAX_EXP (sorted by
-    drl_key, since they do not pack): the text table and the codec's
-    packing table stop at TABLE_CAP, and the texts stay right."""
+    the printer's own DRL key, since they do not pack): the text table and
+    the codec's packing table stop at TABLE_CAP, and the texts stay right."""
     for k in range(10**5):
         assert poly_str(MultiPoly(1, {(k,): 3})) == ("3" if k == 0 else f"3*x1^{k}" if k > 1 else "3*x1")
     assert len(terms._TEXTS) == TABLE_CAP
