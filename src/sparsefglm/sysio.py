@@ -34,19 +34,17 @@ class ParseError(ValueError):
         self.col = col
 
 
-_FACTOR = r"(?:[0-9]+|x[0-9]+(?:[ \t]*\^[ \t]*[0-9]+)?)"
-# A factor possibly cut short, with the blanks after it; none may follow a bare x.
-_CUT = r"(?:(?:[0-9]+|x[0-9]+(?:[ \t]*\^(?:[ \t]*[0-9]+)?)?)[ \t]*|x)?"
-# Factors joined by '*', '+' or '-' after an optional leading '-', the last
-# one possibly cut short: the match ends at the first character that no
-# completion of the line allows.
-_LINE = re.compile(rf"[ \t]*(?:-[ \t]*)?(?:{_FACTOR}[ \t]*[-+*][ \t]*)*{_CUT}")
 _SIGN = re.compile(r"[-+]")
-_FACTORS = re.compile(r"([0-9]+)|x([0-9]+)(?:[ \t]*\^[ \t]*([0-9]+))?")
+# The longest prefix of a factor, with the blanks around it: a coefficient
+# (group 1), or x, its index (2), a '^' (3) and the exponent (4).  The
+# factor is whole when the last group it matched is 1, 2 or 4; otherwise
+# the match ends at the first character that no completion allows.
+_FACTOR_PREFIX = re.compile(r"[ \t]*(?:([0-9]+)[ \t]*|x(?:([0-9]+)[ \t]*(?:(\^)[ \t]*(?:([0-9]+)[ \t]*)?)?)?)?")
 
 
 # (n, monomial text) -> exponents, of the monomials without a coefficient
-# factor parsed so far (a `terms` table)
+# factor parsed so far (a `terms` table).  Only `_factors` stores a text, once
+# it has read the whole term, so a text found here needs no check.
 _MONOMIALS: dict[tuple[int, str], Term] = {}
 
 
@@ -60,53 +58,54 @@ def _int(m: re.Match, group: int, ln: int) -> int:
         raise ParseError(ln, m.start(group) + 1, msg) from None
 
 
-def _factors(text: str, start: int, end: int, ln: int, n: int, p: int) -> tuple[int, Term, int]:
-    """The coefficient and exponents of the term text[start:end], and how
-    many coefficient factors it has; a ParseError at the first bad factor."""
-    coef, found = 1, 0
-    expo = [0] * n
-    for f in _FACTORS.finditer(text, start, end):
-        num, idx, e = f.groups()
-        if num is None and 1 <= (i := _int(f, 2, ln)) <= n:
-            expo[i - 1] += _int(f, 3, ln) if e else 1
-        elif num is None:
-            raise ParseError(ln, f.start() + 1, f"variable x{idx} out of range (vars = {n})")
-        elif (c := _int(f, 1, ln)) < p:
+def _factors(text: str, pos: int, end: int, ln: int, n: int, p: int) -> tuple[int, Term, int]:
+    """The coefficient and exponents of the term text[pos:end], and how many
+    coefficient factors it has; a ParseError at the first bad factor or at
+    the first character that no completion of the line allows."""
+    coef, found, expo = 1, 0, [0] * n
+    while True:
+        f = _FACTOR_PREFIX.match(text, pos, end)
+        num, idx, _, e = f.groups()
+        if num is not None and (c := _int(f, 1, ln)) < p:
             coef, found = coef * c % p, found + 1
-        else:
-            raise ParseError(ln, f.start() + 1, f"coefficient {c} not reduced mod {p}")
-    return coef, tuple(expo), found
+        elif num is not None:
+            raise ParseError(ln, f.start(1) + 1, f"coefficient {c} not reduced mod {p}")
+        elif idx is not None and 1 <= (i := _int(f, 2, ln)) <= n:
+            expo[i - 1] += _int(f, 4, ln) if e else 1
+        elif idx is not None:
+            raise ParseError(ln, f.start(2), f"variable x{idx} out of range (vars = {n})")  # at the x
+        pos = f.end()
+        if f.lastindex not in (1, 2, 4) or pos < end and text[pos] != "*":
+            msg = f"unexpected {text[pos]!r}" if pos < len(text) else "unexpected end of line"
+            raise ParseError(ln, min(pos, len(text.rstrip(" \t"))) + 1, msg)
+        if pos == end:
+            return coef, tuple(expo), found
+        pos += 1
 
 
 def _parse_poly(text: str, ln: int, n: int, F: PrimeField) -> MultiPoly:
-    end, body = _LINE.match(text).end(), text.rstrip(" \t")
-    if end < len(text) or body[-1] not in "0123456789":  # every factor ends in a digit
-        # a bad factor before the character the grammar rejects comes first
-        stop = min(end, len(body))
-        _factors(text, 0, stop, ln, n, F.p)
-        msg = f"unexpected {text[end]!r}" if end < len(text) else "unexpected end of line"
-        raise ParseError(ln, stop + 1, msg)
-    # the line is valid syntax: each piece between signs is one term, but
-    # for the blank before a leading '-'.  A term's monomial is its text
-    # after a leading coefficient, and its exponents are looked up by that
-    # text; a miss, or a coefficient not reduced mod p, runs the factor
-    # loop, which raises any ParseError at its column
+    # each piece between signs is one term, but for the blank before a leading
+    # '-'.  A term's exponents are looked up by its monomial text, the term
+    # after a leading coefficient (ASCII digits before a '*'); a miss, or a
+    # coefficient not reduced mod p, reads the term with `_factors`
     p = F.p
     coeffs: dict[Term, int] = {}
     start = 0
     for term in _SIGN.split(text):
         end = start + len(term)
-        if start or term.strip(" \t"):
-            head, _, mono = term.partition("*")
+        if start or term.strip(" \t") or text[end:end + 1] != "-":
+            head, star, mono = term.partition("*")
+            digits = head.strip(" \t")
+            lead = 1 if star and digits.isascii() and digits.isdigit() else 0
             try:
-                coef, lead = int(head), 1
-            except ValueError:  # no leading coefficient (or one too long)
-                coef, lead, mono = 1, 0, term
-            expo = _MONOMIALS.get((n, mono)) if coef < p else None
+                coef = int(digits) if lead else 1
+            except ValueError:  # too long for int(): `_factors` names its column
+                coef = p
+            expo = _MONOMIALS.get((n, mono if lead else term)) if coef < p else None
             if expo is None:
                 coef, expo, found = _factors(text, start, end, ln, n, p)
-                if found == lead:  # no coefficient inside mono
-                    remember(_MONOMIALS, (n, mono), expo)
+                if found == lead:  # no coefficient inside the monomial
+                    remember(_MONOMIALS, (n, mono if lead else term), expo)
             if start and text[start - 1] == "-":
                 coef = -coef
             v = (coeffs.get(expo, 0) + coef) % p

@@ -55,16 +55,21 @@ def referenced_names(source: str) -> tuple[set[str], set[str]]:
     """The names a module reads, and the names it reaches from outside: what
     it imports by name, spells as a string (the benchmark's tracer wraps
     library functions given by name), or reads as an attribute of a module
-    object, a name bound by `import` or a subscript such as
-    `sys.modules[...]`.  Any other attribute, `x.is_zero()` say, may be a
-    method, so it names no top-level definition."""
+    object: a name bound by `import` or to `importlib.import_module(...)`
+    (the benchmark's `lib`), or a subscript such as `sys.modules[...]`.  Any
+    other attribute, `x.is_zero()` say, may be a method, so it names no
+    top-level definition."""
     tree = ast.parse(source)
-    modules = {
-        alias.asname or alias.name.split(".")[0]
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Import)
-        for alias in node.names
-    }
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "importlib.import_module"
+        ):
+            modules.update(target.id for target in node.targets if isinstance(target, ast.Name))
     read, outside = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -111,11 +116,13 @@ def test_unreferenced_checker_flags_orphans_and_accepts_references():
             "def is_zero(f): return not f\n"
             "def helper(): pass\n"
             "def looked_up(): pass\n"
+            "def imported_at_run_time(): pass\n"
             "x = used_here()\n"
         ),
         "b": "from a import imported\nx.is_zero()\n",
         "c": "import a\na.helper()\n",
         "d": "import sys\nsys.modules['a'].looked_up()\n",
+        "e": "import importlib\nlib = importlib.import_module(name)\nlib.imported_at_run_time()\n",
         "tracer": "WRAPPED = [('a', 'traced')]\n",
         "pkg/__init__.py": "from a import reexported\n__all__ = ['reexported']\n",
     }

@@ -475,6 +475,9 @@ def test_constructor_validation():
     one = MultiPoly(2, {(0, 0): 1})
     with pytest.raises(ValueError):
         QuotientStructure(GroebnerBasis([one], "drl"), F11)
+    x2sq = MultiPoly(2, {(0, 2): 1})
+    with pytest.raises(ValueError, match="^zero polynomial has no leading term$"):
+        QuotientStructure(GroebnerBasis([x1, MultiPoly(2), x2sq], "drl"), F11)
 
 
 def test_unreduced_input_is_reduced(gf11):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -87,6 +88,7 @@ def test_parse_errors_carry_position():
         ("12*x1 + x1 ? 2", 1, "coefficient 12 not reduced mod 11"),
         ("x5 + x1 x2", 1, "variable x5 out of range (vars = 2)"),
         ("x5 +", 1, "variable x5 out of range (vars = 2)"),
+        ("x3^", 1, "variable x3 out of range (vars = 2)"),
         ("x1 ? 12", 4, "unexpected '?'"),
     ):
         with pytest.raises(ParseError) as e:
@@ -218,20 +220,33 @@ def _outcome(parse, text, F):
         return None
 
 
+# md5 of the outcomes of the 20,000 lines below: each line's terms, or its
+# ParseError's line, column and message
+OUTCOMES_MD5 = "1c33c53ada86e5c2b2dbe392937e2705"
+
+
 def test_parser_agrees_with_reference_parser():
     F = PrimeField(11)
     rng = random.Random(15)
+    md5 = hashlib.md5()
     accepted = rejected = 0
     while accepted + rejected < 20_000:
         line = _random_line(rng)
         if not line.strip():
             continue
-        # the reference takes the line stripped, as its caller did
-        got, want = _outcome(_parse_poly, line, F), _outcome(reference_parse_poly, line.strip(), F)
-        assert got == want, line
+        try:
+            got = _parse_poly(line, 1, 2, F).coeffs
+            md5.update(f"{sorted(got.items())}\n".encode())
+        except ParseError as e:
+            got = None
+            md5.update(f"{(e.line, e.col, str(e))}\n".encode())
+        # the reference takes the line stripped, as its caller did, and
+        # reports some errors at other columns
+        assert got == _outcome(reference_parse_poly, line.strip(), F), line
         accepted += got is not None
         rejected += got is None
     assert accepted > 2_000 and rejected > 2_000
+    assert md5.hexdigest() == OUTCOMES_MD5
 
 
 # lines that the ParseError cases above reuse, valid in 3 or more variables
@@ -253,6 +268,23 @@ def test_warm_term_tables_keep_every_parse_error():
     for args in OVERLONG_CASES:
         test_overlong_digit_runs_name_their_column(*args)
     test_parser_agrees_with_reference_parser()
+
+
+def test_table_hits_accept_no_text_unread():
+    """After `x1 + 5` has filled the table, a leading coefficient with
+    nothing after its '*', or a sign with no term after it, raises at the
+    first character that no completion allows."""
+    _MONOMIALS.clear()  # a full table stores no more
+    parse_system("p 11\nvars 2\nx1 + 5\n")
+    for bad, col, msg in (
+        ("5* + x1", 4, "unexpected '+'"),
+        ("5*", 3, "unexpected end of line"),
+        ("x1 + 5 +", 9, "unexpected end of line"),
+    ):
+        with pytest.raises(ParseError) as e:
+            parse_system(f"p 11\nvars 2\n{bad}\n")
+        assert (e.value.line, e.value.col) == (3, col), bad
+        assert str(e.value).endswith(msg), bad
 
 
 def _valid_term(rng: random.Random, n: int, p: int) -> str:
